@@ -14,10 +14,9 @@ from pathlib import Path
 
 from coco.errors import (CocoError, EpochUnderflowError, InfeasibleSloError,
                          ScenarioError, ValidationError)
-from coco.profiler import build_profile
 from coco.resctrl import ResctrlLayout, apply as apply_clos_set, serialize_clos_set
 from coco.closconfig import default_partition
-from coco.scenario import LoadedScenario, dump_profiles, load_scenario
+from coco.scenario import dump_profiles, load_scenario
 from coco.sim import (CompareResult, Policy, SimMetrics, compare_policies,
                       max_affordable_load, run_scenario)
 
@@ -103,29 +102,18 @@ def _compare_report(result: CompareResult, order: list[str], fmt: str) -> str:
     return _table(rows) + "\n" + _table(summary)
 
 
-def _load(path: str, seed: int | None) -> LoadedScenario:
-    loaded = load_scenario(path)
-    if seed is not None:
-        loaded = LoadedScenario(loaded.path, loaded.machine, loaded.workloads,
-                                loaded.policies, {**loaded.sim_params, "seed": seed},
-                                loaded.clos_set)
-    return loaded
-
-
 def _cmd_validate(args) -> int:
-    loaded = _load(args.scenario, args.seed)
+    loaded = load_scenario(args.scenario)
     print(f"{loaded.path}: ok ({len(loaded.workloads)} workloads, "
           f"{loaded.machine.clos_count} CLOSs, {loaded.machine.llc_ways} ways)")
     return EXIT_OK
 
 
 def _cmd_profile(args) -> int:
-    loaded = _load(args.scenario, args.seed)
-    profiles = {}
-    for lw in loaded.workloads:
-        if lw.model is not None:
-            profiles[lw.spec.name] = build_profile(lw.model, loaded.machine,
-                                                   lw.spec.slo)
+    loaded = load_scenario(args.scenario)
+    # model workloads were profiled when the scenario loaded
+    profiles = {lw.spec.name: lw.spec.profile
+                for lw in loaded.workloads if lw.model is not None}
     if not profiles:
         raise ScenarioError(f"{loaded.path}: no workload carries a model to profile")
     _write_output(args.output, dump_profiles(profiles))
@@ -133,8 +121,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    loaded = _load(args.scenario, args.seed)
-    scenario = loaded.scenario()
+    loaded = load_scenario(args.scenario)
+    scenario = loaded.scenario(seed=args.seed)
     metrics = run_scenario(scenario)
     order = [w.spec.name for w in loaded.workloads]
     _write_output(args.output,
@@ -143,20 +131,20 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    loaded = _load(args.scenario, args.seed)
+    loaded = load_scenario(args.scenario)
     if args.policies:
         policies = [Policy.from_name(p.strip())
                     for p in args.policies.split(",") if p.strip()]
     else:
         policies = list(loaded.policies) or list(Policy)
-    result = compare_policies(loaded.scenario(), policies)
+    result = compare_policies(loaded.scenario(seed=args.seed), policies)
     order = [w.spec.name for w in loaded.workloads]
     _write_output(args.output, _compare_report(result, order, args.format))
     return EXIT_OK
 
 
 def _cmd_schemata(args) -> int:
-    loaded = _load(args.scenario, args.seed)
+    loaded = load_scenario(args.scenario)
     clos_set = loaded.clos_set or default_partition(loaded.machine)
     sys.stdout.write(serialize_clos_set(clos_set))
     if args.apply:

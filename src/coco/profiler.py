@@ -47,14 +47,6 @@ class GroundTruthModel:
         return self.floor_latency_ms() / (1.0 - load / cap)
 
 
-@dataclass(frozen=True)
-class ProfileGrid:
-    """Raw profiling output: SLO-sustaining load per grid state."""
-
-    states: tuple[AllocationState, ...]
-    measured_sl: tuple[float, ...]
-
-
 def max_sustainable_load(model: GroundTruthModel, state: AllocationState,
                          slo: SloSpec) -> float:
     """Largest load whose latency stays within the SLO bound at this state.
@@ -90,15 +82,6 @@ def grid_states(machine: MachineSpec) -> tuple[AllocationState, ...]:
     )
 
 
-def measure_grid(model: GroundTruthModel, machine: MachineSpec,
-                 slo: SloSpec) -> ProfileGrid:
-    """Run the profiling loop over the whole (1 way x mba_step) grid."""
-    states = grid_states(machine)
-    _check_capacity_monotone(model, machine)
-    measured = tuple(max_sustainable_load(model, s, slo) for s in states)
-    return ProfileGrid(states, measured)
-
-
 def _check_capacity_monotone(model: GroundTruthModel, machine: MachineSpec) -> None:
     levels = machine.mba_levels()
     caps = {
@@ -117,10 +100,10 @@ def _check_capacity_monotone(model: GroundTruthModel, machine: MachineSpec) -> N
 def build_profile(model: GroundTruthModel, machine: MachineSpec,
                   slo: SloSpec) -> SensitivityProfile:
     """Profile a model into a SensitivityProfile over the machine grid."""
-    grid = measure_grid(model, machine, slo)
+    _check_capacity_monotone(model, machine)
+    sl = {s: max_sustainable_load(model, s, slo) for s in grid_states(machine)}
     mbas = machine.mba_levels()
     ways = tuple(range(1, machine.llc_ways + 1))
-    sl = {s: v for s, v in zip(grid.states, grid.measured_sl)}
     sl_full = sl[AllocationState(machine.llc_ways, 100)]
     if sl_full <= 0:
         raise InfeasibleSloError("zero sustainable load at full allocation")

@@ -213,11 +213,3 @@ def apply(clos_set: ClosSet, layout: ResctrlLayout) -> ApplyReport:
             raise ApplyDriftError(
                 f"apply drift: {schemata} does not match clos {cfg.id}")
     return report
-
-
-def assign_tasks(layout: ResctrlLayout, clos_id: int, pids: list[int]) -> None:
-    """Plain writes of PIDs into a group's tasks file; no liveness checks."""
-    tasks = layout.group_dir(clos_id) / "tasks"
-    with tasks.open("a") as f:
-        for pid in pids:
-            f.write(f"{pid}\n")

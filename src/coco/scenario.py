@@ -56,11 +56,8 @@ class LoadedScenario:
     sim_params: dict
     clos_set: ClosSet | None
 
-    def scenario(self, policy: Policy | None = None,
-                 seed: int | None = None) -> Scenario:
+    def scenario(self, seed: int | None = None) -> Scenario:
         params = dict(self.sim_params)
-        if policy is not None:
-            params["policy"] = policy
         if seed is not None:
             params["seed"] = seed
         return Scenario(machine=self.machine,

@@ -60,14 +60,6 @@ class EpochPlan:
                 return s
         raise KeyError(workload)
 
-    def active_quanta(self, workload: str) -> int:
-        """Quanta the workload actually runs (combined window when paired)."""
-        for segs in self.schedule.values():
-            for seg in segs:
-                if workload in seg.members:
-                    return seg.quanta
-        raise KeyError(workload)
-
 
 def pair_compatible(a: WorkloadSpec, b: WorkloadSpec) -> bool:
     """True iff the two workloads stress opposite resource axes."""

@@ -7,11 +7,14 @@ after a working-set switch and while sharing a working set.  A quantum
 violates the SLO when the offered load, apportioned over the workload's
 active quanta, exceeds that achievable throughput.
 
-Policies that leave a resource axis unpartitioned (no partitioning at all,
+Each policy is one row of ``POLICIES``: its planner, whether admission
+control runs, whether it uses the conflicting CLOS set, and which resource
+axes it leaves shared.  Policies that share an axis (no partitioning at all,
 cache-only, bandwidth-only) give concurrently active workloads a fair share
-of the contended axis and multiply slowdowns by a configurable interference
-factor; with the factor at its default of 1 the fair split is the whole
-penalty.
+of it and multiply slowdowns by a configurable interference factor; with the
+factor at its default of 1 the fair split is the whole penalty.  ``none``
+runs every workload all epoch on one virtual CLOS, so one loop serves every
+policy.
 """
 
 from __future__ import annotations
@@ -20,15 +23,17 @@ import dataclasses
 import enum
 import random
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from coco.closconfig import ClosSet, default_partition
 from coco.closconfig import validate as validate_clos_set
 from coco.core import AllocationState, MachineSpec, WorkloadSpec, slowdown_xy
 from coco.errors import InfeasibleSloError, ValidationError
-from coco.scheduler import EpochPlan, admission_control, plan_epoch, round_robin_plan
+from coco.scheduler import Segment, admission_control, plan_epoch, round_robin_plan
 
 AFFORDABLE_SEARCH_TOL = 0.005
 VIOLATION_SLACK = 1e-9
+_VIRTUAL_CLOS = -1
 
 
 class Policy(enum.Enum):
@@ -47,6 +52,34 @@ class Policy(enum.Enum):
         raise ValidationError(
             f"unknown policy {name!r}; expected one of "
             + ", ".join(p.value for p in cls))
+
+
+@dataclass(frozen=True)
+class PolicySpec:
+    """What one policy decides; the simulator derives everything else.
+
+    ``planner`` is "weighted" (slowdown-weighted MQ-WRR, which pairs
+    complementary workloads), "rr" (equal slices, membership rotating one
+    CLOS per epoch) or "shared" (no CLOSs: every workload runs all epoch on
+    one virtual CLOS).  ``shared`` names the resource axes ("llc", "mba")
+    left unpartitioned.
+    """
+
+    planner: str
+    admission: bool = False
+    conflicting: bool = False
+    shared: frozenset[str] = frozenset()
+
+
+POLICIES = MappingProxyType({
+    Policy.COCO: PolicySpec("weighted", admission=True),
+    Policy.COCO_CONFLICTING: PolicySpec("weighted", admission=True,
+                                        conflicting=True),
+    Policy.CAT_ONLY: PolicySpec("weighted", shared=frozenset({"mba"})),
+    Policy.MBA_ONLY: PolicySpec("weighted", shared=frozenset({"llc"})),
+    Policy.ROUND_ROBIN: PolicySpec("rr"),
+    Policy.NO_PARTITION: PolicySpec("shared", shared=frozenset({"llc", "mba"})),
+})
 
 
 @dataclass(frozen=True)
@@ -106,11 +139,13 @@ class Scenario:
             if problems:
                 raise ValidationError("clos_set invalid: " + "; ".join(problems))
 
-    def effective_clos_set(self) -> ClosSet:
+    def effective_clos_set(self) -> ClosSet | None:
+        """The CLOS set the policy schedules on; None if it partitions nothing."""
+        spec = POLICIES[self.policy]
+        if spec.planner == "shared":
+            return None
         base = self.clos_set or default_partition(self.machine)
-        if self.policy is Policy.COCO_CONFLICTING:
-            return anti_monotone_set(base)
-        return base
+        return anti_monotone_set(base) if spec.conflicting else base
 
 
 @dataclass(frozen=True)
@@ -173,36 +208,42 @@ class _ClosView:
 
     ways: float
     mba: float
-    contended: bool
 
 
-def _views(scenario: Scenario, clos_set: ClosSet,
+def _views(scenario: Scenario, clos_set: ClosSet | None,
            active_ids: list[int]) -> dict[int, _ClosView]:
     machine = scenario.machine
+    if clos_set is None:
+        # the virtual CLOS: n workloads split whole ways and step-rounded MBA
+        n = len(scenario.workloads)
+        step = machine.mba_step
+        mba = min(100, max(step, ((100 // n + step // 2) // step) * step))
+        return {_VIRTUAL_CLOS: _ClosView(max(1, machine.llc_ways // n), mba)}
+    shared = POLICIES[scenario.policy].shared
     n_active = max(1, len(active_ids))
     views = {}
     for clos_id in active_ids:
         cfg = clos_set.by_id(clos_id)
-        if scenario.policy is Policy.CAT_ONLY:
-            views[clos_id] = _ClosView(cfg.width, 100.0 / n_active, True)
-        elif scenario.policy is Policy.MBA_ONLY:
-            views[clos_id] = _ClosView(machine.llc_ways / n_active,
-                                       float(cfg.mba_percent), True)
-        else:
-            views[clos_id] = _ClosView(float(cfg.width), float(cfg.mba_percent),
-                                       False)
+        views[clos_id] = _ClosView(
+            machine.llc_ways / n_active if "llc" in shared else cfg.width,
+            100.0 / n_active if "mba" in shared else cfg.mba_percent)
     return views
 
 
 def _reference_state(scenario: Scenario, clos_set: ClosSet) -> AllocationState | None:
+    """Common state the weighted planner ranks slowdowns at.
+
+    Shared axes sit at the full allocation and a partitioned one at its
+    smallest LC value.  With nothing shared, None selects the planner's
+    default: the smallest LC CLOS's own state.
+    """
+    shared = POLICIES[scenario.policy].shared
+    if not shared:
+        return None
     lc = clos_set.lc_configs()
-    smallest = min(lc, key=lambda c: (c.width, c.id))
-    if scenario.policy is Policy.CAT_ONLY:
-        return AllocationState(smallest.width, 100)
-    if scenario.policy is Policy.MBA_ONLY:
-        return AllocationState(scenario.machine.llc_ways,
-                               min(c.mba_percent for c in lc))
-    return None
+    return AllocationState(
+        scenario.machine.llc_ways if "llc" in shared else min(c.width for c in lc),
+        100 if "mba" in shared else min(c.mba_percent for c in lc))
 
 
 @dataclass
@@ -211,7 +252,7 @@ class _Tally:
     quanta: int = 0
     min_affordable: float = field(default=float("inf"))
     ideal_capacity: float = 0.0
-    actual_capacity: float = 0.0
+    warmup_loss: float = 0.0
 
 
 def _jitter_factors(scenario: Scenario, rng: random.Random) -> dict[str, float]:
@@ -221,93 +262,83 @@ def _jitter_factors(scenario: Scenario, rng: random.Random) -> dict[str, float]:
             for w in scenario.workloads}
 
 
+def _schedule(scenario: Scenario, workloads: tuple[WorkloadSpec, ...],
+              clos_set: ClosSet | None, reference: AllocationState | None,
+              epoch: int) -> dict[int, tuple[Segment, ...]]:
+    """One epoch's segments per CLOS, from the policy's planner."""
+    planner = POLICIES[scenario.policy].planner
+    if planner == "rr":
+        return round_robin_plan(workloads, clos_set, scenario.epoch_quanta,
+                                epoch=epoch).schedule
+    if planner == "weighted":
+        return plan_epoch(workloads, clos_set, scenario.epoch_quanta,
+                          reference_state=reference).schedule
+    return {_VIRTUAL_CLOS: (Segment(tuple(w.name for w in workloads),
+                                    scenario.epoch_quanta),)}
+
+
 def _simulate(scenario: Scenario, *, apply_admission: bool
               ) -> tuple[dict[str, _Tally], int, tuple[WorkloadSpec, ...]]:
-    """Core loop shared by run_scenario and the affordable-load search."""
+    """Core loop shared by run_scenario and the affordable-load search.
+
+    A segment runs at two rates: warm for the first min(window, quanta)
+    quanta after a working-set switch on its CLOS, base after that.  So it
+    is tallied once, as count x rate, not quantum by quantum.
+    """
+    spec = POLICIES[scenario.policy]
     tallies = {w.name: _Tally() for w in scenario.workloads}
     rng = random.Random(scenario.seed)
-    total_quanta = scenario.duration * scenario.epoch_quanta
-    migrations = 0
-
-    if scenario.policy is Policy.NO_PARTITION:
-        n = len(scenario.workloads)
-        ways = max(1, scenario.machine.llc_ways // n)
-        step = scenario.machine.mba_step
-        mba = min(100, max(step, ((100 // n + step // 2) // step) * step))
-        for _epoch in range(scenario.duration):
-            jit = _jitter_factors(scenario, rng)
-            for w in scenario.workloads:
-                sd = slowdown_xy(w.profile, ways, mba) * scenario.interference_alpha
-                t = tallies[w.name]
-                achievable = w.sl_full / sd
-                offered = w.offered_load * jit[w.name]
-                violated = offered > achievable * (1.0 + VIOLATION_SLACK)
-                t.violations += scenario.epoch_quanta if violated else 0
-                t.quanta += scenario.epoch_quanta
-                t.min_affordable = min(t.min_affordable, achievable)
-                t.ideal_capacity += scenario.epoch_quanta * achievable
-                t.actual_capacity += scenario.epoch_quanta * achievable
-        return tallies, migrations, scenario.workloads
-
     clos_set = scenario.effective_clos_set()
-    reference = _reference_state(scenario, clos_set)
+    reference = None if clos_set is None else _reference_state(scenario, clos_set)
     workloads = scenario.workloads
-    rejected: tuple[WorkloadSpec, ...] = ()
-    if apply_admission and scenario.policy in (Policy.COCO, Policy.COCO_CONFLICTING):
-        admitted, rejected = admission_control(
+    if apply_admission and spec.admission:
+        workloads, rejected = admission_control(
             workloads, clos_set, scenario.epoch_quanta,
             overhead_margin=scenario.overhead_margin, reference_state=reference)
-        workloads = admitted
         for w in rejected:
             if w.offered_load > 0:
-                tallies[w.name].violations = total_quanta
+                tallies[w.name].violations = scenario.duration * scenario.epoch_quanta
+    migrations = 0
     if not workloads:
         return tallies, migrations, workloads
 
-    pairing = scenario.policy is not Policy.ROUND_ROBIN
     by_name = {w.name: w for w in workloads}
-    stable_plan: EpochPlan | None = None
-    if scenario.policy is not Policy.ROUND_ROBIN:
-        stable_plan = plan_epoch(workloads, clos_set, scenario.epoch_quanta,
-                                 reference_state=reference, pairing=pairing)
+    alpha = scenario.interference_alpha if spec.shared else 1.0
+    penalty = scenario.pairing_penalty if spec.planner == "weighted" else 1.0
+    window, factor = scenario.warmup.window, scenario.warmup.factor
+    slack = 1.0 + VIOLATION_SLACK
     prev_members: dict[int, tuple[str, ...]] = {}
     for epoch in range(scenario.duration):
-        if scenario.policy is Policy.ROUND_ROBIN:
-            plan = round_robin_plan(workloads, clos_set, scenario.epoch_quanta,
-                                    epoch=epoch)
-        else:
-            plan = stable_plan
-        assert plan is not None
+        if epoch == 0 or spec.planner == "rr":
+            schedule = _schedule(scenario, workloads, clos_set, reference, epoch)
+            clos_ids = sorted(schedule)
+            views = _views(scenario, clos_set, clos_ids)
         jit = _jitter_factors(scenario, rng)
-        views = _views(scenario, clos_set, sorted(plan.schedule))
-        for clos_id in sorted(plan.schedule):
+        for clos_id in clos_ids:
             view = views[clos_id]
-            for seg in plan.schedule[clos_id]:
+            for seg in schedule[clos_id]:
                 switched = (clos_id in prev_members
                             and set(prev_members[clos_id]) != set(seg.members))
-                if switched:
-                    migrations += 1
+                migrations += switched
+                warm = min(window, seg.quanta) if switched else 0
+                # each member, paired or not, runs the segment's whole window
+                share = seg.quanta / scenario.epoch_quanta
                 for name in seg.members:
                     w = by_name[name]
                     t = tallies[name]
-                    sd = slowdown_xy(w.profile, view.ways, view.mba)
-                    if view.contended:
-                        sd *= scenario.interference_alpha
+                    sd = slowdown_xy(w.profile, view.ways, view.mba) * alpha
                     if len(seg.members) == 2:
-                        sd *= scenario.pairing_penalty
-                    base_achievable = w.sl_full / sd
-                    warm_achievable = base_achievable / scenario.warmup.factor
-                    share = plan.active_quanta(name) / scenario.epoch_quanta
+                        sd *= penalty
+                    base = w.sl_full / sd
+                    warm_rate = base / factor
                     apportioned = w.offered_load * jit[name] / share
-                    warm_quanta = min(scenario.warmup.window, seg.quanta) if switched else 0
-                    for q in range(seg.quanta):
-                        achievable = warm_achievable if q < warm_quanta else base_achievable
-                        if apportioned > achievable * (1.0 + VIOLATION_SLACK):
-                            t.violations += 1
-                        t.quanta += 1
-                        t.min_affordable = min(t.min_affordable, achievable * share)
-                        t.ideal_capacity += base_achievable
-                        t.actual_capacity += achievable
+                    t.violations += (warm * (apportioned > warm_rate * slack)
+                                     + (seg.quanta - warm) * (apportioned > base * slack))
+                    t.quanta += seg.quanta
+                    t.min_affordable = min(t.min_affordable,
+                                           (warm_rate if warm else base) * share)
+                    t.ideal_capacity += seg.quanta * base
+                    t.warmup_loss += warm * (base - warm_rate)
                 prev_members[clos_id] = seg.members
     return tallies, migrations, workloads
 
@@ -315,24 +346,27 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
 def _overhead(tallies: dict[str, _Tally]) -> float:
     """Capacity lost to warmup windows as a fraction of nominal capacity."""
     ideal = sum(t.ideal_capacity for t in tallies.values())
-    actual = sum(t.actual_capacity for t in tallies.values())
-    if ideal == 0 or actual >= ideal:
+    if ideal == 0:
         return 0.0
-    return 1.0 - actual / ideal
+    return sum(t.warmup_loss for t in tallies.values()) / ideal
 
 
 def _metrics_from(scenario: Scenario, tallies: dict[str, _Tally],
-                  migrations: int) -> SimMetrics:
+                  migrations: int,
+                  affordable: dict[str, float] | None = None) -> SimMetrics:
+    """Per-workload metrics; affordable loads default to the capacity view."""
     per = {}
-    overhead = _overhead(tallies)
     total_ret = 0.0
     for w in scenario.workloads:
         t = tallies[w.name]
-        affordable = 0.0 if t.quanta == 0 else t.min_affordable
-        retainment = affordable / w.sl_full
+        if affordable is None:
+            load = 0.0 if t.quanta == 0 else t.min_affordable
+        else:
+            load = affordable[w.name]
+        retainment = load / w.sl_full
         total_ret += retainment
-        per[w.name] = WorkloadMetrics(affordable, retainment, t.violations, t.quanta)
-    return SimMetrics(per, migrations, overhead, total_ret)
+        per[w.name] = WorkloadMetrics(load, retainment, t.violations, t.quanta)
+    return SimMetrics(per, migrations, _overhead(tallies), total_ret)
 
 
 def run_scenario(scenario: Scenario) -> SimMetrics:
@@ -347,11 +381,14 @@ def run_scenario(scenario: Scenario) -> SimMetrics:
     return _metrics_from(scenario, tallies, migrations)
 
 
-def _total_violations(scenario: Scenario, multiplier: float) -> int:
-    scaled = dataclasses.replace(scenario, workloads=tuple(
+def _scaled(scenario: Scenario, multiplier: float) -> Scenario:
+    return dataclasses.replace(scenario, workloads=tuple(
         dataclasses.replace(w, offered_load=w.offered_load * multiplier)
         for w in scenario.workloads))
-    tallies, _, _ = _simulate(scaled, apply_admission=False)
+
+
+def _total_violations(scenario: Scenario, multiplier: float) -> int:
+    tallies, _, _ = _simulate(_scaled(scenario, multiplier), apply_admission=False)
     return sum(t.violations for t in tallies.values())
 
 
@@ -379,20 +416,11 @@ def max_affordable_load(scenario: Scenario,
         else:
             hi = mid
     m_star = lo
-    scaled = dataclasses.replace(scenario, workloads=tuple(
-        dataclasses.replace(w, offered_load=w.offered_load * m_star)
-        for w in scenario.workloads))
-    tallies, migrations, _ = _simulate(scaled, apply_admission=False)
+    tallies, migrations, _ = _simulate(_scaled(scenario, m_star),
+                                       apply_admission=False)
     affordable = {w.name: w.offered_load * m_star for w in scenario.workloads}
-    per = {}
-    total_ret = 0.0
-    for w in scenario.workloads:
-        t = tallies[w.name]
-        ret = affordable[w.name] / w.sl_full
-        total_ret += ret
-        per[w.name] = WorkloadMetrics(affordable[w.name], ret, t.violations, t.quanta)
-    metrics = SimMetrics(per, migrations, _overhead(tallies), total_ret)
-    return AffordableResult(m_star, affordable, metrics)
+    return AffordableResult(
+        m_star, affordable, _metrics_from(scenario, tallies, migrations, affordable))
 
 
 def compare_policies(base: Scenario, policies: list[Policy]) -> CompareResult:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coco.calibration import calibrated_profile
@@ -128,9 +128,12 @@ class TestWeightsOf:
         assert all(abs(a - b) <= 1e-9 for a, b in zip(base, scaled))
 
     @given(slowdown_vectors())
+    @example([1.0, 1.0, 1.0, 596010.0, 999999.9999999999, 1000000.0])
     def test_argmax_preserved(self, sds):
+        # near-equal slowdowns can round to equal weights, so only require
+        # that the largest slowdown gets a maximal weight
         w = weights_of(sds)
-        assert w.index(max(w)) == sds.index(max(sds))
+        assert w[sds.index(max(sds))] == max(w)
 
 
 class TestDominance:

@@ -1,0 +1,63 @@
+"""Byte-for-byte regression net for the reference scenario's outputs.
+
+The golden files under ``tests/data`` hold the `compare` reports and every
+policy's `run_scenario` serialization on the shipped reference colocation.
+To regenerate them deliberately, run this module as a script from the repo
+root: ``PYTHONPATH=src:tests python tests/test_golden.py``.
+"""
+
+import dataclasses
+import shutil
+from pathlib import Path
+
+import pytest
+
+from coco.cli import main
+from coco.scenario import load_scenario
+from coco.sim import Policy, run_scenario
+
+DATA = Path(__file__).parent / "data"
+COMPARE_GOLDENS = {"csv": DATA / "reference_compare.golden.csv",
+                   "table": DATA / "reference_compare.golden.txt"}
+POLICIES_GOLDEN = DATA / "reference_policies.golden"
+# (load_jitter, seed) pairs each policy runs at
+JITTER_RUNS = ((0.0, 7), (0.2, 7))
+
+
+def policies_text(reference_path) -> str:
+    """Every policy's run_scenario serialization, with and without jitter."""
+    base = load_scenario(reference_path).scenario()
+    parts = []
+    for jitter, seed in JITTER_RUNS:
+        for policy in Policy:
+            s = dataclasses.replace(base, policy=policy, load_jitter=jitter,
+                                    seed=seed)
+            parts.append(f"[{policy.value} load_jitter={jitter} seed={seed}]\n"
+                         + run_scenario(s).serialize())
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("fmt", sorted(COMPARE_GOLDENS))
+def test_reference_compare(fmt, tmp_path, reference_path, capsys):
+    scenario = tmp_path / "reference.yaml"
+    shutil.copy(reference_path, scenario)
+    assert main(["compare", str(scenario), "--format", fmt]) == 0
+    assert capsys.readouterr().out == COMPARE_GOLDENS[fmt].read_text()
+
+
+def test_reference_policies(reference_path):
+    assert policies_text(reference_path) == POLICIES_GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    import contextlib
+    import importlib.resources
+    import io
+
+    ref = str(importlib.resources.files("coco") / "data" / "reference.yaml")
+    for fmt, path in COMPARE_GOLDENS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["compare", ref, "--format", fmt]) == 0
+        path.write_text(out.getvalue())
+    POLICIES_GOLDEN.write_text(policies_text(ref))

@@ -236,6 +236,18 @@ class TestPolicies:
         assert res.ratios[Policy.COCO] >= 2.0
         assert res.ratios[Policy.NO_PARTITION] == pytest.approx(1.0)
 
+    def test_none_pair_pays_no_pairing_penalty(self):
+        # two complementary workloads on the virtual CLOS form a two-member
+        # segment, but only the weighted planner's pairs pay the penalty
+        from test_scheduler import llc_dominant_workload, mb_dominant_workload
+        ws = (llc_dominant_workload("cache-hungry", offered=100.0),
+              mb_dominant_workload("bandwidth-hungry", offered=100.0))
+        s = Scenario(machine=solo_machine(), workloads=ws,
+                     policy=Policy.NO_PARTITION, pairing_penalty=1.0)
+        penalized = dataclasses.replace(s, pairing_penalty=1.5)
+        assert run_scenario(penalized) == run_scenario(s)
+        assert max_affordable_load(penalized) == max_affordable_load(s)
+
     def test_single_policy_compare(self, reference):
         res = compare_policies(reference.scenario(), [Policy.NO_PARTITION])
         assert len(res.rows) == 1
