@@ -8,6 +8,7 @@ profiled at load time so the simulator always sees a profile.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,9 +78,15 @@ def _expect_mapping(obj, allowed: set[str], where: str) -> dict:
 def _number(obj, where: str, minimum=None) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ScenarioError(f"{where}: expected a number")
-    if minimum is not None and obj < minimum:
+    try:
+        value = float(obj)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScenarioError(f"{where}: expected a finite number")
+    if minimum is not None and value < minimum:
         raise ScenarioError(f"{where}: must be >= {minimum}")
-    return float(obj)
+    return value
 
 
 def _integer(obj, where: str, minimum=None) -> int:
@@ -88,6 +95,24 @@ def _integer(obj, where: str, minimum=None) -> int:
     if minimum is not None and obj < minimum:
         raise ScenarioError(f"{where}: must be >= {minimum}")
     return obj
+
+
+def _rows(obj, where: str) -> tuple[tuple[float, ...], ...]:
+    """A grid of finite numbers, as a list of rows."""
+    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
+        raise ScenarioError(f"{where}: expected a list of lists of numbers")
+    return tuple(tuple(_number(x, f"{where}[{i}][{j}]") for j, x in enumerate(row))
+                 for i, row in enumerate(obj))
+
+
+def _levels(obj, where: str) -> tuple[float, ...]:
+    """A nonempty, strictly ascending axis of finite numbers."""
+    if not isinstance(obj, list) or not obj:
+        raise ScenarioError(f"{where}: expected a nonempty list of numbers")
+    levels = tuple(_number(x, f"{where}[{i}]") for i, x in enumerate(obj))
+    if any(a >= b for a, b in zip(levels, levels[1:])):
+        raise ScenarioError(f"{where}: must be strictly ascending")
+    return levels
 
 
 def _string(obj, where: str) -> str:
@@ -114,14 +139,15 @@ def _load_yaml(path: Path) -> dict:
 
 def _parse_machine(node, where: str) -> MachineSpec:
     m = _expect_mapping(node, _MACHINE_KEYS, where)
+    fields = dict(
+        llc_ways=_integer(m.get("llc_ways"), f"{where}.llc_ways", 1),
+        clos_count=_integer(m.get("clos_count"), f"{where}.clos_count", 2),
+        mba_step=_integer(m.get("mba_step"), f"{where}.mba_step", 1),
+        max_bandwidth=_number(m.get("max_bandwidth", 0.0), f"{where}.max_bandwidth", 0),
+        cores=_integer(m.get("cores", 16), f"{where}.cores", 1),
+    )
     try:
-        return MachineSpec(
-            llc_ways=_integer(m.get("llc_ways"), f"{where}.llc_ways", 1),
-            clos_count=_integer(m.get("clos_count"), f"{where}.clos_count", 2),
-            mba_step=_integer(m.get("mba_step"), f"{where}.mba_step", 1),
-            max_bandwidth=_number(m.get("max_bandwidth", 0.0), f"{where}.max_bandwidth", 0),
-            cores=_integer(m.get("cores", 16), f"{where}.cores", 1),
-        )
+        return MachineSpec(**fields)
     except CocoError as e:
         raise ScenarioError(f"{where}: {e}") from None
 
@@ -131,12 +157,14 @@ def _parse_grid_profile(node, where: str) -> SensitivityProfile:
     for key in ("way_levels", "mba_levels", "slowdowns"):
         if key not in g:
             raise ScenarioError(f"{where}: missing {key}")
+    slowdowns = _rows(g["slowdowns"], f"{where}.slowdowns")
+    sl_full = _number(g.get("sl_full", 1.0), f"{where}.sl_full", 0)
     try:
         return SensitivityProfile(
             way_levels=tuple(g["way_levels"]),
             mba_levels=tuple(g["mba_levels"]),
-            slowdowns=tuple(tuple(float(x) for x in row) for row in g["slowdowns"]),
-            sl_full=_number(g.get("sl_full", 1.0), f"{where}.sl_full", 0),
+            slowdowns=slowdowns,
+            sl_full=sl_full,
         )
     except (CocoError, TypeError) as e:
         raise ScenarioError(f"{where}: {e}") from None
@@ -174,12 +202,13 @@ def _parse_capacity(node, where: str):
             raise ScenarioError(f"{where}: {e}") from None
     if "grid" in c:
         g = _expect_mapping(c["grid"], _CAP_GRID_KEYS, f"{where}.grid")
-        try:
-            ways = tuple(g["way_levels"])
-            mbas = tuple(g["mba_levels"])
-            values = tuple(tuple(float(x) for x in row) for row in g["values"])
-        except (KeyError, TypeError) as e:
-            raise ScenarioError(f"{where}.grid: {e}") from None
+        ways = _levels(g.get("way_levels"), f"{where}.grid.way_levels")
+        mbas = _levels(g.get("mba_levels"), f"{where}.grid.mba_levels")
+        values = _rows(g.get("values"), f"{where}.grid.values")
+        if len(values) != len(ways) or any(len(row) != len(mbas) for row in values):
+            raise ScenarioError(
+                f"{where}.grid.values: expected {len(ways)} rows of "
+                f"{len(mbas)} values (way_levels x mba_levels)")
 
         def capacity(state):
             return bilinear(ways, mbas, values, state.llc_ways, state.mba_percent)
@@ -192,12 +221,13 @@ def _parse_model(node, where: str) -> GroundTruthModel:
     m = _expect_mapping(node, _MODEL_KEYS, where)
     if "capacity" not in m:
         raise ScenarioError(f"{where}: missing capacity")
+    fields = dict(
+        base_latency_ms=_number(m.get("base_latency_ms"), f"{where}.base_latency_ms", 0),
+        tail_inflation=_number(m.get("tail_inflation", 1.0), f"{where}.tail_inflation", 1),
+        capacity_fn=_parse_capacity(m["capacity"], f"{where}.capacity"),
+    )
     try:
-        return GroundTruthModel(
-            base_latency_ms=_number(m.get("base_latency_ms"), f"{where}.base_latency_ms", 0),
-            tail_inflation=_number(m.get("tail_inflation", 1.0), f"{where}.tail_inflation", 1),
-            capacity_fn=_parse_capacity(m["capacity"], f"{where}.capacity"),
-        )
+        return GroundTruthModel(**fields)
     except CocoError as e:
         raise ScenarioError(f"{where}: {e}") from None
 
@@ -207,12 +237,10 @@ def _parse_workload(node, where: str, machine: MachineSpec,
     w = _expect_mapping(node, _WORKLOAD_KEYS, where)
     name = _string(w.get("name"), f"{where}.name")
     slo_node = _expect_mapping(w.get("slo"), _SLO_KEYS, f"{where}.slo")
+    percentile = _number(slo_node.get("percentile"), f"{where}.slo.percentile")
+    bound = _number(slo_node.get("latency_bound_ms"), f"{where}.slo.latency_bound_ms")
     try:
-        slo = SloSpec(
-            percentile=_number(slo_node.get("percentile"), f"{where}.slo.percentile"),
-            latency_bound_ms=_number(slo_node.get("latency_bound_ms"),
-                                     f"{where}.slo.latency_bound_ms"),
-        )
+        slo = SloSpec(percentile=percentile, latency_bound_ms=bound)
     except CocoError as e:
         raise ScenarioError(f"{where}.slo: {e}") from None
     offered = _number(w.get("offered_load", 0.0), f"{where}.offered_load", 0)
@@ -249,6 +277,16 @@ def _parse_workload(node, where: str, machine: MachineSpec,
     return LoadedWorkload(spec, model)
 
 
+def _mask(obj, where: str) -> int:
+    """A capacity bit-mask: a positive integer or a hexadecimal string."""
+    if not isinstance(obj, str):
+        return _integer(obj, where, 1)
+    try:
+        return int(obj, 16)
+    except ValueError:
+        raise ScenarioError(f"{where}: {obj!r} is not a hexadecimal mask") from None
+
+
 def _parse_clos_set(node, where: str, machine: MachineSpec) -> ClosSet:
     cs = _expect_mapping(node, _CLOS_SET_KEYS, where)
     entries = cs.get("configs")
@@ -261,9 +299,7 @@ def _parse_clos_set(node, where: str, machine: MachineSpec) -> ClosSet:
         clos_id = _integer(e.get("id", idx), f"{where}.configs[{idx}].id", 0)
         mba = _integer(e.get("mba_percent"), f"{where}.configs[{idx}].mba_percent", 1)
         if "mask" in e:
-            raw = e["mask"]
-            mask = int(raw, 16) if isinstance(raw, str) else _integer(
-                raw, f"{where}.configs[{idx}].mask", 1)
+            mask = _mask(e["mask"], f"{where}.configs[{idx}].mask")
         elif "width" in e:
             width = _integer(e["width"], f"{where}.configs[{idx}].width", 1)
             mask = ((1 << width) - 1) << bit
@@ -278,6 +314,13 @@ def _parse_clos_set(node, where: str, machine: MachineSpec) -> ClosSet:
     if problems:
         raise ScenarioError(f"{where}: " + "; ".join(problems))
     return clos_set
+
+
+# sim keys holding a number: (parser, minimum)
+_SIM_NUMBERS = {"epoch_quanta": (_integer, 1), "quantum_ms": (_number, 0),
+                "duration": (_integer, 1), "seed": (_integer, None),
+                "interference_alpha": (_number, 1), "pairing_penalty": (_number, 1),
+                "load_jitter": (_number, 0), "overhead_margin": (_number, 0)}
 
 
 def load_scenario(path: str | Path) -> LoadedScenario:
@@ -308,27 +351,14 @@ def load_scenario(path: str | Path) -> LoadedScenario:
         params["policy"] = Policy.from_name(sim_node.get("policy", "coco"))
     except CocoError as e:
         raise ScenarioError(f"{path}: sim.policy: {e}") from None
-    for key, conv in (("epoch_quanta", lambda v: _integer(v, "sim.epoch_quanta", 1)),
-                      ("quantum_ms", lambda v: _number(v, "sim.quantum_ms", 0)),
-                      ("duration", lambda v: _integer(v, "sim.duration", 1)),
-                      ("seed", lambda v: _integer(v, "sim.seed")),
-                      ("interference_alpha", lambda v: _number(v, "sim.interference_alpha", 1)),
-                      ("pairing_penalty", lambda v: _number(v, "sim.pairing_penalty", 1)),
-                      ("load_jitter", lambda v: _number(v, "sim.load_jitter", 0)),
-                      ("overhead_margin", lambda v: _number(v, "sim.overhead_margin", 0))):
+    for key, (conv, minimum) in _SIM_NUMBERS.items():
         if key in sim_node:
-            try:
-                params[key] = conv(sim_node[key])
-            except ScenarioError as e:
-                raise ScenarioError(f"{path}: {e}") from None
+            params[key] = conv(sim_node[key], f"{path}: sim.{key}", minimum)
     if "warmup" in sim_node:
         wnode = _expect_mapping(sim_node["warmup"], _WARMUP_KEYS, f"{path}: sim.warmup")
-        try:
-            params["warmup"] = WarmupParams(
-                window=_integer(wnode.get("window", 2), "sim.warmup.window", 0),
-                factor=_number(wnode.get("factor", 1.15), "sim.warmup.factor", 1))
-        except CocoError as e:
-            raise ScenarioError(f"{path}: sim.warmup: {e}") from None
+        params["warmup"] = WarmupParams(
+            window=_integer(wnode.get("window", 2), f"{path}: sim.warmup.window", 0),
+            factor=_number(wnode.get("factor", 1.15), f"{path}: sim.warmup.factor", 1))
 
     clos_set = None
     if "clos_set" in doc:

@@ -31,7 +31,6 @@ from coco.core import AllocationState, MachineSpec, WorkloadSpec, slowdown_xy
 from coco.errors import InfeasibleSloError, ValidationError
 from coco.scheduler import Segment, admission_control, plan_epoch, round_robin_plan
 
-AFFORDABLE_SEARCH_TOL = 0.005
 VIOLATION_SLACK = 1e-9
 _VIRTUAL_CLOS = -1
 
@@ -178,7 +177,7 @@ class SimMetrics:
 
 @dataclass(frozen=True)
 class AffordableResult:
-    """Outcome of the uniform load-scaling search."""
+    """Largest violation-free uniform load scaling and its outcome."""
 
     multiplier: float
     affordable: dict[str, float]
@@ -251,6 +250,7 @@ class _Tally:
     violations: int = 0
     quanta: int = 0
     min_affordable: float = field(default=float("inf"))
+    peak_demand: float = 0.0  # worst apportioned load / achievable rate
     ideal_capacity: float = 0.0
     warmup_loss: float = 0.0
 
@@ -279,7 +279,7 @@ def _schedule(scenario: Scenario, workloads: tuple[WorkloadSpec, ...],
 
 def _simulate(scenario: Scenario, *, apply_admission: bool
               ) -> tuple[dict[str, _Tally], int, tuple[WorkloadSpec, ...]]:
-    """Core loop shared by run_scenario and the affordable-load search.
+    """Core loop shared by run_scenario and max_affordable_load.
 
     A segment runs at two rates: warm for the first min(window, quanta)
     quanta after a working-set switch on its CLOS, base after that.  So it
@@ -335,8 +335,9 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
                     t.violations += (warm * (apportioned > warm_rate * slack)
                                      + (seg.quanta - warm) * (apportioned > base * slack))
                     t.quanta += seg.quanta
-                    t.min_affordable = min(t.min_affordable,
-                                           (warm_rate if warm else base) * share)
+                    rate = warm_rate if warm else base
+                    t.min_affordable = min(t.min_affordable, rate * share)
+                    t.peak_demand = max(t.peak_demand, apportioned / rate)
                     t.ideal_capacity += seg.quanta * base
                     t.warmup_loss += warm * (base - warm_rate)
                 prev_members[clos_id] = seg.members
@@ -392,30 +393,21 @@ def _total_violations(scenario: Scenario, multiplier: float) -> int:
     return sum(t.violations for t in tallies.values())
 
 
-def max_affordable_load(scenario: Scenario,
-                        tol: float = AFFORDABLE_SEARCH_TOL) -> AffordableResult:
+def max_affordable_load(scenario: Scenario) -> AffordableResult:
     """Largest uniform scaling of all offered loads with zero SLO violations.
 
-    Binary search on the multiplier to relative tolerance ``tol`` (0.5%
-    default).  Admission control is bypassed: the search characterizes the
-    violation boundary of the full workload set.
+    Scaling loads by m changes no schedule, so a quantum violates iff
+    m * apportioned > rate * (1 + VIOLATION_SLACK), and the boundary is
+    m* = 1 / max(apportioned / rate) over every active segment: one pass at
+    the stated loads finds it, a second at m* reports (and counts) the
+    outcome.  Admission control is bypassed: the boundary is that of the
+    full workload set.
     """
-    if all(w.offered_load == 0 for w in scenario.workloads):
+    tallies, _, _ = _simulate(scenario, apply_admission=False)
+    peak = max(t.peak_demand for t in tallies.values())
+    if peak == 0:
         raise InfeasibleSloError("all offered loads are zero; nothing to scale")
-    if _total_violations(scenario, 0.0) > 0:
-        raise InfeasibleSloError("SLO violations occur even at zero load")
-    lo, hi = 0.0, 1.0
-    while _total_violations(scenario, hi) == 0:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e15:
-            raise InfeasibleSloError("no violation boundary found while scaling up")
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if _total_violations(scenario, mid) == 0:
-            lo = mid
-        else:
-            hi = mid
-    m_star = lo
+    m_star = 1.0 / peak
     tallies, migrations, _ = _simulate(_scaled(scenario, m_star),
                                        apply_admission=False)
     affordable = {w.name: w.offered_load * m_star for w in scenario.workloads}

@@ -22,6 +22,30 @@ sim: {duration: 2}
 """
 
 
+MODEL_WORKLOAD = """\
+    model:
+      base_latency_ms: 1.0
+      tail_inflation: 2.0
+      capacity:
+        grid: {way_levels: [1, 20], mba_levels: [10, 100], values: %s}
+"""
+
+# reference.yaml edits, each leaving one malformed value
+MALFORMED = {
+    "nan-load": ("offered_load: 3000\n", "offered_load: .nan\n"),
+    "inf-load": ("offered_load: 3000\n", "offered_load: .inf\n"),
+    "huge-int-load": ("offered_load: 3000\n", "offered_load: 1%s\n" % ("0" * 400)),
+    "hex-mask": ("policies: [", "clos_set:\n  configs:\n"
+                 "    - {id: 0, mask: \"zz\", mba_percent: 50}\n"
+                 "    - {id: 1, mask: \"3\", mba_percent: 50}\n"
+                 "policies: ["),
+    "ragged-grid": ("    profile: {calibration: mongodb, sl_full: 30000}\n",
+                    MODEL_WORKLOAD % "[[1.0, 2.0], [3.0]]"),
+    "nested-unknown-key": ("    profile: {calibration: mongodb, sl_full: 30000}\n",
+                           MODEL_WORKLOAD % "[[1.0, 2.0], [3.0, 4.0]], extra: 1"),
+}
+
+
 @pytest.fixture()
 def reference_copy(tmp_path, reference_path):
     dst = tmp_path / "reference.yaml"
@@ -42,6 +66,16 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.yaml")]) == 2
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_value_one_line_error(self, case, reference_copy, capsys):
+        old, new = MALFORMED[case]
+        path = Path(reference_copy)
+        path.write_text(path.read_text().replace(old, new))
+        assert main(["compare", reference_copy]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.count(reference_copy) == 1  # the path is named once
 
 
 class TestSchemata:

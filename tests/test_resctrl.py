@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coco import resctrl
 from coco.calibration import reference_machine
 from coco.closconfig import ClosConfig, default_partition
 from coco.errors import SchemataParseError, ValidationError
@@ -131,6 +132,16 @@ class TestApply:
         assert not report.ok
         assert all(g.action == "failed" for g in report.groups)
         assert blocked.is_file()  # nothing partially created
+
+    def test_failed_write_removes_created_groups(self, tmp_path, monkeypatch):
+        # runs as root too: the failure comes from the write, not mode bits
+        def refuse(path, content, real_fs):
+            raise OSError(f"{path}: write refused")
+        monkeypatch.setattr(resctrl, "_write_schemata", refuse)
+        report = apply(default_partition(reference_machine()), ResctrlLayout(tmp_path))
+        assert not report.ok
+        assert [g.action for g in report.groups] == ["failed"] * 3
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.skipif(os.geteuid() == 0, reason="root ignores mode bits")
     def test_read_only_root_reports_failures(self, tmp_path):

@@ -1,14 +1,17 @@
 import dataclasses
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coco.calibration import calibrated_profile, reference_machine
 from coco.closconfig import ClosConfig, ClosSet, default_partition
 from coco.core import AllocationState, MachineSpec, SloSpec, WorkloadSpec
 from coco.errors import InfeasibleSloError
 from coco.scenario import load_scenario
-from coco.sim import (Policy, Scenario, WarmupParams, anti_monotone_set,
-                      compare_policies, max_affordable_load, run_scenario)
+from coco.sim import (Policy, Scenario, WarmupParams, _total_violations,
+                      anti_monotone_set, compare_policies, max_affordable_load,
+                      run_scenario)
 
 from conftest import SLO, make_workload
 
@@ -39,6 +42,38 @@ def memcached_workload(offered=60000.0):
     return WorkloadSpec("memcached-solo", SloSpec(0.99, 1.5),
                         calibrated_profile("memcached", sl_full=120000.0),
                         offered_load=offered)
+
+
+@st.composite
+def small_scenarios(draw):
+    """A few step-profile workloads on a 20-way machine, any policy."""
+    machine = MachineSpec(llc_ways=20, clos_count=draw(st.integers(2, 5)),
+                          mba_step=10)
+    n = draw(st.integers(1, 5))
+    workloads = tuple(
+        make_workload(f"w{i}", draw(st.floats(1.0, 4.0)),
+                      AllocationState(draw(st.integers(1, 19)),
+                                      draw(st.sampled_from(range(10, 100, 10)))),
+                      offered=draw(st.just(0.0) | st.floats(1.0, 1e4)),
+                      sl_full=draw(st.floats(10.0, 1e5)))
+        for i in range(n))
+    return Scenario(
+        machine=machine, workloads=workloads,
+        policy=draw(st.sampled_from(list(Policy))),
+        epoch_quanta=draw(st.integers(n, 30)), duration=draw(st.integers(1, 4)),
+        warmup=WarmupParams(draw(st.integers(0, 3)), draw(st.floats(1.0, 1.5))),
+        seed=draw(st.integers(0, 100)),
+        load_jitter=draw(st.sampled_from((0.0, 0.2))),
+        interference_alpha=draw(st.floats(1.0, 3.0)),
+        pairing_penalty=draw(st.floats(1.0, 1.5)))
+
+
+def assert_exact_boundary(s: Scenario) -> None:
+    """m* has no violation and any scaling just above it has one."""
+    r = max_affordable_load(s)
+    assert sum(m.slo_violations for m in r.metrics.per_workload.values()) == 0
+    assert _total_violations(s, r.multiplier) == 0
+    assert _total_violations(s, r.multiplier * (1 + 1e-6)) >= 1
 
 
 @pytest.fixture(scope="module")
@@ -157,12 +192,16 @@ class TestMaxAffordableLoad:
             assert r.affordable[name] == pytest.approx(250.0, rel=0.01)
 
     def test_bracketing(self, reference):
-        for policy in (Policy.COCO, Policy.ROUND_ROBIN, Policy.NO_PARTITION):
-            s = dataclasses.replace(reference.scenario(), policy=policy)
-            r = max_affordable_load(s)
-            from coco.sim import _total_violations
-            assert _total_violations(s, r.multiplier) == 0
-            assert _total_violations(s, r.multiplier * 1.01) >= 1
+        for policy in Policy:
+            for jitter in (0.0, 0.2):
+                assert_exact_boundary(dataclasses.replace(
+                    reference.scenario(), policy=policy, load_jitter=jitter))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_scenarios())
+    def test_bracketing_random(self, s):
+        assume(any(w.offered_load > 0 for w in s.workloads))
+        assert_exact_boundary(s)
 
     def test_zero_offered_everywhere_rejected(self):
         w = dataclasses.replace(memcached_workload(), offered_load=0.0)
