@@ -70,7 +70,7 @@ def calibrated_capacity_fn(app: str, full_capacity: float):
     """Saturation-capacity function shaped like a reference app's rows.
 
     Capacity ratios to full equal the composed retainment, so a profiler run
-    against this function reproduces the measured row within search tolerance.
+    against this function reproduces the measured row.
     """
     if full_capacity <= 0:
         raise ValidationError("full_capacity must be > 0")

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from coco.errors import ValidationError
 
-# Monotonicity slack for profile grids: binary-searched loads wobble within
-# their search tolerance, genuine violations are orders of magnitude larger.
+# Monotonicity slack for hand-written and rounded profile grids (profile
+# files, inline grids); genuine violations are orders of magnitude larger.
 MONOTONE_EPS = 1e-9
 
 DOMINANCE_THETA = 1.5
@@ -48,6 +48,8 @@ class MachineSpec:
             raise ValidationError("mba_step must divide 100")
         if self.cores < 1:
             raise ValidationError("cores must be >= 1")
+        if not (math.isfinite(self.max_bandwidth) and self.max_bandwidth >= 0):
+            raise ValidationError("max_bandwidth must be finite and >= 0")
 
     def mba_levels(self) -> tuple[int, ...]:
         return tuple(range(self.mba_step, 101, self.mba_step))
@@ -88,8 +90,8 @@ class SloSpec:
     def __post_init__(self):
         if not 0.0 < self.percentile < 1.0:
             raise ValidationError("percentile must be in (0, 1)")
-        if self.latency_bound_ms <= 0:
-            raise ValidationError("latency_bound_ms must be > 0")
+        if not (math.isfinite(self.latency_bound_ms) and self.latency_bound_ms > 0):
+            raise ValidationError("latency_bound_ms must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -110,18 +112,22 @@ class SensitivityProfile:
         ways, mbas, grid = self.way_levels, self.mba_levels, self.slowdowns
         if not ways or not mbas:
             raise ValidationError("profile grid must be nonempty")
+        if not all(math.isfinite(x) for x in ways + mbas):
+            raise ValidationError("profile levels must be finite")
         if list(ways) != sorted(set(ways)) or ways[0] < 1:
             raise ValidationError("way_levels must be strictly ascending, >= 1")
         if list(mbas) != sorted(set(mbas)) or mbas[0] < 1 or mbas[-1] != 100:
             raise ValidationError("mba_levels must be strictly ascending and end at 100")
         if len(grid) != len(ways) or any(len(row) != len(mbas) for row in grid):
             raise ValidationError("slowdown grid shape does not match axis levels")
-        if self.sl_full <= 0:
-            raise ValidationError("sl_full must be > 0")
+        if not (math.isfinite(self.sl_full) and self.sl_full > 0):
+            raise ValidationError("sl_full must be finite and > 0")
         if abs(grid[-1][-1] - 1.0) > 1e-12:
             raise ValidationError("slowdown at full allocation must be 1.0")
         for i, row in enumerate(grid):
             for j, s in enumerate(row):
+                if not math.isfinite(s):
+                    raise ValidationError(f"slowdown not finite at grid point ({i},{j})")
                 if s < 1.0 - 1e-12:
                     raise ValidationError(f"slowdown < 1 at grid point ({i},{j})")
                 if i + 1 < len(ways) and grid[i + 1][j] > s + MONOTONE_EPS:
@@ -245,8 +251,8 @@ class WorkloadSpec:
     def __post_init__(self):
         if not self.name:
             raise ValidationError("workload name must be nonempty")
-        if self.offered_load < 0:
-            raise ValidationError("offered_load must be >= 0")
+        if not (math.isfinite(self.offered_load) and self.offered_load >= 0):
+            raise ValidationError("offered_load must be finite and >= 0")
         if self.dominance is None:
             object.__setattr__(self, "dominance", dominance_of(self.profile))
 

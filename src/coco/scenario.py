@@ -302,6 +302,9 @@ def _parse_clos_set(node, where: str, machine: MachineSpec) -> ClosSet:
             mask = _mask(e["mask"], f"{where}.configs[{idx}].mask")
         elif "width" in e:
             width = _integer(e["width"], f"{where}.configs[{idx}].width", 1)
+            if width > machine.llc_ways:
+                raise ScenarioError(f"{where}.configs[{idx}].width: must be <= "
+                                    f"llc_ways ({machine.llc_ways})")
             mask = ((1 << width) - 1) << bit
             bit += width
         else:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 import random
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -33,6 +34,10 @@ from coco.scheduler import Segment, admission_control, plan_epoch, round_robin_p
 
 VIOLATION_SLACK = 1e-9
 _VIRTUAL_CLOS = -1
+# Epochs are simulated one at a time: a million takes minutes, not forever.
+MAX_DURATION = 10**6
+# Quanta are split by float arithmetic, which counts exactly up to 2**53.
+MAX_EPOCH_QUANTA = 2**53
 
 
 class Policy(enum.Enum):
@@ -91,8 +96,8 @@ class WarmupParams:
     def __post_init__(self):
         if self.window < 0:
             raise ValidationError("warmup window must be >= 0")
-        if self.factor < 1:
-            raise ValidationError("warmup factor must be >= 1")
+        if not (math.isfinite(self.factor) and self.factor >= 1):
+            raise ValidationError("warmup factor must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -117,16 +122,16 @@ class Scenario:
         names = [w.name for w in self.workloads]
         if len(set(names)) != len(names):
             raise ValidationError("workload names must be unique")
-        if self.duration < 1:
-            raise ValidationError("duration must be >= 1 epoch")
-        if self.quantum_ms <= 0:
-            raise ValidationError("quantum must be > 0")
-        if self.epoch_quanta < 1:
-            raise ValidationError("epoch_quanta must be >= 1")
-        if self.interference_alpha < 1:
-            raise ValidationError("interference_alpha must be >= 1")
-        if self.pairing_penalty < 1:
-            raise ValidationError("pairing_penalty must be >= 1")
+        if not 1 <= self.duration <= MAX_DURATION:
+            raise ValidationError(f"duration must be in [1, {MAX_DURATION}] epochs")
+        if not (math.isfinite(self.quantum_ms) and self.quantum_ms > 0):
+            raise ValidationError("quantum must be finite and > 0")
+        if not 1 <= self.epoch_quanta <= MAX_EPOCH_QUANTA:
+            raise ValidationError(f"epoch_quanta must be in [1, {MAX_EPOCH_QUANTA}]")
+        if not (math.isfinite(self.interference_alpha) and self.interference_alpha >= 1):
+            raise ValidationError("interference_alpha must be finite and >= 1")
+        if not (math.isfinite(self.pairing_penalty) and self.pairing_penalty >= 1):
+            raise ValidationError("pairing_penalty must be finite and >= 1")
         if not 0 <= self.load_jitter < 1:
             raise ValidationError("load_jitter must be in [0, 1)")
         if not 0 <= self.overhead_margin < 1:

@@ -1,7 +1,16 @@
+import contextlib
+import copy
+import importlib.resources
+import io
+import math
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coco.cli import main
 
@@ -43,7 +52,30 @@ MALFORMED = {
                     MODEL_WORKLOAD % "[[1.0, 2.0], [3.0]]"),
     "nested-unknown-key": ("    profile: {calibration: mongodb, sl_full: 30000}\n",
                            MODEL_WORKLOAD % "[[1.0, 2.0], [3.0, 4.0]], extra: 1"),
+    "wide-width": ("policies: [", "clos_set:\n  configs:\n"
+                   "    - {id: 0, width: 2, mba_percent: 50}\n"
+                   "    - {id: 1, width: 100000000, mba_percent: 50}\n"
+                   "policies: ["),
 }
+
+# one reference.yaml leaf at a time is replaced by each of these
+FUZZ_VALUES = (0, -1, 1e308, math.nan, math.inf, "x", None, [], 10**400, True)
+REFERENCE_DOC = yaml.safe_load(
+    (importlib.resources.files("coco") / "data" / "reference.yaml").read_text())
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaf_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _leaf_paths(child, path + (i,))
+    else:
+        yield path
+
+
+REFERENCE_LEAVES = tuple(_leaf_paths(REFERENCE_DOC))
 
 
 @pytest.fixture()
@@ -76,6 +108,40 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err.count(reference_copy) == 1  # the path is named once
+
+    def test_wide_width_names_its_entry(self, reference_copy, capsys):
+        old, new = MALFORMED["wide-width"]
+        path = Path(reference_copy)
+        path.write_text(path.read_text().replace(old, new))
+        assert main(["validate", reference_copy]) == 2
+        assert "configs[1].width: must be <= llc_ways (20)" in capsys.readouterr().err
+
+
+@settings(max_examples=50, deadline=None)
+# regressions: the duration ran without end, the epoch_quanta overflowed a float
+@example(leaf=("sim", "duration"), value=10**400, command="simulate")
+@example(leaf=("sim", "epoch_quanta"), value=10**400, command="simulate")
+@given(leaf=st.sampled_from(REFERENCE_LEAVES), value=st.sampled_from(FUZZ_VALUES),
+       command=st.sampled_from(("validate", "simulate")))
+def test_fuzz_one_leaf(leaf, value, command):
+    doc = copy.deepcopy(REFERENCE_DOC)
+    node = doc
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        argv = [command, str(path)] + (["--format", "csv"] if command == "simulate" else [])
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)  # a traceback would propagate out of main
+    assert code in (0, 2, 3)
+    assert err.getvalue() == "" or (err.getvalue().startswith("error: ")
+                                    and err.getvalue().count("\n") == 1)
+    if code == 0 and command == "simulate":
+        for row in out.getvalue().splitlines()[1:]:
+            assert all(math.isfinite(float(x)) for x in row.split(",")[2:]), row
 
 
 class TestSchemata:

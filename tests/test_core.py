@@ -58,6 +58,33 @@ class TestProfileValidation:
         assert SensitivityProfile.from_grid(p.grid(), p.sl_full) == p
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+class TestNonFiniteRejected:
+    def test_machine_bandwidth(self, bad):
+        with pytest.raises(ValidationError):
+            MachineSpec(llc_ways=20, clos_count=4, mba_step=10, max_bandwidth=bad)
+
+    def test_slo_bound(self, bad):
+        with pytest.raises(ValidationError):
+            SloSpec(0.99, bad)
+
+    def test_profile_sl_full(self, bad):
+        with pytest.raises(ValidationError):
+            SensitivityProfile((1, 2), (100,), ((1.5,), (1.0,)), sl_full=bad)
+
+    def test_profile_slowdown_cell(self, bad):
+        with pytest.raises(ValidationError):
+            SensitivityProfile((1, 2), (50, 100), ((bad, 1.5), (1.2, 1.0)))
+
+    def test_profile_level(self, bad):
+        with pytest.raises(ValidationError):
+            SensitivityProfile((bad, 2), (100,), ((1.5,), (1.0,)))
+
+    def test_offered_load(self, bad):
+        with pytest.raises(ValidationError):
+            WorkloadSpec("w", SloSpec(0.99, 1.0), calibrated_profile("nginx"), bad)
+
+
 class TestSlowdownAt:
     def test_memcached_three_bit_mask(self):
         p = calibrated_profile("memcached")

@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -48,17 +50,17 @@ class TestMaxSustainableLoad:
     def test_closed_form_900(self):
         m = GroundTruthModel(2.0, 1.0, constant_capacity(1000.0))
         got = max_sustainable_load(m, AllocationState(1, 100), SloSpec(0.99, 20.0))
-        assert got == pytest.approx(900.0, rel=1e-3)
+        assert got == pytest.approx(900.0, rel=1e-12)
 
     def test_bound_at_floor_gives_zero(self):
         m = GroundTruthModel(2.0, 1.0, constant_capacity(1000.0))
         got = max_sustainable_load(m, AllocationState(1, 100), SloSpec(0.99, 2.0))
-        assert got == pytest.approx(0.0, abs=1e-4 * 1000.0)
+        assert got == 0.0
 
     def test_closed_form_454(self):
         m = GroundTruthModel(1.0, 1.0, constant_capacity(500.0))
         got = max_sustainable_load(m, AllocationState(1, 100), SloSpec(0.99, 11.0))
-        assert got == pytest.approx(500.0 * 10 / 11, rel=1e-3)
+        assert got == pytest.approx(500.0 * 10 / 11, rel=1e-12)
 
     def test_unreachable_bound(self):
         m = GroundTruthModel(5.0, 2.0, constant_capacity(1000.0))
@@ -102,8 +104,7 @@ class TestBuildProfile:
         for state in grid_states(machine):
             i = profile.way_levels.index(state.llc_ways)
             j = profile.mba_levels.index(state.mba_percent)
-            expected = full_cap / model.capacity_fn(state)
-            assert profile.slowdowns[i][j] == pytest.approx(expected, rel=1e-3)
+            assert profile.slowdowns[i][j] == full_cap / model.capacity_fn(state)
 
     def test_deterministic(self):
         rng = random.Random(3)
@@ -116,6 +117,44 @@ class TestBuildProfile:
         model = GroundTruthModel(1.0, 1.0, lambda s: 100.0 - s.llc_ways)
         with pytest.raises(ValidationError):
             build_profile(model, machine, SLO)
+
+    def test_capacity_problem_reported_before_infeasible_slo(self):
+        machine = MachineSpec(llc_ways=4, clos_count=2, mba_step=50)
+        model = GroundTruthModel(5.0, 2.0, lambda s: 100.0 - s.llc_ways)
+        with pytest.raises(ValidationError):
+            build_profile(model, machine, SloSpec(0.99, 9.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_capacity_rejected(self, bad):
+        machine = MachineSpec(llc_ways=4, clos_count=2, mba_step=50)
+        model = GroundTruthModel(
+            1.0, 1.0, lambda s: bad if s == AllocationState(2, 50) else 100.0)
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            build_profile(model, machine, SLO)
+
+    @pytest.mark.parametrize("base, inflation", [(math.nan, 1.0), (math.inf, 1.0),
+                                                 (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_model_parameters_rejected(self, base, inflation):
+        with pytest.raises(ValidationError):
+            GroundTruthModel(base, inflation, constant_capacity(100.0))
+
+    def test_bound_at_floor_is_infeasible(self):
+        machine = MachineSpec(llc_ways=4, clos_count=2, mba_step=50)
+        model = GroundTruthModel(2.0, 1.0, constant_capacity(1000.0))
+        with pytest.raises(InfeasibleSloError, match="zero sustainable load"):
+            build_profile(model, machine, SloSpec(0.99, 2.0))
+
+    def test_one_capacity_call_per_state(self):
+        machine = MachineSpec(llc_ways=5, clos_count=2, mba_step=20)
+        calls = Counter()
+
+        def capacity(state):
+            calls[state] += 1
+            return 100.0 * state.llc_ways + state.mba_percent
+
+        build_profile(GroundTruthModel(1.0, 2.0, capacity), machine, SLO)
+        assert set(calls) == set(grid_states(machine))
+        assert max(calls.values()) == 1
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from coco.calibration import calibrated_profile, reference_machine
 from coco.closconfig import ClosConfig, ClosSet, default_partition
 from coco.core import AllocationState, MachineSpec, SloSpec, WorkloadSpec
-from coco.errors import InfeasibleSloError
+from coco.errors import InfeasibleSloError, ValidationError
 from coco.scenario import load_scenario
 from coco.sim import (Policy, Scenario, WarmupParams, _total_violations,
                       anti_monotone_set, compare_policies, max_affordable_load,
@@ -132,6 +133,25 @@ class TestRunScenario:
         rejected = [n for n, wm in m.per_workload.items() if wm.quanta_received == 0]
         assert len(received) == 1 and len(rejected) == 1
         assert m.per_workload[rejected[0]].slo_violations > 0
+
+
+class TestNonFiniteRejected:
+    def test_nan_offered_load_in_reference(self, reference):
+        workloads = list(reference.scenario().workloads)
+        with pytest.raises(ValidationError):
+            workloads[2] = dataclasses.replace(workloads[2], offered_load=math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("key", ["quantum_ms", "interference_alpha",
+                                     "pairing_penalty"])
+    def test_scenario_number(self, reference, key, bad):
+        with pytest.raises(ValidationError):
+            dataclasses.replace(reference.scenario(), **{key: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_warmup_factor(self, bad):
+        with pytest.raises(ValidationError):
+            WarmupParams(window=2, factor=bad)
 
 
 class TestDeterminism:
