@@ -112,7 +112,7 @@ class SensitivityProfile:
         ways, mbas, grid = self.way_levels, self.mba_levels, self.slowdowns
         if not ways or not mbas:
             raise ValidationError("profile grid must be nonempty")
-        if not all(math.isfinite(x) for x in ways + mbas):
+        if not all(isinstance(x, int) or math.isfinite(x) for x in ways + mbas):
             raise ValidationError("profile levels must be finite")
         if list(ways) != sorted(set(ways)) or ways[0] < 1:
             raise ValidationError("way_levels must be strictly ascending, >= 1")
@@ -245,7 +245,7 @@ class WorkloadSpec:
     name: str
     slo: SloSpec
     profile: SensitivityProfile
-    offered_load: float
+    offered_load: float = 0.0
     dominance: Dominance = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):

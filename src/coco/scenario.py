@@ -1,15 +1,18 @@
 """Scenario and profile file handling (YAML, schema-validated).
 
-Unknown keys are rejected everywhere.  A workload carries either a ready
-sensitivity profile (inline grid, named calibration row, or a profile file
-emitted by the `profile` subcommand) or a ground-truth model, which is
-profiled at load time so the simulator always sees a profile.
+Each section of a file is read through one field table mapping every allowed
+key to a parser; unknown keys are rejected everywhere, and an absent optional
+key is left out so the value type's own default applies.  A workload carries
+either a ready sensitivity profile (inline grid, named calibration row, or a
+profile file emitted by the `profile` subcommand) or a ground-truth model,
+which is profiled at load time so the simulator always sees a profile.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import yaml
@@ -21,25 +24,6 @@ from coco.core import (Dominance, MachineSpec, SensitivityProfile, SloSpec,
 from coco.errors import CocoError, InfeasibleSloError, ScenarioError
 from coco.profiler import GroundTruthModel, build_profile
 from coco.sim import Policy, Scenario, WarmupParams
-
-_MACHINE_KEYS = {"llc_ways", "clos_count", "mba_step", "max_bandwidth", "cores"}
-_WORKLOAD_KEYS = {"name", "slo", "offered_load", "profile", "model", "dominance"}
-_SLO_KEYS = {"percentile", "latency_bound_ms"}
-_PROFILE_KEYS = {"calibration", "sl_full", "grid", "file", "workload"}
-_GRID_KEYS = {"way_levels", "mba_levels", "slowdowns", "sl_full"}
-_MODEL_KEYS = {"base_latency_ms", "tail_inflation", "capacity"}
-_CAPACITY_KEYS = {"calibration", "full", "grid"}
-_CAP_GRID_KEYS = {"way_levels", "mba_levels", "values"}
-_SIM_KEYS = {"policy", "epoch_quanta", "quantum_ms", "duration", "seed",
-             "warmup", "interference_alpha", "pairing_penalty", "load_jitter",
-             "overhead_margin"}
-_WARMUP_KEYS = {"window", "factor"}
-_CLOS_SET_KEYS = {"reserved_id", "configs"}
-_CLOS_KEYS = {"id", "width", "mask", "mba_percent"}
-_TOP_KEYS = {"machine", "workloads", "policies", "sim", "clos_set"}
-
-_DOMINANCE = {"llc": Dominance.LLC_DOMINANT, "mb": Dominance.MB_DOMINANT,
-              "balanced": Dominance.BALANCED}
 
 
 @dataclass(frozen=True)
@@ -66,53 +50,74 @@ class LoadedScenario:
                         clos_set=self.clos_set, **params)
 
 
-def _expect_mapping(obj, allowed: set[str], where: str) -> dict:
-    if not isinstance(obj, dict):
+def _mapping(node, where: str, keys, required=()) -> dict:
+    if not isinstance(node, dict):
         raise ScenarioError(f"{where}: expected a mapping")
-    unknown = set(obj) - allowed
+    unknown = node.keys() - keys
     if unknown:
-        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
-    return obj
+        raise ScenarioError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    for key in required:
+        if key not in node:
+            raise ScenarioError(f"{where}: missing {key}")
+    return node
 
 
-def _number(obj, where: str, minimum=None) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ScenarioError(f"{where}: expected a number")
+def _fields(node, where: str, table: dict, required=(), sep=".") -> dict:
+    """The keys of mapping `node` present in `table`, each through its parser."""
+    node = _mapping(node, where, table, required)
+    return {key: parse(node[key], f"{where}{sep}{key}")
+            for key, parse in table.items() if key in node}
+
+
+def _build(make, where: str, *args, **fields):
+    """`make(*args, **fields)`, its validation error prefixed with `where`."""
     try:
-        value = float(obj)
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ScenarioError(f"{where}: expected a finite number")
-    if minimum is not None and value < minimum:
-        raise ScenarioError(f"{where}: must be >= {minimum}")
-    return value
+        return make(*args, **fields)
+    except InfeasibleSloError:
+        raise  # exit-status contract: infeasible SLO is not a schema error
+    except CocoError as e:
+        raise ScenarioError(f"{where}: {e}") from None
 
 
-def _integer(obj, where: str, minimum=None) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ScenarioError(f"{where}: expected an integer")
-    if minimum is not None and obj < minimum:
-        raise ScenarioError(f"{where}: must be >= {minimum}")
-    return obj
+def _one_of(fields: dict, where: str, keys: tuple[str, ...]) -> str:
+    present = [k for k in keys if k in fields]
+    if len(present) != 1:
+        raise ScenarioError(f"{where}: exactly one of {'/'.join(keys)} required")
+    return present[0]
 
 
-def _rows(obj, where: str) -> tuple[tuple[float, ...], ...]:
-    """A grid of finite numbers, as a list of rows."""
-    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
-        raise ScenarioError(f"{where}: expected a list of lists of numbers")
-    return tuple(tuple(_number(x, f"{where}[{i}][{j}]") for j, x in enumerate(row))
-                 for i, row in enumerate(obj))
+def _section(table: dict, required=(), make=None):
+    """Parser of a nested mapping: its fields, or `make(**fields)`."""
+    def parse(obj, where):
+        fields = _fields(obj, where, table, required)
+        return fields if make is None else _build(make, where, **fields)
+    return parse
 
 
-def _levels(obj, where: str) -> tuple[float, ...]:
-    """A nonempty, strictly ascending axis of finite numbers."""
-    if not isinstance(obj, list) or not obj:
-        raise ScenarioError(f"{where}: expected a nonempty list of numbers")
-    levels = tuple(_number(x, f"{where}[{i}]") for i, x in enumerate(obj))
-    if any(a >= b for a, b in zip(levels, levels[1:])):
-        raise ScenarioError(f"{where}: must be strictly ascending")
-    return levels
+def _number(minimum=None):
+    def parse(obj, where: str) -> float:
+        if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+            raise ScenarioError(f"{where}: expected a number")
+        try:
+            value = float(obj)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ScenarioError(f"{where}: expected a finite number")
+        if minimum is not None and value < minimum:
+            raise ScenarioError(f"{where}: must be >= {minimum}")
+        return value
+    return parse
+
+
+def _integer(minimum=None):
+    def parse(obj, where: str) -> int:
+        if isinstance(obj, bool) or not isinstance(obj, int):
+            raise ScenarioError(f"{where}: expected an integer")
+        if minimum is not None and obj < minimum:
+            raise ScenarioError(f"{where}: must be >= {minimum}")
+        return obj
+    return parse
 
 
 def _string(obj, where: str) -> str:
@@ -121,10 +126,117 @@ def _string(obj, where: str) -> str:
     return obj
 
 
+def _choice(kind):
+    """Parser of an enum member named by its value."""
+    members = {m.value: m for m in kind}
+
+    def parse(obj, where: str):
+        if _string(obj, where) not in members:
+            raise ScenarioError(f"{where}: unknown {kind.__name__.lower()} {obj!r}; "
+                                f"expected one of {', '.join(members)}")
+        return members[obj]
+    return parse
+
+
+def _mask(obj, where: str) -> int:
+    """A capacity bit-mask: a positive integer or a hexadecimal string."""
+    if not isinstance(obj, str):
+        return _integer(1)(obj, where)
+    try:
+        return int(obj, 16)
+    except ValueError:
+        raise ScenarioError(f"{where}: {obj!r} is not a hexadecimal mask") from None
+
+
+def _list(item, nonempty=False):
+    def parse(obj, where: str) -> tuple:
+        if not isinstance(obj, list) or (nonempty and not obj):
+            raise ScenarioError(f"{where}: expected a {'nonempty ' * nonempty}list")
+        return tuple(item(x, f"{where}[{i}]") for i, x in enumerate(obj))
+    return parse
+
+
+def _axis(level):
+    """Parser of a nonempty, strictly ascending list of `level` values."""
+    def parse(obj, where: str) -> tuple:
+        levels = _list(level, nonempty=True)(obj, where)
+        if any(a >= b for a, b in zip(levels, levels[1:])):
+            raise ScenarioError(f"{where}: must be strictly ascending")
+        return levels
+    return parse
+
+
+_rows = _list(_list(_number()))  # a grid of finite numbers, as a list of rows
+
+
+def _capacity_grid(obj, where: str):
+    g = _fields(obj, where, _CAPACITY_GRID, ("way_levels", "mba_levels", "values"))
+    ways, mbas, values = g["way_levels"], g["mba_levels"], g["values"]
+    if len(values) != len(ways) or any(len(row) != len(mbas) for row in values):
+        raise ScenarioError(f"{where}.values: expected {len(ways)} rows of "
+                            f"{len(mbas)} values (way_levels x mba_levels)")
+
+    def capacity(state):
+        return bilinear(ways, mbas, values, state.llc_ways, state.mba_percent)
+
+    return capacity
+
+
+def _capacity(obj, where: str):
+    c = _fields(obj, where, _CAPACITY)
+    if _one_of(c, where, ("calibration", "grid")) == "grid":
+        return c["grid"]
+    return _build(calibration.calibrated_capacity_fn, where,
+                  c["calibration"], c.get("full", 1.0))
+
+
+def _model(obj, where: str) -> GroundTruthModel:
+    m = _fields(obj, where, _MODEL, ("base_latency_ms", "capacity"))
+    return _build(GroundTruthModel, where, m["base_latency_ms"],
+                  m.get("tail_inflation", 1.0), m["capacity"])
+
+
+_GRID_PROFILE = {"way_levels": _axis(_integer(1)), "mba_levels": _axis(_integer(1)),
+                 "slowdowns": _rows, "sl_full": _number(0)}
+_grid_profile = _section(_GRID_PROFILE, ("way_levels", "mba_levels", "slowdowns"),
+                         SensitivityProfile)
+_CAPACITY_GRID = {"way_levels": _axis(_number()), "mba_levels": _axis(_number()),
+                  "values": _rows}
+_CAPACITY = {"calibration": _string, "full": _number(0), "grid": _capacity_grid}
+_MODEL = {"base_latency_ms": _number(0), "tail_inflation": _number(1),
+          "capacity": _capacity}
+_PROFILE = {"calibration": _string, "sl_full": _number(0), "grid": _grid_profile,
+            "file": _string, "workload": _string}
+_SLO = {"percentile": _number(), "latency_bound_ms": _number()}
+_WORKLOAD = {"name": _string,
+             "slo": _section(_SLO, ("percentile", "latency_bound_ms"), SloSpec),
+             "offered_load": _number(0), "profile": _section(_PROFILE),
+             "model": _model, "dominance": _choice(Dominance)}
+_MACHINE = {"llc_ways": _integer(1), "clos_count": _integer(2), "mba_step": _integer(1),
+            "max_bandwidth": _number(0), "cores": _integer(1)}
+_SIM = {"policy": _choice(Policy), "epoch_quanta": _integer(1), "quantum_ms": _number(0),
+        "duration": _integer(1), "seed": _integer(),
+        "warmup": _section({"window": _integer(0), "factor": _number(1)},
+                           make=WarmupParams),
+        "interference_alpha": _number(1), "pairing_penalty": _number(1),
+        "load_jitter": _number(0), "overhead_margin": _number(0)}
+_CLOS = {"id": _integer(0), "width": _integer(1), "mask": _mask,
+         "mba_percent": _integer(1)}
+_CLOS_SET = {"reserved_id": _integer(0),
+             "configs": _list(_section(_CLOS, ("mba_percent",)), nonempty=True)}
+_SCENARIO = {"machine": _section(_MACHINE, ("llc_ways", "clos_count", "mba_step"),
+                                 MachineSpec),
+             "workloads": _list(_section(_WORKLOAD, ("name", "slo")), nonempty=True),
+             "policies": _list(_choice(Policy)), "sim": _section(_SIM),
+             "clos_set": _section(_CLOS_SET, ("configs",))}
+# a profile file: entries are key-checked, and only the requested one parsed
+_PROFILE_FILE = {"profiles": _list(partial(_mapping, keys={"workload", *_GRID_PROFILE}))}
+
+
 def _load_yaml(path: Path) -> dict:
     try:
         text = path.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(f"{path}: {e}") from None
     try:
         doc = yaml.safe_load(text)
@@ -132,247 +244,72 @@ def _load_yaml(path: Path) -> dict:
         mark = getattr(e, "problem_mark", None)
         line = f", line {mark.line + 1}" if mark else ""
         raise ScenarioError(f"{path}{line}: invalid YAML: {getattr(e, 'problem', e)}") from None
+    except RecursionError:
+        raise ScenarioError(f"{path}: invalid YAML: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
     return doc
 
 
-def _parse_machine(node, where: str) -> MachineSpec:
-    m = _expect_mapping(node, _MACHINE_KEYS, where)
-    fields = dict(
-        llc_ways=_integer(m.get("llc_ways"), f"{where}.llc_ways", 1),
-        clos_count=_integer(m.get("clos_count"), f"{where}.clos_count", 2),
-        mba_step=_integer(m.get("mba_step"), f"{where}.mba_step", 1),
-        max_bandwidth=_number(m.get("max_bandwidth", 0.0), f"{where}.max_bandwidth", 0),
-        cores=_integer(m.get("cores", 16), f"{where}.cores", 1),
-    )
-    try:
-        return MachineSpec(**fields)
-    except CocoError as e:
-        raise ScenarioError(f"{where}: {e}") from None
-
-
-def _parse_grid_profile(node, where: str) -> SensitivityProfile:
-    g = _expect_mapping(node, _GRID_KEYS, where)
-    for key in ("way_levels", "mba_levels", "slowdowns"):
-        if key not in g:
-            raise ScenarioError(f"{where}: missing {key}")
-    slowdowns = _rows(g["slowdowns"], f"{where}.slowdowns")
-    sl_full = _number(g.get("sl_full", 1.0), f"{where}.sl_full", 0)
-    try:
-        return SensitivityProfile(
-            way_levels=tuple(g["way_levels"]),
-            mba_levels=tuple(g["mba_levels"]),
-            slowdowns=slowdowns,
-            sl_full=sl_full,
-        )
-    except (CocoError, TypeError) as e:
-        raise ScenarioError(f"{where}: {e}") from None
-
-
-def _parse_profile(node, where: str, base_dir: Path,
-                   workload_name: str) -> SensitivityProfile:
-    p = _expect_mapping(node, _PROFILE_KEYS, where)
-    sources = [k for k in ("calibration", "grid", "file") if k in p]
-    if len(sources) != 1:
-        raise ScenarioError(
-            f"{where}: exactly one of calibration/grid/file required")
-    if "calibration" in p:
-        app = _string(p["calibration"], f"{where}.calibration")
-        sl_full = _number(p.get("sl_full", 1.0), f"{where}.sl_full", 0)
-        try:
-            return calibration.calibrated_profile(app, sl_full)
-        except CocoError as e:
-            raise ScenarioError(f"{where}: {e}") from None
-    if "grid" in p:
-        return _parse_grid_profile(p["grid"], f"{where}.grid")
-    rel = _string(p["file"], f"{where}.file")
-    key = p.get("workload", workload_name)
-    return load_profile_file(base_dir / rel, _string(key, f"{where}.workload"))
-
-
-def _parse_capacity(node, where: str):
-    c = _expect_mapping(node, _CAPACITY_KEYS, where)
-    if "calibration" in c:
-        app = _string(c["calibration"], f"{where}.calibration")
-        full = _number(c.get("full", 1.0), f"{where}.full", 0)
-        try:
-            return calibration.calibrated_capacity_fn(app, full)
-        except CocoError as e:
-            raise ScenarioError(f"{where}: {e}") from None
-    if "grid" in c:
-        g = _expect_mapping(c["grid"], _CAP_GRID_KEYS, f"{where}.grid")
-        ways = _levels(g.get("way_levels"), f"{where}.grid.way_levels")
-        mbas = _levels(g.get("mba_levels"), f"{where}.grid.mba_levels")
-        values = _rows(g.get("values"), f"{where}.grid.values")
-        if len(values) != len(ways) or any(len(row) != len(mbas) for row in values):
-            raise ScenarioError(
-                f"{where}.grid.values: expected {len(ways)} rows of "
-                f"{len(mbas)} values (way_levels x mba_levels)")
-
-        def capacity(state):
-            return bilinear(ways, mbas, values, state.llc_ways, state.mba_percent)
-
-        return capacity
-    raise ScenarioError(f"{where}: one of calibration/grid required")
-
-
-def _parse_model(node, where: str) -> GroundTruthModel:
-    m = _expect_mapping(node, _MODEL_KEYS, where)
-    if "capacity" not in m:
-        raise ScenarioError(f"{where}: missing capacity")
-    fields = dict(
-        base_latency_ms=_number(m.get("base_latency_ms"), f"{where}.base_latency_ms", 0),
-        tail_inflation=_number(m.get("tail_inflation", 1.0), f"{where}.tail_inflation", 1),
-        capacity_fn=_parse_capacity(m["capacity"], f"{where}.capacity"),
-    )
-    try:
-        return GroundTruthModel(**fields)
-    except CocoError as e:
-        raise ScenarioError(f"{where}: {e}") from None
-
-
-def _parse_workload(node, where: str, machine: MachineSpec,
-                    base_dir: Path) -> LoadedWorkload:
-    w = _expect_mapping(node, _WORKLOAD_KEYS, where)
-    name = _string(w.get("name"), f"{where}.name")
-    slo_node = _expect_mapping(w.get("slo"), _SLO_KEYS, f"{where}.slo")
-    percentile = _number(slo_node.get("percentile"), f"{where}.slo.percentile")
-    bound = _number(slo_node.get("latency_bound_ms"), f"{where}.slo.latency_bound_ms")
-    try:
-        slo = SloSpec(percentile=percentile, latency_bound_ms=bound)
-    except CocoError as e:
-        raise ScenarioError(f"{where}.slo: {e}") from None
-    offered = _number(w.get("offered_load", 0.0), f"{where}.offered_load", 0)
-    dominance = None
-    if "dominance" in w:
-        label = _string(w["dominance"], f"{where}.dominance")
-        if label not in _DOMINANCE:
-            raise ScenarioError(
-                f"{where}.dominance: expected one of {sorted(_DOMINANCE)}")
-        dominance = _DOMINANCE[label]
-    has_profile, has_model = "profile" in w, "model" in w
-    if has_profile == has_model:
-        raise ScenarioError(f"{where}: exactly one of profile/model required")
-    model = None
-    if has_profile:
-        profile = _parse_profile(w["profile"], f"{where}.profile", base_dir, name)
+def _workload(w: dict, where: str, machine: MachineSpec,
+              base_dir: Path) -> LoadedWorkload:
+    source = _one_of(w, where, ("profile", "model"))
+    p, model = w.pop("profile", None), w.pop("model", None)
+    if source == "model":
+        profile = _build(build_profile, f"{where}.model", model, machine, w["slo"])
     else:
-        model = _parse_model(w["model"], f"{where}.model")
-        try:
-            profile = build_profile(model, machine, slo)
-        except InfeasibleSloError:
-            raise  # exit-status contract: infeasible SLO is not a schema error
-        except CocoError as e:
-            raise ScenarioError(f"{where}.model: {e}") from None
+        at = f"{where}.profile"
+        source = _one_of(p, at, ("calibration", "grid", "file"))
+        if source == "grid":
+            profile = p["grid"]
+        elif source == "file":
+            profile = load_profile_file(base_dir / p["file"], p.get("workload", w["name"]))
+        else:
+            profile = _build(calibration.calibrated_profile, at, p["calibration"],
+                             p.get("sl_full", SensitivityProfile.sl_full))
     if profile.way_levels[-1] != machine.llc_ways:
         raise ScenarioError(
             f"{where}: profile full allocation ({profile.way_levels[-1]} ways) "
             f"does not match machine ({machine.llc_ways} ways)")
-    try:
-        spec = WorkloadSpec(name=name, slo=slo, profile=profile,
-                            offered_load=offered, dominance=dominance)
-    except CocoError as e:
-        raise ScenarioError(f"{where}: {e}") from None
-    return LoadedWorkload(spec, model)
+    return LoadedWorkload(_build(WorkloadSpec, where, profile=profile, **w), model)
 
 
-def _mask(obj, where: str) -> int:
-    """A capacity bit-mask: a positive integer or a hexadecimal string."""
-    if not isinstance(obj, str):
-        return _integer(obj, where, 1)
-    try:
-        return int(obj, 16)
-    except ValueError:
-        raise ScenarioError(f"{where}: {obj!r} is not a hexadecimal mask") from None
-
-
-def _parse_clos_set(node, where: str, machine: MachineSpec) -> ClosSet:
-    cs = _expect_mapping(node, _CLOS_SET_KEYS, where)
-    entries = cs.get("configs")
-    if not isinstance(entries, list) or not entries:
-        raise ScenarioError(f"{where}.configs: expected a nonempty list")
+def _clos_set(cs: dict, where: str, machine: MachineSpec) -> ClosSet:
     configs = []
     bit = 0
-    for idx, entry in enumerate(entries):
-        e = _expect_mapping(entry, _CLOS_KEYS, f"{where}.configs[{idx}]")
-        clos_id = _integer(e.get("id", idx), f"{where}.configs[{idx}].id", 0)
-        mba = _integer(e.get("mba_percent"), f"{where}.configs[{idx}].mba_percent", 1)
-        if "mask" in e:
-            mask = _mask(e["mask"], f"{where}.configs[{idx}].mask")
-        elif "width" in e:
-            width = _integer(e["width"], f"{where}.configs[{idx}].width", 1)
-            if width > machine.llc_ways:
-                raise ScenarioError(f"{where}.configs[{idx}].width: must be <= "
-                                    f"llc_ways ({machine.llc_ways})")
-            mask = ((1 << width) - 1) << bit
-            bit += width
+    for idx, e in enumerate(cs.pop("configs")):
+        at = f"{where}.configs[{idx}]"
+        if _one_of(e, at, ("mask", "width")) == "mask":
+            mask = e["mask"]
+        elif e["width"] > machine.llc_ways:
+            raise ScenarioError(f"{at}.width: must be <= llc_ways ({machine.llc_ways})")
         else:
-            raise ScenarioError(f"{where}.configs[{idx}]: mask or width required")
-        configs.append(ClosConfig(clos_id, mask, mba))
-    clos_set = ClosSet(machine, tuple(configs),
-                       reserved_id=_integer(cs.get("reserved_id", 0),
-                                            f"{where}.reserved_id", 0))
+            mask = ((1 << e["width"]) - 1) << bit
+            bit += e["width"]
+        configs.append(ClosConfig(e.get("id", idx), mask, e["mba_percent"]))
+    clos_set = ClosSet(machine, tuple(configs), **cs)
     problems = validate_clos_set(clos_set)
     if problems:
         raise ScenarioError(f"{where}: " + "; ".join(problems))
     return clos_set
 
 
-# sim keys holding a number: (parser, minimum)
-_SIM_NUMBERS = {"epoch_quanta": (_integer, 1), "quantum_ms": (_number, 0),
-                "duration": (_integer, 1), "seed": (_integer, None),
-                "interference_alpha": (_number, 1), "pairing_penalty": (_number, 1),
-                "load_jitter": (_number, 0), "overhead_margin": (_number, 0)}
-
-
 def load_scenario(path: str | Path) -> LoadedScenario:
     path = Path(path)
-    doc = _expect_mapping(_load_yaml(path), _TOP_KEYS, str(path))
-    if "machine" not in doc or "workloads" not in doc:
-        raise ScenarioError(f"{path}: machine and workloads sections required")
-    machine = _parse_machine(doc["machine"], f"{path}: machine")
-    if not isinstance(doc["workloads"], list) or not doc["workloads"]:
-        raise ScenarioError(f"{path}: workloads: expected a nonempty list")
-    workloads = tuple(
-        _parse_workload(node, f"{path}: workloads[{i}]", machine, path.parent)
-        for i, node in enumerate(doc["workloads"]))
+    doc = _fields(_load_yaml(path), str(path), _SCENARIO, ("machine", "workloads"),
+                  sep=": ")
+    machine = doc["machine"]
+    workloads = tuple(_workload(w, f"{path}: workloads[{i}]", machine, path.parent)
+                      for i, w in enumerate(doc["workloads"]))
     names = [w.spec.name for w in workloads]
     if len(set(names)) != len(names):
         raise ScenarioError(f"{path}: duplicate workload names")
-
-    policies = []
-    for i, p in enumerate(doc.get("policies", [])):
-        try:
-            policies.append(Policy.from_name(_string(p, f"{path}: policies[{i}]")))
-        except CocoError as e:
-            raise ScenarioError(f"{path}: policies[{i}]: {e}") from None
-
-    sim_node = _expect_mapping(doc.get("sim", {}), _SIM_KEYS, f"{path}: sim")
-    params: dict = {}
-    try:
-        params["policy"] = Policy.from_name(sim_node.get("policy", "coco"))
-    except CocoError as e:
-        raise ScenarioError(f"{path}: sim.policy: {e}") from None
-    for key, (conv, minimum) in _SIM_NUMBERS.items():
-        if key in sim_node:
-            params[key] = conv(sim_node[key], f"{path}: sim.{key}", minimum)
-    if "warmup" in sim_node:
-        wnode = _expect_mapping(sim_node["warmup"], _WARMUP_KEYS, f"{path}: sim.warmup")
-        params["warmup"] = WarmupParams(
-            window=_integer(wnode.get("window", 2), f"{path}: sim.warmup.window", 0),
-            factor=_number(wnode.get("factor", 1.15), f"{path}: sim.warmup.factor", 1))
-
     clos_set = None
     if "clos_set" in doc:
-        clos_set = _parse_clos_set(doc["clos_set"], f"{path}: clos_set", machine)
-
-    loaded = LoadedScenario(path, machine, workloads, tuple(policies), params,
-                            clos_set)
-    try:
-        loaded.scenario()  # surface Scenario-level validation now
-    except CocoError as e:
-        raise ScenarioError(f"{path}: {e}") from None
+        clos_set = _clos_set(doc["clos_set"], f"{path}: clos_set", machine)
+    loaded = LoadedScenario(path, machine, workloads, doc.get("policies", ()),
+                            {"policy": Policy.COCO, **doc.get("sim", {})}, clos_set)
+    _build(loaded.scenario, str(path))  # surface Scenario-level validation now
     return loaded
 
 
@@ -393,13 +330,9 @@ def dump_profiles(workload_profiles: dict[str, SensitivityProfile]) -> str:
 
 def load_profile_file(path: str | Path, workload: str) -> SensitivityProfile:
     path = Path(path)
-    doc = _expect_mapping(_load_yaml(path), {"profiles"}, str(path))
-    entries = doc.get("profiles")
-    if not isinstance(entries, list):
-        raise ScenarioError(f"{path}: profiles: expected a list")
-    for i, node in enumerate(entries):
-        e = _expect_mapping(node, {"workload"} | _GRID_KEYS, f"{path}: profiles[{i}]")
+    doc = _fields(_load_yaml(path), str(path), _PROFILE_FILE, ("profiles",), sep=": ")
+    for i, e in enumerate(doc["profiles"]):
         if e.get("workload") == workload:
-            return _parse_grid_profile(
-                {k: e[k] for k in _GRID_KEYS if k in e}, f"{path}: profiles[{i}]")
+            grid = {k: v for k, v in e.items() if k != "workload"}
+            return _grid_profile(grid, f"{path}: profiles[{i}]")
     raise ScenarioError(f"{path}: no profile for workload {workload!r}")

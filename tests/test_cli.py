@@ -39,6 +39,11 @@ MODEL_WORKLOAD = """\
         grid: {way_levels: [1, 20], mba_levels: [10, 100], values: %s}
 """
 
+GRID_WORKLOAD = """\
+    profile:
+      grid: {way_levels: %s, mba_levels: [50, 100], slowdowns: [[2.0, 1.5], [1.2, 1.0]]}
+"""
+
 # reference.yaml edits, each leaving one malformed value
 MALFORMED = {
     "nan-load": ("offered_load: 3000\n", "offered_load: .nan\n"),
@@ -56,12 +61,67 @@ MALFORMED = {
                    "    - {id: 0, width: 2, mba_percent: 50}\n"
                    "    - {id: 1, width: 100000000, mba_percent: 50}\n"
                    "policies: ["),
+    "text-way-level": ("    profile: {calibration: mongodb, sl_full: 30000}\n",
+                       GRID_WORKLOAD % '["a", 20]'),
+    "fractional-way-level": ("    profile: {calibration: mongodb, sl_full: 30000}\n",
+                             GRID_WORKLOAD % "[1.5, 20]"),
 }
 
-# one reference.yaml leaf at a time is replaced by each of these
+# one leaf of a base document at a time is replaced by each of these, or deleted
 FUZZ_VALUES = (0, -1, 1e308, math.nan, math.inf, "x", None, [], 10**400, True)
-REFERENCE_DOC = yaml.safe_load(
-    (importlib.resources.files("coco") / "data" / "reference.yaml").read_text())
+DELETE = object()
+# covers the sections reference.yaml lacks: grid profile, models, clos_set, warmup
+MIXED_DOC = yaml.safe_load("""\
+machine: {llc_ways: 20, clos_count: 4, mba_step: 10, max_bandwidth: 1.0e+11, cores: 8}
+workloads:
+  - name: grid
+    slo: {percentile: 0.99, latency_bound_ms: 5.0}
+    offered_load: 100
+    dominance: balanced
+    profile:
+      grid: {way_levels: [1, 10, 20], mba_levels: [50, 100], sl_full: 5000,
+             slowdowns: [[3.0, 2.0], [1.5, 1.2], [1.1, 1.0]]}
+  - name: model-grid
+    slo: {percentile: 0.99, latency_bound_ms: 20.0}
+    offered_load: 50
+    model:
+      base_latency_ms: 1.0
+      tail_inflation: 2.0
+      capacity:
+        grid: {way_levels: [1, 20], mba_levels: [10, 100],
+               values: [[1000.0, 2000.0], [3000.0, 4000.0]]}
+  - name: model-calibrated
+    slo: {percentile: 0.99, latency_bound_ms: 20.0}
+    offered_load: 50
+    model:
+      base_latency_ms: 2.0
+      tail_inflation: 1.5
+      capacity: {calibration: nginx, full: 1000.0}
+  - name: calibrated
+    slo: {percentile: 0.99, latency_bound_ms: 15.0}
+    offered_load: 300
+    profile: {calibration: mongodb, sl_full: 30000}
+policies: [coco, rr]
+clos_set:
+  reserved_id: 0
+  configs:
+    - {id: 0, width: 2, mba_percent: 10}
+    - {id: 1, width: 3, mba_percent: 10}
+    - {id: 2, mask: 2016, mba_percent: 30}
+    - {id: 3, mask: "ff800", mba_percent: 50}
+sim:
+  policy: coco
+  epoch_quanta: 20
+  duration: 2
+  seed: 3
+  warmup: {window: 1, factor: 1.2}
+  load_jitter: 0.1
+""")
+FUZZ_BASES = {
+    "reference": yaml.safe_load(
+        (importlib.resources.files("coco") / "data" / "reference.yaml").read_text()),
+    "mixed": MIXED_DOC,
+}
 
 
 def _leaf_paths(node, path=()):
@@ -75,7 +135,8 @@ def _leaf_paths(node, path=()):
         yield path
 
 
-REFERENCE_LEAVES = tuple(_leaf_paths(REFERENCE_DOC))
+FUZZ_LEAVES = tuple((base, leaf) for base, doc in FUZZ_BASES.items()
+                    for leaf in _leaf_paths(doc))
 
 
 @pytest.fixture()
@@ -116,19 +177,38 @@ class TestValidate:
         assert main(["validate", reference_copy]) == 2
         assert "configs[1].width: must be <= llc_ways (20)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["text-way-level", "fractional-way-level"])
+    def test_profile_level_names_its_entry(self, case, reference_copy, capsys):
+        old, new = MALFORMED[case]
+        path = Path(reference_copy)
+        path.write_text(path.read_text().replace(old, new, 1))
+        assert main(["validate", reference_copy]) == 2
+        assert "profile.grid.way_levels[0]: expected an integer" in capsys.readouterr().err
 
-@settings(max_examples=50, deadline=None)
-# regressions: the duration ran without end, the epoch_quanta overflowed a float
-@example(leaf=("sim", "duration"), value=10**400, command="simulate")
-@example(leaf=("sim", "epoch_quanta"), value=10**400, command="simulate")
-@given(leaf=st.sampled_from(REFERENCE_LEAVES), value=st.sampled_from(FUZZ_VALUES),
+    def test_mixed_fuzz_base_loads(self, tmp_path, capsys):
+        path = tmp_path / "mixed.yaml"
+        path.write_text(yaml.safe_dump(MIXED_DOC))
+        assert main(["simulate", str(path)]) == 0
+
+
+@settings(max_examples=60, deadline=None)
+# regressions: the duration ran without end, the epoch_quanta overflowed a float,
+# a bad policies entry named the file twice
+@example(case=("reference", ("sim", "duration")), value=10**400, command="simulate")
+@example(case=("reference", ("sim", "epoch_quanta")), value=10**400, command="simulate")
+@example(case=("reference", ("policies", 0)), value=7, command="validate")
+@given(case=st.sampled_from(FUZZ_LEAVES), value=st.sampled_from(FUZZ_VALUES + (DELETE,)),
        command=st.sampled_from(("validate", "simulate")))
-def test_fuzz_one_leaf(leaf, value, command):
-    doc = copy.deepcopy(REFERENCE_DOC)
+def test_fuzz_one_leaf(case, value, command):
+    base, leaf = case
+    doc = copy.deepcopy(FUZZ_BASES[base])
     node = doc
     for key in leaf[:-1]:
         node = node[key]
-    node[leaf[-1]] = value
+    if value is DELETE:
+        del node[leaf[-1]]
+    else:
+        node[leaf[-1]] = value
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.yaml"
@@ -139,6 +219,7 @@ def test_fuzz_one_leaf(leaf, value, command):
     assert code in (0, 2, 3)
     assert err.getvalue() == "" or (err.getvalue().startswith("error: ")
                                     and err.getvalue().count("\n") == 1)
+    assert err.getvalue().count(str(path)) <= 1
     if code == 0 and command == "simulate":
         for row in out.getvalue().splitlines()[1:]:
             assert all(math.isfinite(float(x)) for x in row.split(",")[2:]), row

@@ -85,6 +85,11 @@ class TestNonFiniteRejected:
             WorkloadSpec("w", SloSpec(0.99, 1.0), calibrated_profile("nginx"), bad)
 
 
+def test_profile_level_beyond_float_range_rejected():
+    with pytest.raises(ValidationError):
+        SensitivityProfile((1, 2), (50, 10**400), ((1.5, 1.2), (1.2, 1.0)))
+
+
 class TestSlowdownAt:
     def test_memcached_three_bit_mask(self):
         p = calibrated_profile("memcached")

@@ -4,7 +4,7 @@ from coco.core import Dominance
 from coco.errors import ScenarioError
 from coco.profiler import build_profile
 from coco.scenario import dump_profiles, load_profile_file, load_scenario
-from coco.sim import Policy
+from coco.sim import Policy, WarmupParams
 
 MINIMAL = """\
 machine: {llc_ways: 20, clos_count: 4, mba_step: 10}
@@ -54,6 +54,56 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=r"line \d+"):
             load_scenario(path)
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_bytes(MINIMAL.encode() + b"# \xff\xfe\n")
+        with pytest.raises(ScenarioError, match="can't decode"):
+            load_scenario(path)
+
+    def test_deeply_nested_yaml_rejected(self, tmp_path):
+        path = write(tmp_path, "machine: " + "[" * 5000 + "]" * 5000 + "\n")
+        with pytest.raises(ScenarioError, match="nested too deeply"):
+            load_scenario(path)
+
+    def test_unknown_keys_of_mixed_types_listed(self, tmp_path):
+        text = MINIMAL.replace("mba_step: 10", "mba_step: 10, 5: 1, x: 2")
+        with pytest.raises(ScenarioError, match=r"unknown keys \[5, 'x'\]"):
+            load_scenario(write(tmp_path, text))
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("llc_ways: 20, ", "", "machine: missing llc_ways"),
+        ("percentile: 0.99, ", "", r"workloads\[0\]\.slo: missing percentile"),
+        ("- name: web\n    slo", "- slo", r"workloads\[0\]: missing name"),
+        ("offered_load: 100.0", "offered_load: 100.0\n    dominance: high",
+         r"workloads\[0\]\.dominance: unknown dominance 'high'"),
+        ("sl_full: 1000.0}\n", "sl_full: 1000.0}\nsim: {policy: 0}\n",
+         r"sim\.policy: expected a nonempty string"),
+        ("profile: {calibration: nginx, sl_full: 1000.0}",
+         "model: {base_latency_ms: 1.0, capacity: {calibration: nginx, "
+         "grid: {way_levels: [1, 20], mba_levels: [10, 100], "
+         "values: [[1.0, 2.0], [3.0, 4.0]]}}}",
+         r"model\.capacity: exactly one of calibration/grid required"),
+    ])
+    def test_field_errors_name_their_path(self, tmp_path, old, new, message):
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(write(tmp_path, MINIMAL.replace(old, new)))
+
+    def test_absent_keys_take_value_type_defaults(self, tmp_path):
+        loaded = load_scenario(write(tmp_path, MINIMAL + "sim: {warmup: {window: 3}}\n"))
+        assert loaded.sim_params == {"policy": Policy.COCO,
+                                     "warmup": WarmupParams(window=3)}
+        assert loaded.machine.cores == 16 and loaded.machine.max_bandwidth == 0.0
+        assert loaded.scenario().warmup.factor == 1.15
+
+    def test_clos_mask_and_width_exclusive(self, tmp_path):
+        text = MINIMAL.replace("clos_count: 4", "clos_count: 2") + (
+            "clos_set:\n"
+            "  configs:\n"
+            "    - {id: 0, width: 17, mask: 0x1ffff, mba_percent: 50}\n"
+            "    - {id: 1, width: 3, mba_percent: 50}\n")
+        with pytest.raises(ScenarioError, match="exactly one of mask/width"):
+            load_scenario(write(tmp_path, text))
+
     def test_profile_and_model_exclusive(self, tmp_path):
         text = MINIMAL.replace(
             "profile: {calibration: nginx, sl_full: 1000.0}",
@@ -96,6 +146,16 @@ class TestLoadScenario:
         loaded = load_scenario(write(tmp_path, text))
         assert loaded.clos_set.by_id(1).mask == 0b111 << 17
         assert loaded.clos_set.by_id(0).mask == (1 << 17) - 1
+
+    def test_clos_override_mixing_width_and_mask(self, tmp_path):
+        text = MINIMAL.replace("clos_count: 4", "clos_count: 3") + (
+            "clos_set:\n"
+            "  configs:\n"
+            "    - {id: 0, width: 2, mba_percent: 20}\n"
+            "    - {id: 1, mask: \"ffff0\", mba_percent: 50}\n"
+            "    - {id: 2, width: 2, mba_percent: 30}\n")
+        clos_set = load_scenario(write(tmp_path, text)).clos_set
+        assert [c.mask for c in clos_set.configs] == [0b11, 0xffff0, 0b1100]
 
     def test_invalid_clos_override_rejected(self, tmp_path):
         text = MINIMAL + (
