@@ -14,7 +14,6 @@ from pathlib import Path
 
 from coco.errors import (CocoError, EpochUnderflowError, InfeasibleSloError,
                          ScenarioError, ValidationError)
-from coco.resctrl import ResctrlLayout, apply as apply_clos_set, serialize_clos_set
 from coco.closconfig import default_partition
 from coco.scenario import dump_profiles, load_scenario
 from coco.sim import (CompareResult, Policy, SimMetrics, compare_policies,
@@ -144,12 +143,14 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_schemata(args) -> int:
+    from coco import resctrl  # only this command needs it: spare the others its import
+
     loaded = load_scenario(args.scenario)
     clos_set = loaded.clos_set or default_partition(loaded.machine)
-    sys.stdout.write(serialize_clos_set(clos_set))
+    sys.stdout.write(resctrl.serialize_clos_set(clos_set))
     if args.apply:
-        layout = ResctrlLayout.from_env(args.root)
-        report = apply_clos_set(clos_set, layout)
+        layout = resctrl.ResctrlLayout.from_env(args.root)
+        report = resctrl.apply(clos_set, layout)
         for g in report.groups:
             line = f"{g.group}: {g.action}"
             if g.error:

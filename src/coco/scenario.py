@@ -25,6 +25,29 @@ from coco.errors import CocoError, InfeasibleSloError, ScenarioError
 from coco.profiler import GroundTruthModel, build_profile
 from coco.sim import Policy, Scenario, WarmupParams
 
+try:
+    from yaml.cyaml import CParser
+except ImportError:  # PyYAML built without libyaml
+    _Loader = yaml.SafeLoader
+else:
+    class _Loader(yaml.composer.Composer, CParser, yaml.constructor.SafeConstructor,
+                  yaml.resolver.Resolver):
+        """`yaml.SafeLoader` with libyaml's scanner and parser, about 5x faster.
+
+        PyYAML's own composer builds the node tree, so a deeply nested
+        document ends in `RecursionError`, as with the pure-Python loader.
+        `yaml.CSafeLoader` composes in C without a depth limit and dies with
+        SIGSEGV on a document nested tens of thousands of levels deep.
+        """
+
+        def __init__(self, stream):
+            CParser.__init__(self, stream)
+            yaml.composer.Composer.__init__(self)
+            yaml.constructor.SafeConstructor.__init__(self)
+            yaml.resolver.Resolver.__init__(self)
+
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 @dataclass(frozen=True)
 class LoadedWorkload:
@@ -239,7 +262,12 @@ def _load_yaml(path: Path) -> dict:
     except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(f"{path}: {e}") from None
     try:
-        doc = yaml.safe_load(text)
+        try:
+            doc = yaml.load(text, Loader=_Loader)
+        except yaml.YAMLError:
+            # libyaml words its errors differently and drops detail (the
+            # offending character): PyYAML's own parser decides every error
+            doc = yaml.load(text, Loader=yaml.SafeLoader)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         line = f", line {mark.line + 1}" if mark else ""
@@ -325,7 +353,7 @@ def dump_profiles(workload_profiles: dict[str, SensitivityProfile]) -> str:
             "mba_levels": list(p.mba_levels),
             "slowdowns": [[float(x) for x in row] for row in p.slowdowns],
         })
-    return yaml.safe_dump({"profiles": entries}, sort_keys=False)
+    return yaml.dump({"profiles": entries}, Dumper=_Dumper, sort_keys=False)
 
 
 def load_profile_file(path: str | Path, workload: str) -> SensitivityProfile:

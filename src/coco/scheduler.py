@@ -191,16 +191,21 @@ def admission_control(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
     """
     candidates = list(workloads)
     rejected: list[WorkloadSpec] = []
+    slowdowns: dict[tuple[str, int], float] = {}  # (workload, CLOS id) -> slowdown
     while candidates:
         plan = plan_epoch(candidates, clos_set, epoch_quanta,
                           reference_state=reference_state, pairing=pairing)
+        slices = {s.workload: s for s in plan.slices}
         worst: tuple[float, float, str] | None = None
         worst_w: WorkloadSpec | None = None
         feasible = True
         for w in candidates:
-            ts = plan.slice_of(w.name)
-            state = clos_set.by_id(ts.clos_id).state()
-            sd = slowdown_xy(w.profile, state.llc_ways, state.mba_percent)
+            ts = slices[w.name]
+            sd = slowdowns.get((w.name, ts.clos_id))
+            if sd is None:
+                state = clos_set.by_id(ts.clos_id).state()
+                sd = slowdowns[w.name, ts.clos_id] = slowdown_xy(
+                    w.profile, state.llc_ways, state.mba_percent)
             achievable = (ts.quanta / epoch_quanta) * w.sl_full / sd
             achievable *= 1.0 - overhead_margin
             ratio = w.offered_load / achievable if achievable > 0 else float("inf")

@@ -3,7 +3,10 @@ import copy
 import importlib.resources
 import io
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -189,6 +192,33 @@ class TestValidate:
         path = tmp_path / "mixed.yaml"
         path.write_text(yaml.safe_dump(MIXED_DOC))
         assert main(["simulate", str(path)]) == 0
+
+
+# Documents nested 100,000 levels deep.  yaml.CSafeLoader dies with SIGSEGV
+# on each one, so each runs in its own process.  In "quoted-closers" the
+# brackets inside the strings cancel the real ones in a bracket count.
+DEEP = {
+    "flow-sequence": "machine: " + "[" * 100_000 + "]" * 100_000,
+    "flow-mapping": "machine: " + "{a: " * 100_000 + "x" + "}" * 100_000,
+    "block-sequence": "- " * 100_000 + "x",
+    "explicit-key": "? " * 100_000 + "x",
+    "quoted-closers": ("machine: " + ("[" * 100 + '"' + "]" * 100 + '", ') * 1000
+                       + "x" + "]" * 100_000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP))
+def test_deep_input_one_line_error(case, tmp_path):
+    path = tmp_path / "deep.yaml"
+    path.write_text(DEEP[case] + "\n")
+    src = str(Path(importlib.resources.files("coco")).parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "coco.cli", "validate", str(path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 2  # a signal gives a negative code
+    assert run.stderr == f"error: {path}: invalid YAML: nested too deeply\n"
+    assert run.stdout == ""
 
 
 @settings(max_examples=60, deadline=None)

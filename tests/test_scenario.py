@@ -1,8 +1,11 @@
 import pytest
+import yaml
 
-from coco.core import Dominance
+from coco import scenario
+from coco.calibration import calibrated_capacity_fn
+from coco.core import Dominance, MachineSpec, SloSpec
 from coco.errors import ScenarioError
-from coco.profiler import build_profile
+from coco.profiler import GroundTruthModel, build_profile
 from coco.scenario import dump_profiles, load_profile_file, load_scenario
 from coco.sim import Policy, WarmupParams
 
@@ -197,3 +200,50 @@ class TestProfileFiles:
                                "profile: {file: profiles.yaml}")
         loaded = load_scenario(write(tmp_path, text))
         assert loaded.workloads[0].spec.profile == profile
+
+
+class TestLibyaml:
+    """The libyaml-backed loader and dumper agree with PyYAML's pure-Python ones."""
+
+    def test_pure_python_fallback_gives_equal_results(self, tmp_path, machine20,
+                                                       reference_path, monkeypatch):
+        model = GroundTruthModel(1.0, 2.0, calibrated_capacity_fn("nginx", 1000.0))
+        profile = build_profile(model, machine20, SloSpec(0.99, 20.0))
+        profiles = tmp_path / "profiles.yaml"
+        profiles.write_text(dump_profiles({"web": profile, "db": profile}))
+        path = write(tmp_path, MINIMAL.replace(
+            "profile: {calibration: nginx, sl_full: 1000.0}",
+            "profile: {file: profiles.yaml}"))
+
+        def load_all():
+            return (load_scenario(reference_path), load_scenario(path),
+                    load_profile_file(profiles, "db"))
+
+        fast = load_all()
+        monkeypatch.setattr(scenario, "_Loader", yaml.SafeLoader)  # no libyaml
+        assert load_all() == fast
+
+    def test_dump_equals_pure_python_dump(self, monkeypatch):
+        # the overload benchmark's models: three applications on a 20 x 50 grid
+        machine = MachineSpec(llc_ways=20, clos_count=16, mba_step=2)
+        profiles = {}
+        for app, slo_ms, full in (("memcached", 1.5, 152353.6), ("nginx", 20.0, 61234.5),
+                                  ("mongodb", 15.0, 41745.2)):
+            model = GroundTruthModel(slo_ms / 10, 2.0, calibrated_capacity_fn(app, full))
+            profiles[f"model-{app}"] = build_profile(model, machine, SloSpec(0.99, slo_ms))
+        fast = dump_profiles(profiles)
+        monkeypatch.setattr(scenario, "_Dumper", yaml.SafeDumper)
+        assert fast == dump_profiles(profiles)
+
+    @pytest.mark.parametrize("text, message", [
+        ("machine: *nope\n", "line 1: invalid YAML: found undefined alias 'nope'"),
+        ("machine: @x\n", "line 1: invalid YAML: found character '@' that cannot "
+                          "start any token"),
+        ("machine:\n  a: 1\n b: 2\n", "line 3: invalid YAML: expected <block end>, "
+                                      "but found '<block mapping start>'"),
+    ])
+    def test_yaml_errors_keep_pure_python_wording(self, tmp_path, text, message):
+        path = write(tmp_path, text)
+        with pytest.raises(ScenarioError) as e:
+            load_scenario(path)
+        assert str(e.value) == f"{path}, {message}"

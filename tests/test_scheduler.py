@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coco import scheduler
 from coco.calibration import calibrated_profile
 from coco.closconfig import default_partition
 from coco.core import (Dominance, MachineSpec, SensitivityProfile,
@@ -172,6 +173,23 @@ class TestAdmissionControl:
     def test_empty_input(self):
         cs = default_partition(machine())
         assert admission_control([], cs, 10) == ((), ())
+
+    def test_one_plan_per_round(self, monkeypatch):
+        # the traced benchmark counts admission rounds as plan_epoch calls
+        cs = default_partition(machine())
+        ref = reference_of(cs)
+        ws = [make_workload(f"w{i}", 1.0 + i, ref, offered=100.0 + 60.0 * i,
+                            sl_full=1000.0) for i in range(8)]
+        calls = []
+
+        def counting_plan_epoch(*args, **kwargs):
+            calls.append(args[0])
+            return plan_epoch(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "plan_epoch", counting_plan_epoch)
+        admitted, rejected = admission_control(ws, cs, 40)
+        assert len(rejected) >= 2 and admitted
+        assert len(calls) == len(rejected) + 1
 
     def test_admitted_set_is_feasible(self):
         rng = random.Random(11)
