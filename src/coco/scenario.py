@@ -274,6 +274,9 @@ def _load_yaml(path: Path) -> dict:
         raise ScenarioError(f"{path}{line}: invalid YAML: {getattr(e, 'problem', e)}") from None
     except RecursionError:
         raise ScenarioError(f"{path}: invalid YAML: nested too deeply") from None
+    except (ValueError, LookupError, AttributeError) as e:
+        # the safe constructor's own errors on a tag it cannot apply (!!int x)
+        raise ScenarioError(f"{path}: invalid YAML: bad tagged value: {e}") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
     return doc

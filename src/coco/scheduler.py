@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from coco.closconfig import ClosSet
+from coco.closconfig import ClosConfig, ClosSet
 from coco.core import (AllocationState, Dominance, WorkloadSpec, slowdown_xy,
                        weights_of)
 from coco.errors import EpochUnderflowError, ValidationError
-
-DEFAULT_OVERHEAD_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -50,9 +48,7 @@ class EpochPlan:
     queues: tuple[QueueState, ...]
     slices: tuple[TimeSlice, ...]
     weights: dict[str, float]
-    epoch_quanta: int
     schedule: dict[int, tuple[Segment, ...]]
-    reference_state: AllocationState
 
     def slice_of(self, workload: str) -> TimeSlice:
         for s in self.slices:
@@ -93,10 +89,11 @@ def _split_quanta(members: list[WorkloadSpec], weights: dict[str, float],
     return counts
 
 
-def _build_plan(per_clos: dict[int, list[WorkloadSpec]],
-                weights: dict[str, float], epoch_quanta: int,
-                reference_state: AllocationState,
-                pairing: bool) -> EpochPlan:
+def _build_plan(ranked: list[WorkloadSpec], lc: tuple[ClosConfig, ...], offset: int,
+                weights: dict[str, float], epoch_quanta: int, pairing: bool) -> EpochPlan:
+    per_clos: dict[int, list[WorkloadSpec]] = {}
+    for i, w in enumerate(ranked):
+        per_clos.setdefault(lc[(i + offset) % len(lc)].id, []).append(w)
     slices: list[TimeSlice] = []
     queues: list[QueueState] = []
     schedule: dict[int, tuple[Segment, ...]] = {}
@@ -118,19 +115,20 @@ def _build_plan(per_clos: dict[int, list[WorkloadSpec]],
         schedule[clos_id] = tuple(segments)
         rest = tuple(n for seg in segments[1:] for n in seg.members)
         queues.append(QueueState(clos_id, frozenset(segments[0].members), rest))
-    return EpochPlan(tuple(queues), tuple(slices), weights, epoch_quanta,
-                     schedule, reference_state)
+    return EpochPlan(tuple(queues), tuple(slices), weights, schedule)
 
 
 def plan_epoch(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
                epoch_quanta: int, *,
                reference_state: AllocationState | None = None,
-               pairing: bool = True) -> EpochPlan:
+               pairing: bool = True,
+               reference_slowdowns: dict[str, float] | None = None) -> EpochPlan:
     """Weighted epoch plan: weight-sorted deal onto width-sorted CLOSs.
 
     Weights come from each workload's slowdown at the reference state
     (default: the smallest LC CLOS's allocation), so they are comparable
-    across workloads regardless of where each one lands.
+    across workloads regardless of where each one lands.  Calls that share
+    a ``reference_slowdowns`` dict (name -> slowdown) compute each one once.
     """
     if not workloads:
         raise ValidationError("plan_epoch requires at least one workload")
@@ -146,15 +144,15 @@ def plan_epoch(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
     if reference_state is None:
         smallest = min(lc, key=lambda c: (c.width, c.id))
         reference_state = smallest.state()
-    slowdowns = [slowdown_xy(w.profile, reference_state.llc_ways,
-                             reference_state.mba_percent) for w in workloads]
-    weight_list = weights_of(slowdowns)
+    memo = {} if reference_slowdowns is None else reference_slowdowns
+    for w in workloads:
+        if w.name not in memo:
+            memo[w.name] = slowdown_xy(w.profile, reference_state.llc_ways,
+                                       reference_state.mba_percent)
+    weight_list = weights_of([memo[w.name] for w in workloads])
     weights = {w.name: wt for w, wt in zip(workloads, weight_list)}
     ranked = sorted(workloads, key=lambda w: (-weights[w.name], w.name))
-    per_clos: dict[int, list[WorkloadSpec]] = {}
-    for i, w in enumerate(ranked):
-        per_clos.setdefault(lc[i % len(lc)].id, []).append(w)
-    return _build_plan(per_clos, weights, epoch_quanta, reference_state, pairing)
+    return _build_plan(ranked, lc, 0, weights, epoch_quanta, pairing)
 
 
 def round_robin_plan(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
@@ -166,57 +164,62 @@ def round_robin_plan(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
     lc = clos_set.lc_configs()
     if not lc:
         raise ValidationError("clos set has no latency-critical CLOS")
-    smallest = min(lc, key=lambda c: (c.width, c.id))
     weights = {w.name: 1.0 / len(workloads) for w in workloads}
-    ranked = sorted(workloads, key=lambda w: w.name)
-    per_clos: dict[int, list[WorkloadSpec]] = {}
-    for i, w in enumerate(ranked):
-        per_clos.setdefault(lc[(i + epoch) % len(lc)].id, []).append(w)
-    return _build_plan(per_clos, weights, epoch_quanta, smallest.state(),
-                       pairing=False)
+    return _build_plan(sorted(workloads, key=lambda w: w.name), lc, epoch, weights,
+                       epoch_quanta, pairing=False)
+
+
+def segment_rates(sl_full: float, slowdown: float, penalty: float,
+                  factor: float) -> tuple[float, float]:
+    """Base and warm throughput of a segment member, for the simulator and
+    admission alike; ``penalty`` is the pairing penalty if it is paired, else 1."""
+    base = sl_full / (slowdown * penalty)
+    return base, base / factor
 
 
 def admission_control(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
                       epoch_quanta: int, *,
-                      overhead_margin: float = DEFAULT_OVERHEAD_MARGIN,
+                      overhead_margin: float = 0.0,
                       reference_state: AllocationState | None = None,
-                      pairing: bool = True,
+                      warmup_window: int = 0, warmup_factor: float = 1.0,
+                      pairing_penalty: float = 1.0,
                       ) -> tuple[tuple[WorkloadSpec, ...], tuple[WorkloadSpec, ...]]:
-    """Evict workloads until every remaining one's offered load is feasible.
+    """Evict workloads until every remaining one can serve its offered load.
 
-    Feasibility: offered <= share * sl_full / slowdown(clos state) * (1 - margin),
-    with share the workload's slice fraction of the epoch.  The workload with
-    the largest offered/achievable ratio is evicted first (ties: smallest
-    weight, then last name).
+    Demand is the simulator's peak demand, offered / share / rate, per segment
+    of the plan (a pair shares its combined window).  The plan repeats every
+    epoch, so on a CLOS with more than one segment each opens with a switch,
+    at the warm rate.  While the largest demand exceeds 1 - overhead_margin
+    its workload is evicted (ties: smallest weight, then last name).
     """
     candidates = list(workloads)
     rejected: list[WorkloadSpec] = []
+    by_name = {w.name: w for w in candidates}
     slowdowns: dict[tuple[str, int], float] = {}  # (workload, CLOS id) -> slowdown
+    reference_slowdowns: dict[str, float] = {}
     while candidates:
         plan = plan_epoch(candidates, clos_set, epoch_quanta,
-                          reference_state=reference_state, pairing=pairing)
-        slices = {s.workload: s for s in plan.slices}
-        worst: tuple[float, float, str] | None = None
-        worst_w: WorkloadSpec | None = None
-        feasible = True
-        for w in candidates:
-            ts = slices[w.name]
-            sd = slowdowns.get((w.name, ts.clos_id))
-            if sd is None:
-                state = clos_set.by_id(ts.clos_id).state()
-                sd = slowdowns[w.name, ts.clos_id] = slowdown_xy(
-                    w.profile, state.llc_ways, state.mba_percent)
-            achievable = (ts.quanta / epoch_quanta) * w.sl_full / sd
-            achievable *= 1.0 - overhead_margin
-            ratio = w.offered_load / achievable if achievable > 0 else float("inf")
-            if ratio > 1.0:
-                feasible = False
-            key = (ratio, -plan.weights[w.name], w.name)
-            if worst is None or key > worst:
-                worst, worst_w = key, w
-        if feasible:
+                          reference_state=reference_state,
+                          reference_slowdowns=reference_slowdowns)
+        demands = []
+        for clos_id, segments in plan.schedule.items():
+            cfg = clos_set.by_id(clos_id)
+            warm = warmup_window > 0 and len(segments) > 1
+            for seg in segments:
+                share = seg.quanta / epoch_quanta
+                penalty = pairing_penalty if len(seg.members) == 2 else 1.0
+                for name in seg.members:
+                    w = by_name[name]
+                    if (name, clos_id) not in slowdowns:
+                        slowdowns[name, clos_id] = slowdown_xy(w.profile, cfg.width,
+                                                               cfg.mba_percent)
+                    base, warm_rate = segment_rates(
+                        w.sl_full, slowdowns[name, clos_id], penalty, warmup_factor)
+                    demands.append((w.offered_load / share / (warm_rate if warm else base),
+                                    -plan.weights[name], name))
+        demand, _, name = max(demands)
+        if demand <= 1.0 - overhead_margin:
             break
-        assert worst_w is not None
-        candidates.remove(worst_w)
-        rejected.append(worst_w)
+        candidates.remove(by_name[name])
+        rejected.append(by_name[name])
     return tuple(candidates), tuple(rejected)

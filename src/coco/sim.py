@@ -30,7 +30,8 @@ from coco.closconfig import ClosSet, default_partition
 from coco.closconfig import validate as validate_clos_set
 from coco.core import AllocationState, MachineSpec, WorkloadSpec, slowdown_xy
 from coco.errors import InfeasibleSloError, ValidationError
-from coco.scheduler import Segment, admission_control, plan_epoch, round_robin_plan
+from coco.scheduler import (Segment, admission_control, plan_epoch, round_robin_plan,
+                            segment_rates)
 
 VIOLATION_SLACK = 1e-9
 _VIRTUAL_CLOS = -1
@@ -206,29 +207,22 @@ def anti_monotone_set(clos_set: ClosSet) -> ClosSet:
     return dataclasses.replace(clos_set, configs=configs)
 
 
-@dataclass(frozen=True)
-class _ClosView:
-    """Effective allocation a CLOS provides under the scenario's policy."""
-
-    ways: float
-    mba: float
-
-
 def _views(scenario: Scenario, clos_set: ClosSet | None,
-           active_ids: list[int]) -> dict[int, _ClosView]:
+           active_ids: list[int]) -> dict[int, tuple[float, float]]:
+    """Effective (ways, MBA percent) each CLOS provides under the policy."""
     machine = scenario.machine
     if clos_set is None:
         # the virtual CLOS: n workloads split whole ways and step-rounded MBA
         n = len(scenario.workloads)
         step = machine.mba_step
         mba = min(100, max(step, ((100 // n + step // 2) // step) * step))
-        return {_VIRTUAL_CLOS: _ClosView(max(1, machine.llc_ways // n), mba)}
+        return {_VIRTUAL_CLOS: (max(1, machine.llc_ways // n), mba)}
     shared = POLICIES[scenario.policy].shared
     n_active = max(1, len(active_ids))
     views = {}
     for clos_id in active_ids:
         cfg = clos_set.by_id(clos_id)
-        views[clos_id] = _ClosView(
+        views[clos_id] = (
             machine.llc_ways / n_active if "llc" in shared else cfg.width,
             100.0 / n_active if "mba" in shared else cfg.mba_percent)
     return views
@@ -299,7 +293,9 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
     if apply_admission and spec.admission:
         workloads, rejected = admission_control(
             workloads, clos_set, scenario.epoch_quanta,
-            overhead_margin=scenario.overhead_margin, reference_state=reference)
+            overhead_margin=scenario.overhead_margin, reference_state=reference,
+            warmup_window=scenario.warmup.window, warmup_factor=scenario.warmup.factor,
+            pairing_penalty=scenario.pairing_penalty)
         for w in rejected:
             if w.offered_load > 0:
                 tallies[w.name].violations = scenario.duration * scenario.epoch_quanta
@@ -320,7 +316,7 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
             views = _views(scenario, clos_set, clos_ids)
         jit = _jitter_factors(scenario, rng)
         for clos_id in clos_ids:
-            view = views[clos_id]
+            ways, mba = views[clos_id]
             for seg in schedule[clos_id]:
                 switched = (clos_id in prev_members
                             and set(prev_members[clos_id]) != set(seg.members))
@@ -331,11 +327,9 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
                 for name in seg.members:
                     w = by_name[name]
                     t = tallies[name]
-                    sd = slowdown_xy(w.profile, view.ways, view.mba) * alpha
-                    if len(seg.members) == 2:
-                        sd *= penalty
-                    base = w.sl_full / sd
-                    warm_rate = base / factor
+                    base, warm_rate = segment_rates(
+                        w.sl_full, slowdown_xy(w.profile, ways, mba) * alpha,
+                        penalty if len(seg.members) == 2 else 1.0, factor)
                     apportioned = w.offered_load * jit[name] / share
                     t.violations += (warm * (apportioned > warm_rate * slack)
                                      + (seg.quanta - warm) * (apportioned > base * slack))

@@ -68,6 +68,14 @@ MALFORMED = {
                        GRID_WORKLOAD % '["a", 20]'),
     "fractional-way-level": ("    profile: {calibration: mongodb, sl_full: 30000}\n",
                              GRID_WORKLOAD % "[1.5, 20]"),
+    # tags the safe constructor cannot apply
+    "tag-int": ("calibration: nginx", "calibration: !!int nginx"),
+    "tag-float": ("mba_step: 10\n", "mba_step: !!float x\n"),
+    "tag-timestamp": ("machine:\n  llc_ways: 20\n  clos_count: 4\n  mba_step: 10\n"
+                      "  max_bandwidth: 2.048e+11\n  cores: 16\n",
+                      "machine: !!timestamp 2020-13-45\n"),
+    "tag-bool": ("seed: 42\n", "seed: !!bool maybe\n"),
+    "tag-unmatched-timestamp": ("quantum_ms: 100.0\n", "quantum_ms: !!timestamp soon\n"),
 }
 
 # one leaf of a base document at a time is replaced by each of these, or deleted
@@ -187,6 +195,18 @@ class TestValidate:
         path.write_text(path.read_text().replace(old, new, 1))
         assert main(["validate", reference_copy]) == 2
         assert "profile.grid.way_levels[0]: expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", [c for c in MALFORMED if c.startswith("tag-")])
+    def test_bad_tag_is_a_yaml_error(self, case, reference_copy, capsys):
+        old, new = MALFORMED[case]
+        path = Path(reference_copy)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        assert main(["validate", reference_copy]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {reference_copy}: invalid YAML: bad tagged value: ")
+        assert err.count("\n") == 1
 
     def test_mixed_fuzz_base_loads(self, tmp_path, capsys):
         path = tmp_path / "mixed.yaml"

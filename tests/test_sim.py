@@ -1,8 +1,9 @@
 import dataclasses
+import importlib.resources
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coco.calibration import calibrated_profile, reference_machine
@@ -10,13 +11,15 @@ from coco.closconfig import ClosConfig, ClosSet, default_partition
 from coco.core import AllocationState, MachineSpec, SloSpec, WorkloadSpec
 from coco.errors import InfeasibleSloError, ValidationError
 from coco.scenario import load_scenario
-from coco.sim import (Policy, Scenario, WarmupParams, _total_violations,
+from coco.sim import (Policy, Scenario, WarmupParams, _scaled, _total_violations,
                       anti_monotone_set, compare_policies, max_affordable_load,
                       run_scenario)
 
 from conftest import SLO, make_workload
 
 NO_WARMUP = WarmupParams(window=0, factor=1.0)
+REFERENCE = load_scenario(
+    str(importlib.resources.files("coco") / "data" / "reference.yaml")).scenario()
 
 
 def solo_machine():
@@ -133,6 +136,22 @@ class TestRunScenario:
         rejected = [n for n, wm in m.per_workload.items() if wm.quanta_received == 0]
         assert len(received) == 1 and len(rejected) == 1
         assert m.per_workload[rejected[0]].slo_violations > 0
+
+
+class TestAdmission:
+    @settings(max_examples=150, deadline=None)
+    # at 1.2x its loads memcached-a was admitted and violated 20 quanta, in
+    # warm quanta that a capacity rule without the warmup factor let through
+    @example(s=_scaled(REFERENCE, 1.2), conflicting=False, margin=0.05)
+    @given(s=small_scenarios(), conflicting=st.booleans(),
+           margin=st.sampled_from((0.0, 0.05)))
+    def test_admitted_workloads_never_violate(self, s, conflicting, margin):
+        s = dataclasses.replace(
+            s, load_jitter=0.0, overhead_margin=margin,
+            policy=Policy.COCO_CONFLICTING if conflicting else Policy.COCO)
+        for name, wm in run_scenario(s).per_workload.items():
+            if wm.quanta_received:  # admitted
+                assert wm.slo_violations == 0, name
 
 
 class TestNonFiniteRejected:
@@ -311,6 +330,24 @@ class TestPolicies:
         res = compare_policies(reference.scenario(), [Policy.NO_PARTITION])
         assert len(res.rows) == 1
         assert res.ratios[Policy.NO_PARTITION] == pytest.approx(1.0)
+
+
+class TestInterference:
+    @settings(max_examples=40, deadline=None)
+    @example(s=REFERENCE, alpha=5.0)
+    @given(s=small_scenarios(), alpha=st.floats(1.0, 100.0))
+    def test_shared_axis_totals_scale_as_one_over_alpha(self, s, alpha):
+        # alpha multiplies every slowdown of a policy that shares an axis, so
+        # alpha * total retainment is constant and a measured coco/none ratio
+        # calibrates alpha in one step
+        assume(any(w.offered_load > 0 for w in s.workloads))
+        shared = [Policy.NO_PARTITION, Policy.CAT_ONLY, Policy.MBA_ONLY]
+        at_one = compare_policies(dataclasses.replace(s, interference_alpha=1.0), shared)
+        at_alpha = compare_policies(dataclasses.replace(s, interference_alpha=alpha),
+                                    shared)
+        for (_, one), (_, scaled) in zip(at_one.rows, at_alpha.rows):
+            assert scaled.total_retainment * alpha == pytest.approx(
+                one.total_retainment, rel=1e-12)
 
 
 class TestPairingInSim:
