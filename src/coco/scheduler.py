@@ -138,9 +138,6 @@ def plan_epoch(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
     lc = clos_set.lc_configs()
     if not lc:
         raise ValidationError("clos set has no latency-critical CLOS")
-    if epoch_quanta < len(workloads):
-        raise EpochUnderflowError(
-            f"epoch underflow: {epoch_quanta} quanta for {len(workloads)} workloads")
     if reference_state is None:
         smallest = min(lc, key=lambda c: (c.width, c.id))
         reference_state = smallest.state()

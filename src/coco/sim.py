@@ -35,7 +35,8 @@ from coco.scheduler import (Segment, admission_control, plan_epoch, round_robin_
 
 VIOLATION_SLACK = 1e-9
 _VIRTUAL_CLOS = -1
-# Epochs are simulated one at a time: a million takes minutes, not forever.
+# Input validation for every run.  It bounds the cost of a jittered run
+# alone, which simulates every epoch: a million take minutes, not forever.
 MAX_DURATION = 10**6
 # Quanta are split by float arithmetic, which counts exactly up to 2**53.
 MAX_EPOCH_QUANTA = 2**53
@@ -282,7 +283,9 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
 
     A segment runs at two rates: warm for the first min(window, quanta)
     quanta after a working-set switch on its CLOS, base after that.  So it
-    is tallied once, as count x rate, not quantum by quantum.
+    is tallied once, as count x rate, not quantum by quantum.  Likewise an
+    epoch that recurs is simulated once and its additive tallies weighted
+    by how often it recurs.
     """
     spec = POLICIES[scenario.policy]
     tallies = {w.name: _Tally() for w in scenario.workloads}
@@ -309,7 +312,16 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
     window, factor = scenario.warmup.window, scenario.warmup.factor
     slack = 1.0 + VIOLATION_SLACK
     prev_members: dict[int, tuple[str, ...]] = {}
-    for epoch in range(scenario.duration):
+    # Without jitter the schedule has period P: rr rotates by one LC CLOS per
+    # epoch and the other planners plan once.  Each CLOS's previous members
+    # are periodic from epoch P on (before it, a CLOS left empty can reach
+    # back past epoch 0), so epoch e in P..2P-1 stands for every later epoch
+    # of its phase.  A jittered run is the case P = duration.
+    duration = scenario.duration
+    period = (duration if scenario.load_jitter > 0
+              else len(clos_set.lc_configs()) if spec.planner == "rr" else 1)
+    for epoch in range(min(duration, 2 * period)):
+        count = 1 if epoch < period else (duration - 1 - epoch) // period + 1
         if epoch == 0 or spec.planner == "rr":
             schedule = _schedule(scenario, workloads, clos_set, reference, epoch)
             clos_ids = sorted(schedule)
@@ -320,7 +332,7 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
             for seg in schedule[clos_id]:
                 switched = (clos_id in prev_members
                             and set(prev_members[clos_id]) != set(seg.members))
-                migrations += switched
+                migrations += count * switched
                 warm = min(window, seg.quanta) if switched else 0
                 # each member, paired or not, runs the segment's whole window
                 share = seg.quanta / scenario.epoch_quanta
@@ -331,14 +343,15 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
                         w.sl_full, slowdown_xy(w.profile, ways, mba) * alpha,
                         penalty if len(seg.members) == 2 else 1.0, factor)
                     apportioned = w.offered_load * jit[name] / share
-                    t.violations += (warm * (apportioned > warm_rate * slack)
-                                     + (seg.quanta - warm) * (apportioned > base * slack))
-                    t.quanta += seg.quanta
+                    t.violations += count * (
+                        warm * (apportioned > warm_rate * slack)
+                        + (seg.quanta - warm) * (apportioned > base * slack))
+                    t.quanta += count * seg.quanta
                     rate = warm_rate if warm else base
                     t.min_affordable = min(t.min_affordable, rate * share)
                     t.peak_demand = max(t.peak_demand, apportioned / rate)
-                    t.ideal_capacity += seg.quanta * base
-                    t.warmup_loss += warm * (base - warm_rate)
+                    t.ideal_capacity += count * seg.quanta * base
+                    t.warmup_loss += count * warm * (base - warm_rate)
                 prev_members[clos_id] = seg.members
     return tallies, migrations, workloads
 

@@ -325,6 +325,14 @@ class TestSimulate:
         assert len(lines) == 7  # header + six workloads
         assert all(line.startswith("coco,") for line in lines[1:])
 
+    def test_fewer_quanta_than_workloads(self, reference_copy, capsys):
+        # six workloads on three LC CLOSs: each CLOS needs one quantum per member
+        path = Path(reference_copy)
+        path.write_text(path.read_text().replace("epoch_quanta: 20", "epoch_quanta: 4"))
+        assert main(["simulate", reference_copy]) == 0
+        assert main(["compare", reference_copy]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_no_partial_output_on_error(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("not: [valid\n")

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.resources
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,12 +9,12 @@ from hypothesis import strategies as st
 
 from coco.calibration import calibrated_profile, reference_machine
 from coco.closconfig import ClosConfig, ClosSet, default_partition
-from coco.core import AllocationState, MachineSpec, SloSpec, WorkloadSpec
+from coco.core import AllocationState, MachineSpec, SloSpec, WorkloadSpec, slowdown_xy
 from coco.errors import InfeasibleSloError, ValidationError
 from coco.scenario import load_scenario
-from coco.sim import (Policy, Scenario, WarmupParams, _scaled, _total_violations,
-                      anti_monotone_set, compare_policies, max_affordable_load,
-                      run_scenario)
+from coco.sim import (Policy, Scenario, WarmupParams, _scaled, _simulate,
+                      _total_violations, anti_monotone_set, compare_policies,
+                      max_affordable_load, run_scenario)
 
 from conftest import SLO, make_workload
 
@@ -366,3 +367,51 @@ class TestPairingInSim:
         for wm in m.per_workload.values():
             assert wm.quanta_received == s.epoch_quanta * s.duration
         assert m.migrations == 0
+
+
+def _no_jitter(scenario, rng):
+    return {w.name: 1.0 for w in scenario.workloads}
+
+
+class TestRepeatedEpochs:
+    @settings(max_examples=150, deadline=None)
+    # rr with two workloads on three LC CLOSs: a CLOS left empty in epoch 1
+    # reaches back past epoch 0, so the cycle is steady only from epoch 3 on
+    # (17 migrations; counting cycles from epoch 1 gives 15)
+    @example(s=dataclasses.replace(REFERENCE, workloads=REFERENCE.workloads[:2],
+                                   policy=Policy.ROUND_ROBIN),
+             clos_count=REFERENCE.machine.clos_count, duration=10)
+    @given(s=small_scenarios(), clos_count=st.integers(2, 7),
+           duration=st.integers(1, 20))
+    def test_repeat_counts_equal_every_epoch(self, s, clos_count, duration):
+        # a jittered run simulates every epoch; with unit jitter factors it is
+        # the epoch-by-epoch reference for the same jitter-free run.  Up to six
+        # LC CLOSs put rr with fewer workloads than CLOSs in most rr examples.
+        s = dataclasses.replace(
+            s, machine=dataclasses.replace(s.machine, clos_count=clos_count),
+            load_jitter=0.0, duration=duration)
+        for admission in (True, False):
+            got, got_migrations, got_admitted = _simulate(s, apply_admission=admission)
+            with mock.patch("coco.sim._jitter_factors", _no_jitter):
+                want, want_migrations, want_admitted = _simulate(
+                    dataclasses.replace(s, load_jitter=0.5), apply_admission=admission)
+            assert (got_migrations, got_admitted) == (want_migrations, want_admitted)
+            for name, t in want.items():
+                g = got[name]
+                assert (g.violations, g.quanta) == (t.violations, t.quanta), name
+                for attr in ("min_affordable", "peak_demand", "ideal_capacity",
+                             "warmup_loss"):
+                    assert math.isclose(getattr(g, attr), getattr(t, attr),
+                                        rel_tol=1e-12), (name, attr)
+
+    @pytest.mark.parametrize("policy", [Policy.COCO, Policy.ROUND_ROBIN])
+    def test_work_does_not_grow_with_duration(self, policy):
+        period = (len(REFERENCE.effective_clos_set().lc_configs())
+                  if policy is Policy.ROUND_ROBIN else 1)
+        lookups = []
+        for duration in (2 * period, 50):
+            s = dataclasses.replace(REFERENCE, policy=policy, duration=duration)
+            with mock.patch("coco.sim.slowdown_xy", wraps=slowdown_xy) as counted:
+                run_scenario(s)
+            lookups.append(counted.call_count)
+        assert lookups[0] == lookups[1] > 0
