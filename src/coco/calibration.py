@@ -31,11 +31,11 @@ MBA_RETAINMENT: dict[str, dict[int, float]] = {
 }
 
 APPS = tuple(sorted(CAT_RETAINMENT))
+_LEVELS = {app: (sorted(CAT_RETAINMENT[app]), sorted(MBA_RETAINMENT[app])) for app in APPS}
 
 
-def _interp_row(row: dict[int, float], x: float) -> float:
-    """Piecewise-linear interpolation of a retainment row, clamped at the ends."""
-    levels = sorted(row)
+def _interp_row(row: dict[int, float], levels: list[int], x: float) -> float:
+    """Piecewise-linear interpolation of a row over its sorted levels, clamped at the ends."""
     if x <= levels[0]:
         return row[levels[0]]
     if x >= levels[-1]:
@@ -50,15 +50,16 @@ def retainment_fraction(app: str, ways: float, mba: float) -> float:
     """Multiplicatively composed retainment at (ways, mba) for a known app."""
     if app not in CAT_RETAINMENT:
         raise ValidationError(f"unknown calibration app {app!r}; have {APPS}")
-    return _interp_row(CAT_RETAINMENT[app], ways) * _interp_row(MBA_RETAINMENT[app], mba)
+    way_levels, mba_levels = _LEVELS[app]
+    return (_interp_row(CAT_RETAINMENT[app], way_levels, ways)
+            * _interp_row(MBA_RETAINMENT[app], mba_levels, mba))
 
 
 def calibrated_profile(app: str, sl_full: float = 1.0) -> SensitivityProfile:
     """Sensitivity profile for a reference app on the 20-way machine."""
     if app not in CAT_RETAINMENT:
         raise ValidationError(f"unknown calibration app {app!r}; have {APPS}")
-    ways = tuple(sorted(CAT_RETAINMENT[app]))
-    mbas = tuple(sorted(MBA_RETAINMENT[app]))
+    ways, mbas = map(tuple, _LEVELS[app])
     rows = tuple(
         tuple(1.0 / (CAT_RETAINMENT[app][w] * MBA_RETAINMENT[app][m]) for m in mbas)
         for w in ways

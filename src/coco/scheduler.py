@@ -59,8 +59,8 @@ class EpochPlan:
 
 def pair_compatible(a: WorkloadSpec, b: WorkloadSpec) -> bool:
     """True iff the two workloads stress opposite resource axes."""
-    return {a.dominance, b.dominance} == {Dominance.LLC_DOMINANT,
-                                          Dominance.MB_DOMINANT}
+    return ((a.dominance is Dominance.LLC_DOMINANT and b.dominance is Dominance.MB_DOMINANT)
+            or (a.dominance is Dominance.MB_DOMINANT and b.dominance is Dominance.LLC_DOMINANT))
 
 
 def _split_quanta(members: list[WorkloadSpec], weights: dict[str, float],
@@ -69,87 +69,90 @@ def _split_quanta(members: list[WorkloadSpec], weights: dict[str, float],
     if epoch_quanta < len(members):
         raise EpochUnderflowError(
             f"epoch underflow: {epoch_quanta} quanta for {len(members)} workloads")
-    total_w = sum(weights[m.name] for m in members)
-    quotas = [epoch_quanta * weights[m.name] / total_w for m in members]
+    ws = [weights[m.name] for m in members]
+    total_w = sum(ws)
+    quotas = [epoch_quanta * w / total_w for w in ws]
     counts = [int(q) for q in quotas]
     order = sorted(range(len(members)),
-                   key=lambda i: (quotas[i] - counts[i], weights[members[i].name],
-                                  members[i].name),
-                   reverse=True)
+                   key=lambda i: (quotas[i] - counts[i], ws[i], members[i].name), reverse=True)
     for k in range(epoch_quanta - sum(counts)):
         counts[order[k % len(counts)]] += 1
     for i in range(len(counts)):
         while counts[i] < 1:
             # take from the largest share; among ties, the lightest weight
             donor = max(range(len(counts)),
-                        key=lambda j: (counts[j], -weights[members[j].name],
-                                       members[j].name))
+                        key=lambda j: (counts[j], -ws[j], members[j].name))
             counts[donor] -= 1
             counts[i] += 1
     return counts
 
 
-def _build_plan(ranked: list[WorkloadSpec], lc: tuple[ClosConfig, ...], offset: int,
-                weights: dict[str, float], epoch_quanta: int, pairing: bool) -> EpochPlan:
-    per_clos: dict[int, list[WorkloadSpec]] = {}
-    for i, w in enumerate(ranked):
-        per_clos.setdefault(lc[(i + offset) % len(lc)].id, []).append(w)
-    slices: list[TimeSlice] = []
-    queues: list[QueueState] = []
-    schedule: dict[int, tuple[Segment, ...]] = {}
-    for clos_id, members in per_clos.items():
+def _deal(ranked: list[WorkloadSpec], weights: dict[str, float], lc: tuple[ClosConfig, ...],
+          offset: int, epoch_quanta: int, pairing: bool) -> list[tuple]:
+    """Deal ranked workloads onto the LC CLOSs in turn from ``offset``, then split and pair
+    each CLOS's epoch: per CLOS, (config, members, quanta, segments as (members, quanta))."""
+    dealt = []
+    for j in range(min(len(ranked), len(lc))):
+        cfg, members = lc[(j + offset) % len(lc)], ranked[j::len(lc)]
         counts = _split_quanta(members, weights, epoch_quanta)
-        slices.extend(TimeSlice(m.name, clos_id, c)
-                      for m, c in zip(members, counts))
-        segments: list[Segment] = []
-        i = 0
-        while i < len(members):
-            if (pairing and i + 1 < len(members)
-                    and pair_compatible(members[i], members[i + 1])):
-                segments.append(Segment((members[i].name, members[i + 1].name),
-                                        counts[i] + counts[i + 1]))
+        segments, i = [], 0
+        while i < len(members):  # a compatible adjacent pair shares one segment
+            if pairing and i + 1 < len(members) and pair_compatible(members[i], members[i + 1]):
+                segments.append(((members[i], members[i + 1]), counts[i] + counts[i + 1]))
                 i += 2
             else:
-                segments.append(Segment((members[i].name,), counts[i]))
+                segments.append(((members[i],), counts[i]))
                 i += 1
-        schedule[clos_id] = tuple(segments)
-        rest = tuple(n for seg in segments[1:] for n in seg.members)
-        queues.append(QueueState(clos_id, frozenset(segments[0].members), rest))
-    return EpochPlan(tuple(queues), tuple(slices), weights, schedule)
+        dealt.append((cfg, members, counts, segments))
+    return dealt
+
+
+def _build_plan(weights: dict[str, float], dealt: list[tuple]) -> EpochPlan:
+    """The epoch plan of a deal: names in place of specs, plus slices and queues."""
+    schedule = {cfg.id: tuple(Segment(tuple(m.name for m in seg), q) for seg, q in segments)
+                for cfg, _, _, segments in dealt}
+    slices = tuple(TimeSlice(m.name, cfg.id, c) for cfg, members, counts, _ in dealt
+                   for m, c in zip(members, counts))
+    queues = tuple(QueueState(clos_id, frozenset(first.members),
+                              tuple(n for seg in rest for n in seg.members))
+                   for clos_id, (first, *rest) in schedule.items())
+    return EpochPlan(queues, slices, weights, schedule)
+
+
+def _checked(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
+             reference_state: AllocationState | None) -> tuple[tuple, dict[str, float]]:
+    """The LC CLOSs and each workload's slowdown at the reference state."""
+    if len({w.name for w in workloads}) != len(workloads):
+        raise ValidationError("workload names must be unique")
+    lc = clos_set.lc_configs()
+    if not lc:
+        raise ValidationError("clos set has no latency-critical CLOS")
+    ref = reference_state or min(lc, key=lambda c: (c.width, c.id)).state()
+    return lc, {w.name: slowdown_xy(w.profile, ref.llc_ways, ref.mba_percent) for w in workloads}
+
+
+def _ranked(workloads: Sequence[WorkloadSpec], reference: dict[str, float]) -> tuple[list, dict]:
+    """Workloads by descending weight (ties by name), and the weights."""
+    weights = dict(zip([w.name for w in workloads],
+                       weights_of([reference[w.name] for w in workloads])))
+    return sorted(workloads, key=lambda w: (-weights[w.name], w.name)), weights
 
 
 def plan_epoch(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
                epoch_quanta: int, *,
                reference_state: AllocationState | None = None,
-               pairing: bool = True,
-               reference_slowdowns: dict[str, float] | None = None) -> EpochPlan:
+               pairing: bool = True) -> EpochPlan:
     """Weighted epoch plan: weight-sorted deal onto width-sorted CLOSs.
 
     Weights come from each workload's slowdown at the reference state
     (default: the smallest LC CLOS's allocation), so they are comparable
-    across workloads regardless of where each one lands.  Calls that share
-    a ``reference_slowdowns`` dict (name -> slowdown) compute each one once.
+    across workloads regardless of where each one lands.
     """
     if not workloads:
         raise ValidationError("plan_epoch requires at least one workload")
-    names = [w.name for w in workloads]
-    if len(set(names)) != len(names):
-        raise ValidationError("workload names must be unique")
-    lc = clos_set.lc_configs()
-    if not lc:
-        raise ValidationError("clos set has no latency-critical CLOS")
-    if reference_state is None:
-        smallest = min(lc, key=lambda c: (c.width, c.id))
-        reference_state = smallest.state()
-    memo = {} if reference_slowdowns is None else reference_slowdowns
-    for w in workloads:
-        if w.name not in memo:
-            memo[w.name] = slowdown_xy(w.profile, reference_state.llc_ways,
-                                       reference_state.mba_percent)
-    weight_list = weights_of([memo[w.name] for w in workloads])
-    weights = {w.name: wt for w, wt in zip(workloads, weight_list)}
-    ranked = sorted(workloads, key=lambda w: (-weights[w.name], w.name))
-    return _build_plan(ranked, lc, 0, weights, epoch_quanta, pairing)
+    lc, reference = _checked(workloads, clos_set, reference_state)
+    ranked, weights = _ranked(workloads, reference)
+    return _build_plan(weights, _deal(ranked, weights, lc, 0, epoch_quanta, pairing))
 
 
 def round_robin_plan(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
@@ -162,8 +165,8 @@ def round_robin_plan(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
     if not lc:
         raise ValidationError("clos set has no latency-critical CLOS")
     weights = {w.name: 1.0 / len(workloads) for w in workloads}
-    return _build_plan(sorted(workloads, key=lambda w: w.name), lc, epoch, weights,
-                       epoch_quanta, pairing=False)
+    ranked = sorted(workloads, key=lambda w: w.name)
+    return _build_plan(weights, _deal(ranked, weights, lc, epoch, epoch_quanta, pairing=False))
 
 
 def segment_rates(sl_full: float, slowdown: float, penalty: float,
@@ -183,40 +186,36 @@ def admission_control(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
                       ) -> tuple[tuple[WorkloadSpec, ...], tuple[WorkloadSpec, ...]]:
     """Evict workloads until every remaining one can serve its offered load.
 
-    Demand is the simulator's peak demand, offered / share / rate, per segment
-    of the plan (a pair shares its combined window).  The plan repeats every
-    epoch, so on a CLOS with more than one segment each opens with a switch,
-    at the warm rate.  While the largest demand exceeds 1 - overhead_margin
-    its workload is evicted (ties: smallest weight, then last name).
+    Each round deals the candidates as ``plan_epoch`` does.  Demand is the
+    simulator's peak demand, offered / share / rate, per segment (a pair
+    shares its combined window).  The deal repeats every epoch, so on a CLOS
+    with more than one segment each opens with a switch, at the warm rate.
+    While the largest demand exceeds 1 - overhead_margin its workload is
+    evicted (ties: smallest weight, then last name).
     """
-    candidates = list(workloads)
-    rejected: list[WorkloadSpec] = []
-    by_name = {w.name: w for w in candidates}
-    slowdowns: dict[tuple[str, int], float] = {}  # (workload, CLOS id) -> slowdown
-    reference_slowdowns: dict[str, float] = {}
+    if not workloads:
+        return (), ()
+    candidates, rejected = list(workloads), []
+    lc, reference = _checked(candidates, clos_set, reference_state)
+    slowdowns: dict[int, dict[str, float]] = {}  # CLOS id -> workload -> slowdown
     while candidates:
-        plan = plan_epoch(candidates, clos_set, epoch_quanta,
-                          reference_state=reference_state,
-                          reference_slowdowns=reference_slowdowns)
-        demands = []
-        for clos_id, segments in plan.schedule.items():
-            cfg = clos_set.by_id(clos_id)
+        ranked, weights = _ranked(candidates, reference)
+        worst = (-1.0, 0.0, "")  # (demand, -weight, name) of the largest demand
+        for cfg, _, _, segments in _deal(ranked, weights, lc, 0, epoch_quanta, True):
             warm = warmup_window > 0 and len(segments) > 1
-            for seg in segments:
-                share = seg.quanta / epoch_quanta
-                penalty = pairing_penalty if len(seg.members) == 2 else 1.0
-                for name in seg.members:
-                    w = by_name[name]
-                    if (name, clos_id) not in slowdowns:
-                        slowdowns[name, clos_id] = slowdown_xy(w.profile, cfg.width,
-                                                               cfg.mba_percent)
-                    base, warm_rate = segment_rates(
-                        w.sl_full, slowdowns[name, clos_id], penalty, warmup_factor)
-                    demands.append((w.offered_load / share / (warm_rate if warm else base),
-                                    -plan.weights[name], name))
-        demand, _, name = max(demands)
-        if demand <= 1.0 - overhead_margin:
+            memo = slowdowns.setdefault(cfg.id, {})
+            for members, quanta in segments:
+                share = quanta / epoch_quanta
+                penalty = pairing_penalty if len(members) == 2 else 1.0
+                for w in members:
+                    if w.name not in memo:
+                        memo[w.name] = slowdown_xy(w.profile, cfg.width, cfg.mba_percent)
+                    base, warmed = segment_rates(w.sl_full, memo[w.name], penalty, warmup_factor)
+                    demand = w.offered_load / share / (warmed if warm else base)
+                    if demand >= worst[0] and (demand, -weights[w.name], w.name) > worst:
+                        worst, evicted = (demand, -weights[w.name], w.name), w
+        if worst[0] <= 1.0 - overhead_margin:
             break
-        candidates.remove(by_name[name])
-        rejected.append(by_name[name])
+        candidates.remove(evicted)
+        rejected.append(evicted)
     return tuple(candidates), tuple(rejected)

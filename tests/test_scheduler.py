@@ -1,20 +1,26 @@
+import importlib.resources
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coco import scheduler
 from coco.calibration import calibrated_profile
 from coco.closconfig import default_partition
 from coco.core import (Dominance, MachineSpec, SensitivityProfile,
-                       WorkloadSpec)
+                       WorkloadSpec, slowdown_xy)
 from coco.errors import EpochUnderflowError
+from coco.scenario import load_scenario
 from coco.scheduler import (admission_control, pair_compatible, plan_epoch,
-                            round_robin_plan)
+                            round_robin_plan, segment_rates)
+from coco.sim import _scaled
 
 from conftest import SLO, make_workload
+
+REFERENCE_X12 = _scaled(load_scenario(
+    str(importlib.resources.files("coco") / "data" / "reference.yaml")).scenario(), 1.2)
 
 
 def machine(ways=20, clos=4, step=10):
@@ -174,22 +180,109 @@ class TestAdmissionControl:
         cs = default_partition(machine())
         assert admission_control([], cs, 10) == ((), ())
 
-    def test_one_plan_per_round(self, monkeypatch):
-        # the traced benchmark counts admission rounds as plan_epoch calls
+    def test_one_deal_per_round(self, monkeypatch):
+        # one deal per round: the rounds are len(rejected) + 1
         cs = default_partition(machine())
         ref = reference_of(cs)
         ws = [make_workload(f"w{i}", 1.0 + i, ref, offered=100.0 + 60.0 * i,
                             sl_full=1000.0) for i in range(8)]
         calls = []
 
-        def counting_plan_epoch(*args, **kwargs):
+        def counting_deal(*args, **kwargs):
             calls.append(args[0])
-            return plan_epoch(*args, **kwargs)
+            return deal(*args, **kwargs)
 
-        monkeypatch.setattr(scheduler, "plan_epoch", counting_plan_epoch)
+        deal = scheduler._deal
+        monkeypatch.setattr(scheduler, "_deal", counting_deal)
         admitted, rejected = admission_control(ws, cs, 40)
         assert len(rejected) >= 2 and admitted
         assert len(calls) == len(rejected) + 1
+
+    def test_reference_x1_2_evicts_memcached_a_then_b(self):
+        s = REFERENCE_X12
+        _, rejected = admission_control(
+            s.workloads, s.effective_clos_set(), s.epoch_quanta,
+            overhead_margin=s.overhead_margin, warmup_window=s.warmup.window,
+            warmup_factor=s.warmup.factor, pairing_penalty=s.pairing_penalty)
+        assert [w.name for w in rejected] == ["memcached-a", "memcached-b"]
+
+
+def _admission_by_plans(workloads, clos_set, epoch_quanta, *, overhead_margin,
+                        warmup_window, warmup_factor, pairing_penalty):
+    """Reference admission loop: one full ``plan_epoch`` per round, scored
+    from its schedule."""
+    candidates = list(workloads)
+    rejected = []
+    by_name = {w.name: w for w in candidates}
+    while candidates:
+        plan = plan_epoch(candidates, clos_set, epoch_quanta)
+        demands = []
+        for clos_id, segments in plan.schedule.items():
+            cfg = clos_set.by_id(clos_id)
+            warm = warmup_window > 0 and len(segments) > 1
+            for seg in segments:
+                share = seg.quanta / epoch_quanta
+                penalty = pairing_penalty if len(seg.members) == 2 else 1.0
+                for name in seg.members:
+                    w = by_name[name]
+                    slowdown = slowdown_xy(w.profile, cfg.width, cfg.mba_percent)
+                    base, warm_rate = segment_rates(w.sl_full, slowdown, penalty,
+                                                    warmup_factor)
+                    demands.append((w.offered_load / share / (warm_rate if warm else base),
+                                    -plan.weights[name], name))
+        demand, _, name = max(demands)
+        if demand <= 1.0 - overhead_margin:
+            break
+        candidates.remove(by_name[name])
+        rejected.append(by_name[name])
+    return tuple(candidates), tuple(rejected)
+
+
+@st.composite
+def admission_cases(draw):
+    """LLC-dominant, MB-dominant and balanced workloads offered 0-60% of
+    their full-allocation load, on 2-4 CLOSs."""
+    m = machine(ways=20, clos=draw(st.integers(2, 4)))
+    n = draw(st.integers(1, 12))
+    ws = []
+    for i in range(n):
+        kind = draw(st.sampled_from(("llc", "mb", "balanced")))
+        hi = draw(st.floats(1.6, 4.0))
+        lo = draw(st.floats(1.0, hi / 1.5))
+        cache, bw = {"llc": (hi, lo), "mb": (lo, hi), "balanced": (hi, hi)}[kind]
+        profile = SensitivityProfile((2, 20), (10, 100),
+                                     ((cache * bw, cache), (bw, 1.0)), 1000.0)
+        ws.append(WorkloadSpec(f"w{i:02d}", SLO, profile,
+                               1000.0 * draw(st.floats(0.0, 0.6))))
+    return tuple(ws), default_partition(m), draw(st.integers(n, 60))
+
+
+TIE_CLOS_SET = default_partition(machine(clos=2))  # one LC CLOS
+TIE_STATE = reference_of(TIE_CLOS_SET)
+
+
+def _tied_pair(a_slowdown, a_sl_full, a_offered):
+    """'a' and 'b' (slowdown 2, offered 300) on one CLOS, dealt 4 quanta."""
+    return ((make_workload("a", a_slowdown, TIE_STATE, offered=a_offered, sl_full=a_sl_full),
+             make_workload("b", 2.0, TIE_STATE, offered=300.0)), TIE_CLOS_SET, 4)
+
+
+class TestAdmissionOracle:
+    @settings(max_examples=200, deadline=None)
+    # equal demands, 2.4 and 1.2: the lighter 'b' goes first (weights 3/4 and
+    # 1/4 give exact shares), and between twins the last name, 'b'
+    @example(case=_tied_pair(6.0, 3000.0, 900.0), window=0, margin=0.05, penalty=1.0)
+    @example(case=_tied_pair(2.0, 1000.0, 300.0), window=0, margin=0.05, penalty=1.0)
+    @example(case=(REFERENCE_X12.workloads, REFERENCE_X12.effective_clos_set(),
+                   REFERENCE_X12.epoch_quanta), window=2, margin=0.05, penalty=1.05)
+    @given(case=admission_cases(), window=st.sampled_from((0, 2)),
+           margin=st.sampled_from((0.0, 0.05)), penalty=st.sampled_from((1.0, 1.05)))
+    def test_same_evictions_as_plan_based_loop(self, case, window, margin, penalty):
+        workloads, cs, quanta = case
+        kwargs = dict(overhead_margin=margin, warmup_window=window,
+                      warmup_factor=1.15, pairing_penalty=penalty)
+        assert (admission_control(workloads, cs, quanta, **kwargs)
+                == _admission_by_plans(workloads, cs, quanta, **kwargs))
 
 
 def _random_scenario(rng: random.Random):
