@@ -9,9 +9,7 @@ directly always overrides this composition.
 
 from __future__ import annotations
 
-import bisect
-
-from coco.core import AllocationState, MachineSpec, SensitivityProfile
+from coco.core import AllocationState, MachineSpec, SensitivityProfile, _cell
 from coco.errors import ValidationError
 
 CALIBRATION_WAYS = 20
@@ -36,14 +34,10 @@ _LEVELS = {app: (sorted(CAT_RETAINMENT[app]), sorted(MBA_RETAINMENT[app])) for a
 
 def _interp_row(row: dict[int, float], levels: list[int], x: float) -> float:
     """Piecewise-linear interpolation of a row over its sorted levels, clamped at the ends."""
-    if x <= levels[0]:
-        return row[levels[0]]
-    if x >= levels[-1]:
-        return row[levels[-1]]
-    i = bisect.bisect_right(levels, x) - 1
-    x0, x1 = levels[i], levels[i + 1]
-    f = (x - x0) / (x1 - x0)
-    return row[x0] * (1 - f) + row[x1] * f
+    i, f = _cell(levels, x)
+    if not f:  # on a level, or clamped to an end
+        return row[levels[i]]
+    return row[levels[i]] * (1 - f) + row[levels[i + 1]] * f
 
 
 def retainment_fraction(app: str, ways: float, mba: float) -> float:
@@ -67,17 +61,18 @@ def calibrated_profile(app: str, sl_full: float = 1.0) -> SensitivityProfile:
     return SensitivityProfile(ways, mbas, rows, sl_full)
 
 
-def calibrated_capacity_fn(app: str, full_capacity: float):
+def calibrated_capacity_fn(app: str, full: float):
     """Saturation-capacity function shaped like a reference app's rows.
 
-    Capacity ratios to full equal the composed retainment, so a profiler run
-    against this function reproduces the measured row.
+    Capacity ratios to ``full``, the capacity at full allocation, equal the
+    composed retainment, so a profiler run against this function reproduces
+    the measured row.
     """
-    if full_capacity <= 0:
-        raise ValidationError("full_capacity must be > 0")
+    if full <= 0:
+        raise ValidationError("full must be > 0")
 
     def capacity(state: AllocationState) -> float:
-        return full_capacity * retainment_fraction(app, state.llc_ways, state.mba_percent)
+        return full * retainment_fraction(app, state.llc_ways, state.mba_percent)
 
     return capacity
 

@@ -12,10 +12,9 @@ import os
 import sys
 from pathlib import Path
 
-from coco.errors import (CocoError, EpochUnderflowError, InfeasibleSloError,
-                         ScenarioError, ValidationError)
+from coco.errors import CocoError, EpochUnderflowError, InfeasibleSloError, ScenarioError
 from coco.closconfig import default_partition
-from coco.scenario import dump_profiles, load_scenario
+from coco.scenario import _choice, dump_profiles, load_scenario
 from coco.sim import (CompareResult, Policy, SimMetrics, compare_policies,
                       max_affordable_load, run_scenario)
 
@@ -132,7 +131,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     loaded = load_scenario(args.scenario)
     if args.policies:
-        policies = [Policy.from_name(p.strip())
+        policy = _choice(Policy)
+        policies = [policy(p.strip(), "--policies")
                     for p in args.policies.split(",") if p.strip()]
     else:
         policies = list(loaded.policies) or list(Policy)
@@ -210,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InfeasibleSloError, EpochUnderflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ScenarioError, ValidationError, CocoError) as e:
+    except CocoError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -156,15 +156,15 @@ def validate(clos_set: ClosSet) -> list[str]:
         if c.mask >> machine.llc_ways:
             v.append(f"mask exceeds llc_ways: clos {c.id}")
         if not machine.mba_step <= c.mba_percent <= 100:
-            v.append(f"mba out of range: clos {c.id}")
+            v.append(f"mba_percent out of range: clos {c.id}")
         elif c.mba_percent % machine.mba_step != 0:
-            v.append(f"mba not a step multiple: clos {c.id}")
+            v.append(f"mba_percent not a step multiple: clos {c.id}")
     for i, a in enumerate(clos_set.configs):
         for b in clos_set.configs[i + 1:]:
             if a.mask & b.mask:
                 v.append(f"overlap: clos {a.id}, clos {b.id}")
     if clos_set.reserved_id not in ids:
-        v.append(f"reserved clos {clos_set.reserved_id} not present")
+        v.append(f"reserved_id {clos_set.reserved_id} not present")
     if sum(c.mba_percent for c in clos_set.configs) > 100:
         v.append("mba shares exceed 100")
     return v

@@ -1,13 +1,14 @@
 """Serialization of CLOS sets in the Linux resctrl schemata text format.
 
-The same writer drives either a mock directory tree (tests, dry runs) or a
-real control filesystem; only the mock gets write-then-rename atomicity,
-since resctrl files cannot be renamed onto.
+The writer drives a directory tree laid out like resctrl (tests, dry runs)
+and writes each schemata file by write-then-rename.  A real resctrl mount
+cannot be renamed onto, so it has no write path yet.
 
-Grammar (bit-exact):
+Grammar (bit-exact).  The kernel separates a line's domains with ";";
+coco writes one domain per line:
     line        := resource ":" assignments "\n"
     resource    := "L3" | "MB"
-    assignments := assign ("," assign)*
+    assignments := assign (";" assign)*
     assign      := cache_id "=" value
     value       := lowercase hex mask (L3) | decimal integer 1..100 (MB)
 """
@@ -46,13 +47,10 @@ class ResctrlLayout:
     """Group-per-CLOS directory layout under a configurable root."""
 
     root_path: Path
-    real_fs: bool = False
-    cache_id: int = 0
 
     @classmethod
-    def from_env(cls, root: str | None = None, real_fs: bool = False) -> "ResctrlLayout":
-        path = root or os.environ.get("RESCTRL_ROOT", DEFAULT_RESCTRL_ROOT)
-        return cls(Path(path), real_fs=real_fs)
+    def from_env(cls, root: str | None = None) -> "ResctrlLayout":
+        return cls(Path(root or os.environ.get("RESCTRL_ROOT", DEFAULT_RESCTRL_ROOT)))
 
     def group_dir(self, clos_id: int) -> Path:
         return self.root_path / f"clos{clos_id}"
@@ -109,7 +107,7 @@ def parse_schemata(text: str) -> SchemataFragment:
             raise SchemataParseError(f"unsupported resource {resource}", ln, col0)
         target = l3 if resource == "L3" else mb
         cursor = raw.find(":") + 1
-        for part in rest.split(","):
+        for part in rest.split(";"):
             token = part.strip()
             col = cursor + (part.find(token) if token else 0) + 1
             cursor += len(part) + 1
@@ -161,10 +159,7 @@ def serialize_clos_set(clos_set: ClosSet, cache_id: int = 0) -> str:
     return "".join(chunks)
 
 
-def _write_schemata(path: Path, content: str, real_fs: bool) -> None:
-    if real_fs:
-        path.write_text(content)
-        return
+def _write_schemata(path: Path, content: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(content)
     os.replace(tmp, path)
@@ -174,8 +169,8 @@ def apply(clos_set: ClosSet, layout: ResctrlLayout) -> ApplyReport:
     """Create/update one group directory per LC CLOS; verify by read-back.
 
     Per-group failures are reported, not raised; a read-back mismatch on a
-    group that claimed success raises ApplyDriftError.  In mock mode a group
-    directory created by this call is removed again if its writes fail.
+    group that claimed success raises ApplyDriftError.  A group directory
+    created by this call is removed again if its writes fail.
     """
     report = ApplyReport()
     verify: list[tuple[Path, ClosConfig]] = []
@@ -185,7 +180,7 @@ def apply(clos_set: ClosSet, layout: ResctrlLayout) -> ApplyReport:
         gdir = layout.group_dir(cfg.id)
         created_here = False
         try:
-            desired = serialize_schemata(cfg, layout.cache_id)
+            desired = serialize_schemata(cfg)
             if not gdir.exists():
                 gdir.mkdir(parents=True)
                 created_here = True
@@ -198,18 +193,17 @@ def apply(clos_set: ClosSet, layout: ResctrlLayout) -> ApplyReport:
             if existing == desired:
                 report.groups.append(GroupReport(gdir.name, "unchanged"))
             else:
-                _write_schemata(schemata, desired, layout.real_fs)
+                _write_schemata(schemata, desired)
                 action = "created" if created_here else "updated"
                 report.groups.append(GroupReport(gdir.name, action))
             verify.append((schemata, cfg))
         except OSError as e:
-            if created_here and not layout.real_fs:
+            if created_here:
                 shutil.rmtree(gdir, ignore_errors=True)
             report.groups.append(GroupReport(gdir.name, "failed", str(e)))
     for schemata, cfg in verify:
         fragment = parse_schemata(schemata.read_text())
-        if (fragment.mask(layout.cache_id) != cfg.mask
-                or fragment.mba_percent(layout.cache_id) != cfg.mba_percent):
+        if fragment.mask() != cfg.mask or fragment.mba_percent() != cfg.mba_percent:
             raise ApplyDriftError(
                 f"apply drift: {schemata} does not match clos {cfg.id}")
     return report

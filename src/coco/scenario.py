@@ -2,10 +2,13 @@
 
 Each section of a file is read through one field table mapping every allowed
 key to a parser; unknown keys are rejected everywhere, and an absent optional
-key is left out so the value type's own default applies.  A workload carries
-either a ready sensitivity profile (inline grid, named calibration row, or a
-profile file emitted by the `profile` subcommand) or a ground-truth model,
-which is profiled at load time so the simulator always sees a profile.
+key is left out so the value type's own default applies.  The parsers check
+types and finiteness only: every range rule belongs to the value type built
+from the section, whose error is prefixed with the section's path.  A
+workload carries either a ready sensitivity profile (inline grid, named
+calibration row, or a profile file emitted by the `profile` subcommand) or a
+ground-truth model, which is profiled at load time so the simulator always
+sees a profile.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 import yaml
 
 from coco import calibration
-from coco.closconfig import ClosConfig, ClosSet, validate as validate_clos_set
+from coco.closconfig import ClosConfig, ClosSet
 from coco.core import (Dominance, MachineSpec, SensitivityProfile, SloSpec,
                        WorkloadSpec, bilinear)
 from coco.errors import CocoError, InfeasibleSloError, ScenarioError
@@ -93,11 +96,11 @@ def _fields(node, where: str, table: dict, required=(), sep=".") -> dict:
 
 
 def _build(make, where: str, *args, **fields):
-    """`make(*args, **fields)`, its validation error prefixed with `where`."""
+    """`make(*args, **fields)`, its error prefixed with `where`."""
     try:
         return make(*args, **fields)
-    except InfeasibleSloError:
-        raise  # exit-status contract: infeasible SLO is not a schema error
+    except InfeasibleSloError as e:  # exit-status contract: not a schema error
+        raise InfeasibleSloError(f"{where}: {e}") from None
     except CocoError as e:
         raise ScenarioError(f"{where}: {e}") from None
 
@@ -117,30 +120,22 @@ def _section(table: dict, required=(), make=None):
     return parse
 
 
-def _number(minimum=None):
-    def parse(obj, where: str) -> float:
-        if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-            raise ScenarioError(f"{where}: expected a number")
-        try:
-            value = float(obj)
-        except OverflowError:  # an integer beyond the float range
-            value = math.inf
-        if not math.isfinite(value):
-            raise ScenarioError(f"{where}: expected a finite number")
-        if minimum is not None and value < minimum:
-            raise ScenarioError(f"{where}: must be >= {minimum}")
-        return value
-    return parse
+def _number(obj, where: str) -> float:
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise ScenarioError(f"{where}: expected a number")
+    try:
+        value = float(obj)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScenarioError(f"{where}: expected a finite number")
+    return value
 
 
-def _integer(minimum=None):
-    def parse(obj, where: str) -> int:
-        if isinstance(obj, bool) or not isinstance(obj, int):
-            raise ScenarioError(f"{where}: expected an integer")
-        if minimum is not None and obj < minimum:
-            raise ScenarioError(f"{where}: must be >= {minimum}")
-        return obj
-    return parse
+def _integer(obj, where: str) -> int:
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ScenarioError(f"{where}: expected an integer")
+    return obj
 
 
 def _string(obj, where: str) -> str:
@@ -162,34 +157,32 @@ def _choice(kind):
 
 
 def _mask(obj, where: str) -> int:
-    """A capacity bit-mask: a positive integer or a hexadecimal string."""
+    """A capacity bit-mask: an integer or a hexadecimal string."""
     if not isinstance(obj, str):
-        return _integer(1)(obj, where)
+        return _integer(obj, where)
     try:
         return int(obj, 16)
     except ValueError:
         raise ScenarioError(f"{where}: {obj!r} is not a hexadecimal mask") from None
 
 
-def _list(item, nonempty=False):
+def _list(item):
     def parse(obj, where: str) -> tuple:
-        if not isinstance(obj, list) or (nonempty and not obj):
-            raise ScenarioError(f"{where}: expected a {'nonempty ' * nonempty}list")
+        if not isinstance(obj, list):
+            raise ScenarioError(f"{where}: expected a list")
         return tuple(item(x, f"{where}[{i}]") for i, x in enumerate(obj))
     return parse
 
 
-def _axis(level):
-    """Parser of a nonempty, strictly ascending list of `level` values."""
-    def parse(obj, where: str) -> tuple:
-        levels = _list(level, nonempty=True)(obj, where)
-        if any(a >= b for a, b in zip(levels, levels[1:])):
-            raise ScenarioError(f"{where}: must be strictly ascending")
-        return levels
-    return parse
+def _axis(obj, where: str) -> tuple:
+    """A capacity-grid axis: a nonempty, strictly ascending list of numbers."""
+    levels = _list(_number)(obj, where)
+    if not levels or any(a >= b for a, b in zip(levels, levels[1:])):
+        raise ScenarioError(f"{where}: expected a nonempty, strictly ascending list")
+    return levels
 
 
-_rows = _list(_list(_number()))  # a grid of finite numbers, as a list of rows
+_rows = _list(_list(_number))  # a grid of finite numbers, as a list of rows
 
 
 def _capacity_grid(obj, where: str):
@@ -219,37 +212,32 @@ def _model(obj, where: str) -> GroundTruthModel:
                   m.get("tail_inflation", 1.0), m["capacity"])
 
 
-_GRID_PROFILE = {"way_levels": _axis(_integer(1)), "mba_levels": _axis(_integer(1)),
-                 "slowdowns": _rows, "sl_full": _number(0)}
+_GRID_PROFILE = {"way_levels": _list(_integer), "mba_levels": _list(_integer),
+                 "slowdowns": _rows, "sl_full": _number}
 _grid_profile = _section(_GRID_PROFILE, ("way_levels", "mba_levels", "slowdowns"),
                          SensitivityProfile)
-_CAPACITY_GRID = {"way_levels": _axis(_number()), "mba_levels": _axis(_number()),
-                  "values": _rows}
-_CAPACITY = {"calibration": _string, "full": _number(0), "grid": _capacity_grid}
-_MODEL = {"base_latency_ms": _number(0), "tail_inflation": _number(1),
-          "capacity": _capacity}
-_PROFILE = {"calibration": _string, "sl_full": _number(0), "grid": _grid_profile,
+_CAPACITY_GRID = {"way_levels": _axis, "mba_levels": _axis, "values": _rows}
+_CAPACITY = {"calibration": _string, "full": _number, "grid": _capacity_grid}
+_MODEL = {"base_latency_ms": _number, "tail_inflation": _number, "capacity": _capacity}
+_PROFILE = {"calibration": _string, "sl_full": _number, "grid": _grid_profile,
             "file": _string, "workload": _string}
-_SLO = {"percentile": _number(), "latency_bound_ms": _number()}
+_SLO = {"percentile": _number, "latency_bound_ms": _number}
 _WORKLOAD = {"name": _string,
              "slo": _section(_SLO, ("percentile", "latency_bound_ms"), SloSpec),
-             "offered_load": _number(0), "profile": _section(_PROFILE),
+             "offered_load": _number, "profile": _section(_PROFILE),
              "model": _model, "dominance": _choice(Dominance)}
-_MACHINE = {"llc_ways": _integer(1), "clos_count": _integer(2), "mba_step": _integer(1),
-            "max_bandwidth": _number(0), "cores": _integer(1)}
-_SIM = {"policy": _choice(Policy), "epoch_quanta": _integer(1), "quantum_ms": _number(0),
-        "duration": _integer(1), "seed": _integer(),
-        "warmup": _section({"window": _integer(0), "factor": _number(1)},
-                           make=WarmupParams),
-        "interference_alpha": _number(1), "pairing_penalty": _number(1),
-        "load_jitter": _number(0), "overhead_margin": _number(0)}
-_CLOS = {"id": _integer(0), "width": _integer(1), "mask": _mask,
-         "mba_percent": _integer(1)}
-_CLOS_SET = {"reserved_id": _integer(0),
-             "configs": _list(_section(_CLOS, ("mba_percent",)), nonempty=True)}
+_MACHINE = {"llc_ways": _integer, "clos_count": _integer, "mba_step": _integer,
+            "max_bandwidth": _number, "cores": _integer}
+_SIM = {"policy": _choice(Policy), "epoch_quanta": _integer, "quantum_ms": _number,
+        "duration": _integer, "seed": _integer,
+        "warmup": _section({"window": _integer, "factor": _number}, make=WarmupParams),
+        "interference_alpha": _number, "pairing_penalty": _number,
+        "load_jitter": _number, "overhead_margin": _number}
+_CLOS = {"id": _integer, "width": _integer, "mask": _mask, "mba_percent": _integer}
+_CLOS_SET = {"reserved_id": _integer, "configs": _list(_section(_CLOS, ("mba_percent",)))}
 _SCENARIO = {"machine": _section(_MACHINE, ("llc_ways", "clos_count", "mba_step"),
                                  MachineSpec),
-             "workloads": _list(_section(_WORKLOAD, ("name", "slo")), nonempty=True),
+             "workloads": _list(_section(_WORKLOAD, ("name", "slo"))),
              "policies": _list(_choice(Policy)), "sim": _section(_SIM),
              "clos_set": _section(_CLOS_SET, ("configs",))}
 # a profile file: entries are key-checked, and only the requested one parsed
@@ -312,17 +300,15 @@ def _clos_set(cs: dict, where: str, machine: MachineSpec) -> ClosSet:
         at = f"{where}.configs[{idx}]"
         if _one_of(e, at, ("mask", "width")) == "mask":
             mask = e["mask"]
+        elif e["width"] < 1:  # before the shift: 1 << -1 raises
+            raise ScenarioError(f"{at}.width: must be >= 1")
         elif e["width"] > machine.llc_ways:
             raise ScenarioError(f"{at}.width: must be <= llc_ways ({machine.llc_ways})")
         else:
             mask = ((1 << e["width"]) - 1) << bit
             bit += e["width"]
         configs.append(ClosConfig(e.get("id", idx), mask, e["mba_percent"]))
-    clos_set = ClosSet(machine, tuple(configs), **cs)
-    problems = validate_clos_set(clos_set)
-    if problems:
-        raise ScenarioError(f"{where}: " + "; ".join(problems))
-    return clos_set
+    return ClosSet(machine, tuple(configs), **cs)
 
 
 def load_scenario(path: str | Path) -> LoadedScenario:
@@ -332,15 +318,12 @@ def load_scenario(path: str | Path) -> LoadedScenario:
     machine = doc["machine"]
     workloads = tuple(_workload(w, f"{path}: workloads[{i}]", machine, path.parent)
                       for i, w in enumerate(doc["workloads"]))
-    names = [w.spec.name for w in workloads]
-    if len(set(names)) != len(names):
-        raise ScenarioError(f"{path}: duplicate workload names")
     clos_set = None
     if "clos_set" in doc:
         clos_set = _clos_set(doc["clos_set"], f"{path}: clos_set", machine)
     loaded = LoadedScenario(path, machine, workloads, doc.get("policies", ()),
                             {"policy": Policy.COCO, **doc.get("sim", {})}, clos_set)
-    _build(loaded.scenario, str(path))  # surface Scenario-level validation now
+    _build(loaded.scenario, str(path))  # Scenario's checks: sim ranges, names, clos_set
     return loaded
 
 

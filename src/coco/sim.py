@@ -50,15 +50,6 @@ class Policy(enum.Enum):
     ROUND_ROBIN = "rr"
     NO_PARTITION = "none"
 
-    @classmethod
-    def from_name(cls, name: str) -> "Policy":
-        for p in cls:
-            if p.value == name:
-                return p
-        raise ValidationError(
-            f"unknown policy {name!r}; expected one of "
-            + ", ".join(p.value for p in cls))
-
 
 @dataclass(frozen=True)
 class PolicySpec:
@@ -127,7 +118,7 @@ class Scenario:
         if not 1 <= self.duration <= MAX_DURATION:
             raise ValidationError(f"duration must be in [1, {MAX_DURATION}] epochs")
         if not (math.isfinite(self.quantum_ms) and self.quantum_ms > 0):
-            raise ValidationError("quantum must be finite and > 0")
+            raise ValidationError("quantum_ms must be finite and > 0")
         if not 1 <= self.epoch_quanta <= MAX_EPOCH_QUANTA:
             raise ValidationError(f"epoch_quanta must be in [1, {MAX_EPOCH_QUANTA}]")
         if not (math.isfinite(self.interference_alpha) and self.interference_alpha >= 1):

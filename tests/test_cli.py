@@ -208,6 +208,16 @@ class TestValidate:
         assert err.startswith(f"error: {reference_copy}: invalid YAML: bad tagged value: ")
         assert err.count("\n") == 1
 
+    def test_infeasible_model_slo_names_its_workload(self, tmp_path, capsys):
+        # load-time profiling runs before Scenario checks the sim ranges
+        path = tmp_path / "scenario.yaml"
+        path.write_text(MODEL_SCENARIO.replace("latency_bound_ms: 20.0", "latency_bound_ms: 1.5")
+                        .replace("duration: 2", "duration: 0"))
+        assert main(["validate", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: workloads[0].model: SLO bound 1.5 ms below zero-load "
+            "latency 2.0 ms\n")
+
     def test_mixed_fuzz_base_loads(self, tmp_path, capsys):
         path = tmp_path / "mixed.yaml"
         path.write_text(yaml.safe_dump(MIXED_DOC))
@@ -275,6 +285,64 @@ def test_fuzz_one_leaf(case, value, command):
             assert all(math.isfinite(float(x)) for x in row.split(",")[2:]), row
 
 
+# each range rule the value types own, broken once in MIXED_DOC:
+# (leaf, out-of-range value, what the message names)
+OUT_OF_RANGE = {
+    "llc_ways": (("machine", "llc_ways"), 0, "machine: llc_ways must be >= 1"),
+    "clos_count": (("machine", "clos_count"), 1, "machine: clos_count must be >= 2"),
+    "mba_step": (("machine", "mba_step"), 3, "machine: mba_step must divide 100"),
+    "duration": (("sim", "duration"), 0, "duration must be in [1, "),
+    "epoch_quanta": (("sim", "epoch_quanta"), 0, "epoch_quanta must be in [1, "),
+    "quantum_ms": (("sim", "quantum_ms"), 0, "quantum_ms must be finite and > 0"),
+    "warmup-window": (("sim", "warmup", "window"), -1, "sim.warmup: warmup window"),
+    "warmup-factor": (("sim", "warmup", "factor"), 0.5, "sim.warmup: warmup factor"),
+    "interference_alpha": (("sim", "interference_alpha"), 0.5,
+                           "interference_alpha must be finite and >= 1"),
+    "pairing_penalty": (("sim", "pairing_penalty"), 0.5,
+                        "pairing_penalty must be finite and >= 1"),
+    "load_jitter": (("sim", "load_jitter"), 1, "load_jitter must be in [0, 1)"),
+    "overhead_margin": (("sim", "overhead_margin"), 1, "overhead_margin must be in [0, 1)"),
+    "offered_load": (("workloads", 0, "offered_load"), -1,
+                     "workloads[0]: offered_load must be finite and >= 0"),
+    "grid-sl_full": (("workloads", 0, "profile", "grid", "sl_full"), 0,
+                     "workloads[0].profile.grid: sl_full must be finite and > 0"),
+    "calibration-sl_full": (("workloads", 3, "profile", "sl_full"), 0,
+                            "workloads[3].profile: sl_full must be finite and > 0"),
+    "base_latency_ms": (("workloads", 1, "model", "base_latency_ms"), 0,
+                        "workloads[1].model: base_latency_ms must be finite and > 0"),
+    "tail_inflation": (("workloads", 1, "model", "tail_inflation"), 0.5,
+                       "workloads[1].model: tail_inflation must be finite and >= 1"),
+    "capacity-full": (("workloads", 2, "model", "capacity", "full"), 0,
+                      "workloads[2].model.capacity: full must be > 0"),
+    "way_levels": (("workloads", 0, "profile", "grid", "way_levels"), [0, 20],
+                   "workloads[0].profile.grid: way_levels must be strictly ascending"),
+    "clos-id": (("clos_set", "configs", 0, "id"), -1, "clos id out of range: clos -1"),
+    "width-0": (("clos_set", "configs", 0, "width"), 0, "configs[0].width: must be >= 1"),
+    "width-negative": (("clos_set", "configs", 0, "width"), -1,
+                       "configs[0].width: must be >= 1"),
+    "mba_percent": (("clos_set", "configs", 0, "mba_percent"), 0,
+                    "mba_percent out of range: clos 0"),
+    "reserved_id": (("clos_set", "reserved_id"), -1, "reserved_id -1 not present"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_field_one_line_error(case, tmp_path, capsys):
+    leaf, value, names = OUT_OF_RANGE[case]
+    doc = copy.deepcopy(MIXED_DOC)
+    node = doc
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert err.count(str(path)) == 1
+    assert names in err
+
+
 class TestSchemata:
     def test_golden_bytes(self, reference_copy, capsys):
         assert main(["schemata", reference_copy]) == 0
@@ -307,6 +375,12 @@ class TestCompare:
                          "--format", "csv", "-o", str(out), "--seed", "7"]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_unknown_policy_names_the_option(self, reference_copy, capsys):
+        assert main(["compare", reference_copy, "--policies", "coco,bogus"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --policies: unknown policy 'bogus'; expected one of coco, "
+            "coco-conflicting, cat-only, mba-only, rr, none\n")
 
     def test_table_has_ratios(self, reference_copy, capsys):
         assert main(["compare", reference_copy, "--policies", "coco,none"]) == 0

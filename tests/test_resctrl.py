@@ -64,7 +64,7 @@ class TestParse:
         assert frag.mask(0) == 0x1C and frag.mba_percent(0) == 10
 
     def test_multi_socket_line(self):
-        frag = parse_schemata("L3:0=ff,1=f0\nMB:0=40,1=60\n")
+        frag = parse_schemata("L3:0=ff;1=f0\nMB:0=40;1=60\n")
         assert frag.mask(1) == 0xF0 and frag.mba_percent(1) == 60
 
     def test_percent_out_of_range(self):
@@ -135,7 +135,7 @@ class TestApply:
 
     def test_failed_write_removes_created_groups(self, tmp_path, monkeypatch):
         # runs as root too: the failure comes from the write, not mode bits
-        def refuse(path, content, real_fs):
+        def refuse(path, content):
             raise OSError(f"{path}: write refused")
         monkeypatch.setattr(resctrl, "_write_schemata", refuse)
         report = apply(default_partition(reference_machine()), ResctrlLayout(tmp_path))
