@@ -11,12 +11,15 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from coco.errors import CocoError, EpochUnderflowError, InfeasibleSloError, ScenarioError
 from coco.closconfig import default_partition
+from coco.params import Policy
 from coco.scenario import _choice, dump_profiles, load_scenario
-from coco.sim import (CompareResult, Policy, SimMetrics, compare_policies,
-                      max_affordable_load, run_scenario)
+
+if TYPE_CHECKING:
+    from coco.sim import CompareResult, SimMetrics
 
 CSV_HEADER = "policy,workload,affordable_load,retainment,violations,migrations,overhead_fraction"
 
@@ -119,6 +122,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from coco.sim import run_scenario  # only simulate and compare load the simulator
+
     loaded = load_scenario(args.scenario)
     scenario = loaded.scenario(seed=args.seed)
     metrics = run_scenario(scenario)
@@ -129,12 +134,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    loaded = load_scenario(args.scenario)
-    if args.policies:
+    from coco.sim import compare_policies
+
+    policies = None
+    if args.policies:  # a misspelt name is reported before the file is read
         policy = _choice(Policy)
         policies = [policy(p.strip(), "--policies")
                     for p in args.policies.split(",") if p.strip()]
-    else:
+    loaded = load_scenario(args.scenario)
+    if policies is None:
         policies = list(loaded.policies) or list(Policy)
     result = compare_policies(loaded.scenario(seed=args.seed), policies)
     order = [w.spec.name for w in loaded.workloads]

@@ -149,18 +149,21 @@ def validate(clos_set: ClosSet) -> list[str]:
     for c in clos_set.configs:
         if not 0 <= c.id < machine.clos_count:
             v.append(f"clos id out of range: clos {c.id}")
-        if c.mask == 0:
+        if c.mask < 0:
+            v.append(f"negative mask: clos {c.id}")
+        elif c.mask == 0:
             v.append(f"zero mask: clos {c.id}")
         elif not c.is_contiguous():
             v.append(f"non-contiguous mask: clos {c.id}")
-        if c.mask >> machine.llc_ways:
+        if c.mask >> machine.llc_ways > 0:  # a negative mask shifts to -1
             v.append(f"mask exceeds llc_ways: clos {c.id}")
         if not machine.mba_step <= c.mba_percent <= 100:
             v.append(f"mba_percent out of range: clos {c.id}")
         elif c.mba_percent % machine.mba_step != 0:
             v.append(f"mba_percent not a step multiple: clos {c.id}")
-    for i, a in enumerate(clos_set.configs):
-        for b in clos_set.configs[i + 1:]:
+    placed = [c for c in clos_set.configs if c.mask > 0]  # negative: reported above
+    for i, a in enumerate(placed):
+        for b in placed[i + 1:]:
             if a.mask & b.mask:
                 v.append(f"overlap: clos {a.id}, clos {b.id}")
     if clos_set.reserved_id not in ids:

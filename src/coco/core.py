@@ -20,6 +20,10 @@ MONOTONE_EPS = 1e-9
 
 DOMINANCE_THETA = 1.5
 
+# Above x86 resctrl's 32-bit capacity bit-mask with room to spare; a model
+# workload is profiled over every way, so the bound also bounds load time.
+MAX_LLC_WAYS = 64
+
 
 class Dominance(enum.Enum):
     LLC_DOMINANT = "llc"
@@ -40,6 +44,8 @@ class MachineSpec:
     def __post_init__(self):
         if self.llc_ways < 1:
             raise ValidationError("llc_ways must be >= 1")
+        if self.llc_ways > MAX_LLC_WAYS:
+            raise ValidationError(f"llc_ways must be <= {MAX_LLC_WAYS}")
         if self.clos_count < 2:
             raise ValidationError("clos_count must be >= 2 (one CLOS is reserved)")
         if self.llc_ways < self.clos_count:

@@ -25,8 +25,8 @@ from coco.closconfig import ClosConfig, ClosSet
 from coco.core import (Dominance, MachineSpec, SensitivityProfile, SloSpec,
                        WorkloadSpec, bilinear)
 from coco.errors import CocoError, InfeasibleSloError, ScenarioError
+from coco.params import Policy, Scenario, WarmupParams
 from coco.profiler import GroundTruthModel, build_profile
-from coco.sim import Policy, Scenario, WarmupParams
 
 try:
     from yaml.cyaml import CParser

@@ -7,142 +7,34 @@ after a working-set switch and while sharing a working set.  A quantum
 violates the SLO when the offered load, apportioned over the workload's
 active quanta, exceeds that achievable throughput.
 
-Each policy is one row of ``POLICIES``: its planner, whether admission
-control runs, whether it uses the conflicting CLOS set, and which resource
-axes it leaves shared.  Policies that share an axis (no partitioning at all,
-cache-only, bandwidth-only) give concurrently active workloads a fair share
-of it and multiply slowdowns by a configurable interference factor; with the
-factor at its default of 1 the fair split is the whole penalty.  ``none``
-runs every workload all epoch on one virtual CLOS, so one loop serves every
-policy.
+Each policy is one row of ``POLICIES`` (in ``coco.params``): its planner,
+whether admission control runs, whether it uses the conflicting CLOS set,
+and which resource axes it leaves shared.  Policies that share an axis (no
+partitioning at all, cache-only, bandwidth-only) give concurrently active
+workloads a fair share of it and multiply slowdowns by a configurable
+interference factor; with the factor at its default of 1 the fair split is
+the whole penalty.  ``none`` runs every workload all epoch on one virtual
+CLOS, so one loop serves every policy.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 import random
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
-from coco.closconfig import ClosSet, default_partition
-from coco.closconfig import validate as validate_clos_set
-from coco.core import AllocationState, MachineSpec, WorkloadSpec, slowdown_xy
-from coco.errors import InfeasibleSloError, ValidationError
+from coco.closconfig import ClosSet
+from coco.core import AllocationState, WorkloadSpec, slowdown_xy
+from coco.errors import InfeasibleSloError
+# the scenario value types live in coco.params; re-exported for callers of coco.sim
+from coco.params import (MAX_DURATION, MAX_EPOCH_QUANTA, POLICIES, Policy, PolicySpec,
+                         Scenario, WarmupParams, anti_monotone_set)
 from coco.scheduler import (Segment, admission_control, plan_epoch, round_robin_plan,
                             segment_rates)
 
 VIOLATION_SLACK = 1e-9
 _VIRTUAL_CLOS = -1
-# Input validation for every run.  It bounds the cost of a jittered run
-# alone, which simulates every epoch: a million take minutes, not forever.
-MAX_DURATION = 10**6
-# Quanta are split by float arithmetic, which counts exactly up to 2**53.
-MAX_EPOCH_QUANTA = 2**53
-
-
-class Policy(enum.Enum):
-    COCO = "coco"
-    COCO_CONFLICTING = "coco-conflicting"
-    CAT_ONLY = "cat-only"
-    MBA_ONLY = "mba-only"
-    ROUND_ROBIN = "rr"
-    NO_PARTITION = "none"
-
-
-@dataclass(frozen=True)
-class PolicySpec:
-    """What one policy decides; the simulator derives everything else.
-
-    ``planner`` is "weighted" (slowdown-weighted MQ-WRR, which pairs
-    complementary workloads), "rr" (equal slices, membership rotating one
-    CLOS per epoch) or "shared" (no CLOSs: every workload runs all epoch on
-    one virtual CLOS).  ``shared`` names the resource axes ("llc", "mba")
-    left unpartitioned.
-    """
-
-    planner: str
-    admission: bool = False
-    conflicting: bool = False
-    shared: frozenset[str] = frozenset()
-
-
-POLICIES = MappingProxyType({
-    Policy.COCO: PolicySpec("weighted", admission=True),
-    Policy.COCO_CONFLICTING: PolicySpec("weighted", admission=True,
-                                        conflicting=True),
-    Policy.CAT_ONLY: PolicySpec("weighted", shared=frozenset({"mba"})),
-    Policy.MBA_ONLY: PolicySpec("weighted", shared=frozenset({"llc"})),
-    Policy.ROUND_ROBIN: PolicySpec("rr"),
-    Policy.NO_PARTITION: PolicySpec("shared", shared=frozenset({"llc", "mba"})),
-})
-
-
-@dataclass(frozen=True)
-class WarmupParams:
-    """Post-migration cache-refill penalty: window length and inflation."""
-
-    window: int = 2
-    factor: float = 1.15
-
-    def __post_init__(self):
-        if self.window < 0:
-            raise ValidationError("warmup window must be >= 0")
-        if not (math.isfinite(self.factor) and self.factor >= 1):
-            raise ValidationError("warmup factor must be finite and >= 1")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    machine: MachineSpec
-    workloads: tuple[WorkloadSpec, ...]
-    policy: Policy
-    epoch_quanta: int = 20
-    quantum_ms: float = 100.0
-    duration: int = 10
-    warmup: WarmupParams = WarmupParams()
-    seed: int = 0
-    clos_set: ClosSet | None = None
-    interference_alpha: float = 1.0
-    pairing_penalty: float = 1.05
-    load_jitter: float = 0.0
-    overhead_margin: float = 0.05
-
-    def __post_init__(self):
-        if not self.workloads:
-            raise ValidationError("scenario needs at least one workload")
-        names = [w.name for w in self.workloads]
-        if len(set(names)) != len(names):
-            raise ValidationError("workload names must be unique")
-        if not 1 <= self.duration <= MAX_DURATION:
-            raise ValidationError(f"duration must be in [1, {MAX_DURATION}] epochs")
-        if not (math.isfinite(self.quantum_ms) and self.quantum_ms > 0):
-            raise ValidationError("quantum_ms must be finite and > 0")
-        if not 1 <= self.epoch_quanta <= MAX_EPOCH_QUANTA:
-            raise ValidationError(f"epoch_quanta must be in [1, {MAX_EPOCH_QUANTA}]")
-        if not (math.isfinite(self.interference_alpha) and self.interference_alpha >= 1):
-            raise ValidationError("interference_alpha must be finite and >= 1")
-        if not (math.isfinite(self.pairing_penalty) and self.pairing_penalty >= 1):
-            raise ValidationError("pairing_penalty must be finite and >= 1")
-        if not 0 <= self.load_jitter < 1:
-            raise ValidationError("load_jitter must be in [0, 1)")
-        if not 0 <= self.overhead_margin < 1:
-            raise ValidationError("overhead_margin must be in [0, 1)")
-        if self.clos_set is not None:
-            if self.clos_set.machine != self.machine:
-                raise ValidationError("clos_set belongs to a different machine")
-            problems = validate_clos_set(self.clos_set)
-            if problems:
-                raise ValidationError("clos_set invalid: " + "; ".join(problems))
-
-    def effective_clos_set(self) -> ClosSet | None:
-        """The CLOS set the policy schedules on; None if it partitions nothing."""
-        spec = POLICIES[self.policy]
-        if spec.planner == "shared":
-            return None
-        base = self.clos_set or default_partition(self.machine)
-        return anti_monotone_set(base) if spec.conflicting else base
 
 
 @dataclass(frozen=True)
@@ -188,17 +80,6 @@ class CompareResult:
     ratios: dict[Policy, float | None]
 
 
-def anti_monotone_set(clos_set: ClosSet) -> ClosSet:
-    """The conflicting configuration: widest masks get the smallest MBA."""
-    lc = clos_set.lc_configs()  # width descending
-    mba_sorted = sorted(c.mba_percent for c in lc)  # ascending -> widest gets least
-    replacement = {c.id: m for c, m in zip(lc, mba_sorted)}
-    configs = tuple(
-        dataclasses.replace(c, mba_percent=replacement.get(c.id, c.mba_percent))
-        for c in clos_set.configs)
-    return dataclasses.replace(clos_set, configs=configs)
-
-
 def _views(scenario: Scenario, clos_set: ClosSet | None,
            active_ids: list[int]) -> dict[int, tuple[float, float]]:
     """Effective (ways, MBA percent) each CLOS provides under the policy."""
@@ -236,14 +117,19 @@ def _reference_state(scenario: Scenario, clos_set: ClosSet) -> AllocationState |
         100 if "mba" in shared else min(c.mba_percent for c in lc))
 
 
-@dataclass
 class _Tally:
-    violations: int = 0
-    quanta: int = 0
-    min_affordable: float = field(default=float("inf"))
-    peak_demand: float = 0.0  # worst apportioned load / achievable rate
-    ideal_capacity: float = 0.0
-    warmup_loss: float = 0.0
+    """One workload's running totals over a simulated run."""
+
+    __slots__ = ("violations", "quanta", "min_affordable", "peak_demand",
+                 "ideal_capacity", "warmup_loss")
+
+    def __init__(self):
+        self.violations = 0
+        self.quanta = 0
+        self.min_affordable = math.inf
+        self.peak_demand = 0.0  # worst apportioned load / achievable rate
+        self.ideal_capacity = 0.0
+        self.warmup_loss = 0.0
 
 
 def _jitter_factors(scenario: Scenario, rng: random.Random) -> dict[str, float]:

@@ -289,6 +289,7 @@ def test_fuzz_one_leaf(case, value, command):
 # (leaf, out-of-range value, what the message names)
 OUT_OF_RANGE = {
     "llc_ways": (("machine", "llc_ways"), 0, "machine: llc_ways must be >= 1"),
+    "llc_ways-wide": (("machine", "llc_ways"), 65, "machine: llc_ways must be <= 64"),
     "clos_count": (("machine", "clos_count"), 1, "machine: clos_count must be >= 2"),
     "mba_step": (("machine", "mba_step"), 3, "machine: mba_step must divide 100"),
     "duration": (("sim", "duration"), 0, "duration must be in [1, "),
@@ -317,6 +318,7 @@ OUT_OF_RANGE = {
     "way_levels": (("workloads", 0, "profile", "grid", "way_levels"), [0, 20],
                    "workloads[0].profile.grid: way_levels must be strictly ascending"),
     "clos-id": (("clos_set", "configs", 0, "id"), -1, "clos id out of range: clos -1"),
+    "mask-negative": (("clos_set", "configs", 2, "mask"), -1, "negative mask: clos 2"),
     "width-0": (("clos_set", "configs", 0, "width"), 0, "configs[0].width: must be >= 1"),
     "width-negative": (("clos_set", "configs", 0, "width"), -1,
                        "configs[0].width: must be >= 1"),
@@ -378,6 +380,13 @@ class TestCompare:
 
     def test_unknown_policy_names_the_option(self, reference_copy, capsys):
         assert main(["compare", reference_copy, "--policies", "coco,bogus"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --policies: unknown policy 'bogus'; expected one of coco, "
+            "coco-conflicting, cat-only, mba-only, rr, none\n")
+
+    def test_unknown_policy_reported_before_the_file_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.yaml"
+        assert main(["compare", str(missing), "--policies", "coco,bogus"]) == 2
         assert capsys.readouterr().err == (
             "error: --policies: unknown policy 'bogus'; expected one of coco, "
             "coco-conflicting, cat-only, mba-only, rr, none\n")

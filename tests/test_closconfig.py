@@ -81,6 +81,12 @@ class TestValidate:
         cs = ClosSet(m, (ClosConfig(0, 0, 50), ClosConfig(1, 0b1, 50)))
         assert any("zero mask: clos 0" in msg for msg in validate(cs))
 
+    @pytest.mark.parametrize("mask", [-1, -5])
+    def test_negative_mask_is_one_problem(self, mask):
+        m = machine(ways=8, clos=2)
+        cs = ClosSet(m, (ClosConfig(0, 0b1, 50), ClosConfig(1, mask, 50)))
+        assert validate(cs) == ["negative mask: clos 1"]
+
     def test_mba_share_overflow_reported(self):
         m = machine(ways=8, clos=2)
         cs = ClosSet(m, (ClosConfig(0, 0b1, 60), ClosConfig(1, 0b10, 60)))

@@ -22,6 +22,7 @@ class TestMachineSpec:
         dict(llc_ways=3, clos_count=4, mba_step=10),   # fewer ways than CLOSs
         dict(llc_ways=20, clos_count=1, mba_step=10),  # no reserved CLOS left
         dict(llc_ways=20, clos_count=4, mba_step=7),   # step does not divide 100
+        dict(llc_ways=65, clos_count=4, mba_step=10),  # beyond MAX_LLC_WAYS
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValidationError):
