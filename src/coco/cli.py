@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 from coco.errors import CocoError, EpochUnderflowError, InfeasibleSloError, ScenarioError
 from coco.closconfig import default_partition
 from coco.params import Policy
-from coco.scenario import _choice, dump_profiles, load_scenario
+from coco.scenario import _choice, _distinct_policies, dump_profiles, load_scenario
 
 if TYPE_CHECKING:
     from coco.sim import CompareResult, SimMetrics
@@ -137,10 +137,11 @@ def _cmd_compare(args) -> int:
     from coco.sim import compare_policies
 
     policies = None
-    if args.policies:  # a misspelt name is reported before the file is read
+    if args.policies is not None:  # a misspelt name is reported before the file is read
         policy = _choice(Policy)
-        policies = [policy(p.strip(), "--policies")
-                    for p in args.policies.split(",") if p.strip()]
+        names = [p.strip() for p in args.policies.split(",") if p.strip()]
+        policies = _distinct_policies(tuple(policy(n, "--policies") for n in names),
+                                      "--policies")
     loaded = load_scenario(args.scenario)
     if policies is None:
         policies = list(loaded.policies) or list(Policy)

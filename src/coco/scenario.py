@@ -28,14 +28,39 @@ from coco.errors import CocoError, InfeasibleSloError, ScenarioError
 from coco.params import Policy, Scenario, WarmupParams
 from coco.profiler import GroundTruthModel, build_profile
 
+
+class _Composer(yaml.composer.Composer):
+    """PyYAML's composer, rejecting a key repeated in one mapping.
+
+    It checks the keys as written, before `<<` merges apply, so a merged
+    key may still be overridden.  Both loaders below compose through it.
+    """
+
+    def compose_mapping_node(self, anchor):
+        node = super().compose_mapping_node(anchor)
+        seen = set()
+        for key, _ in node.value:
+            if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                if (key.tag, key.value) in seen:
+                    raise yaml.composer.ComposerError(
+                        "while composing a mapping", node.start_mark,
+                        f"duplicate key {key.value!r}", key.start_mark)
+                seen.add((key.tag, key.value))
+        return node
+
+
+class _SafeLoader(_Composer, yaml.SafeLoader):
+    """`yaml.SafeLoader` that rejects duplicate keys."""
+
+
 try:
     from yaml.cyaml import CParser
 except ImportError:  # PyYAML built without libyaml
-    _Loader = yaml.SafeLoader
+    _Loader = _SafeLoader
 else:
-    class _Loader(yaml.composer.Composer, CParser, yaml.constructor.SafeConstructor,
+    class _Loader(_Composer, CParser, yaml.constructor.SafeConstructor,
                   yaml.resolver.Resolver):
-        """`yaml.SafeLoader` with libyaml's scanner and parser, about 5x faster.
+        """`_SafeLoader` with libyaml's scanner and parser, about 5x faster.
 
         PyYAML's own composer builds the node tree, so a deeply nested
         document ends in `RecursionError`, as with the pure-Python loader.
@@ -185,6 +210,20 @@ def _axis(obj, where: str) -> tuple:
 _rows = _list(_list(_number))  # a grid of finite numbers, as a list of rows
 
 
+def _distinct_policies(policies: tuple[Policy, ...], where: str) -> tuple[Policy, ...]:
+    """A list of policies to compare: at least one, none named twice."""
+    if not policies:
+        raise ScenarioError(f"{where}: expected at least one policy")
+    for i, p in enumerate(policies):
+        if p in policies[:i]:
+            raise ScenarioError(f"{where}: policy {p.value!r} named twice")
+    return policies
+
+
+def _policies(obj, where: str) -> tuple[Policy, ...]:
+    return _distinct_policies(_list(_choice(Policy))(obj, where), where)
+
+
 def _capacity_grid(obj, where: str):
     g = _fields(obj, where, _CAPACITY_GRID, ("way_levels", "mba_levels", "values"))
     ways, mbas, values = g["way_levels"], g["mba_levels"], g["values"]
@@ -238,7 +277,7 @@ _CLOS_SET = {"reserved_id": _integer, "configs": _list(_section(_CLOS, ("mba_per
 _SCENARIO = {"machine": _section(_MACHINE, ("llc_ways", "clos_count", "mba_step"),
                                  MachineSpec),
              "workloads": _list(_section(_WORKLOAD, ("name", "slo"))),
-             "policies": _list(_choice(Policy)), "sim": _section(_SIM),
+             "policies": _policies, "sim": _section(_SIM),
              "clos_set": _section(_CLOS_SET, ("configs",))}
 # a profile file: entries are key-checked, and only the requested one parsed
 _PROFILE_FILE = {"profiles": _list(partial(_mapping, keys={"workload", *_GRID_PROFILE}))}
@@ -255,7 +294,7 @@ def _load_yaml(path: Path) -> dict:
         except yaml.YAMLError:
             # libyaml words its errors differently and drops detail (the
             # offending character): PyYAML's own parser decides every error
-            doc = yaml.load(text, Loader=yaml.SafeLoader)
+            doc = yaml.load(text, Loader=_SafeLoader)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         line = f", line {mark.line + 1}" if mark else ""

@@ -90,7 +90,7 @@ def _split_quanta(members: list[WorkloadSpec], weights: dict[str, float],
 def _deal(ranked: list[WorkloadSpec], weights: dict[str, float], lc: tuple[ClosConfig, ...],
           offset: int, epoch_quanta: int, pairing: bool) -> list[tuple]:
     """Deal ranked workloads onto the LC CLOSs in turn from ``offset``, then split and pair
-    each CLOS's epoch: per CLOS, (config, members, quanta, segments as (members, quanta))."""
+    each CLOS's epoch: per CLOS, (CLOS id, members, quanta, segments as (members, quanta))."""
     dealt = []
     for j in range(min(len(ranked), len(lc))):
         cfg, members = lc[(j + offset) % len(lc)], ranked[j::len(lc)]
@@ -103,15 +103,15 @@ def _deal(ranked: list[WorkloadSpec], weights: dict[str, float], lc: tuple[ClosC
             else:
                 segments.append(((members[i],), counts[i]))
                 i += 1
-        dealt.append((cfg, members, counts, segments))
+        dealt.append((cfg.id, members, counts, segments))
     return dealt
 
 
 def _build_plan(weights: dict[str, float], dealt: list[tuple]) -> EpochPlan:
     """The epoch plan of a deal: names in place of specs, plus slices and queues."""
-    schedule = {cfg.id: tuple(Segment(tuple(m.name for m in seg), q) for seg, q in segments)
-                for cfg, _, _, segments in dealt}
-    slices = tuple(TimeSlice(m.name, cfg.id, c) for cfg, members, counts, _ in dealt
+    schedule = {clos_id: tuple(Segment(tuple(m.name for m in seg), q) for seg, q in segments)
+                for clos_id, _, _, segments in dealt}
+    slices = tuple(TimeSlice(m.name, clos_id, c) for clos_id, members, counts, _ in dealt
                    for m, c in zip(members, counts))
     queues = tuple(QueueState(clos_id, frozenset(first.members),
                               tuple(n for seg in rest for n in seg.members))
@@ -164,17 +164,33 @@ def round_robin_plan(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
     lc = clos_set.lc_configs()
     if not lc:
         raise ValidationError("clos set has no latency-critical CLOS")
-    weights = {w.name: 1.0 / len(workloads) for w in workloads}
-    ranked = sorted(workloads, key=lambda w: w.name)
+    # equal slowdowns: equal weights, ranked by name
+    ranked, weights = _ranked(workloads, {w.name: 1.0 for w in workloads})
     return _build_plan(weights, _deal(ranked, weights, lc, epoch, epoch_quanta, pairing=False))
 
 
-def segment_rates(sl_full: float, slowdown: float, penalty: float,
-                  factor: float) -> tuple[float, float]:
-    """Base and warm throughput of a segment member, for the simulator and
-    admission alike; ``penalty`` is the pairing penalty if it is paired, else 1."""
-    base = sl_full / (slowdown * penalty)
-    return base, base / factor
+def rated(dealt: list[tuple], epoch_quanta: int, views: dict[int, tuple[float, float]],
+          memo: dict, *, alpha: float = 1.0, penalty: float = 1.0, factor: float = 1.0):
+    """Each segment of a deal with its members' rates, for admission and the
+    simulator alike: (CLOS id, segments on that CLOS, members, quanta, share
+    of the epoch, [(member, base rate, warm rate)]).  The base rate is the
+    full-allocation load over slowdown x ``alpha`` at the CLOS's (ways, MBA
+    percent) view, and over ``penalty`` too if paired; the warm rate is the
+    base over the warmup ``factor``.  ``memo`` keeps slowdown x alpha per
+    (view, workload name).
+    """
+    for clos_id, _, _, segments in dealt:
+        view = views[clos_id]
+        for members, quanta in segments:
+            paired = penalty if len(members) == 2 else 1.0
+            rates = []
+            for w in members:
+                key = (view, w.name)
+                if key not in memo:
+                    memo[key] = slowdown_xy(w.profile, *view) * alpha
+                base = w.sl_full / (memo[key] * paired)
+                rates.append((w, base, base / factor))
+            yield clos_id, len(segments), members, quanta, quanta / epoch_quanta, rates
 
 
 def admission_control(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
@@ -188,7 +204,7 @@ def admission_control(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
 
     Each round deals the candidates as ``plan_epoch`` does.  Demand is the
     simulator's peak demand, offered / share / rate, per segment (a pair
-    shares its combined window).  The deal repeats every epoch, so on a CLOS
+    shares its combined window), with the rates ``rated`` gives both.  The deal repeats every epoch, so on a CLOS
     with more than one segment each opens with a switch, at the warm rate.
     While the largest demand exceeds 1 - overhead_margin its workload is
     evicted (ties: smallest weight, then last name).
@@ -197,23 +213,19 @@ def admission_control(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
         return (), ()
     candidates, rejected = list(workloads), []
     lc, reference = _checked(candidates, clos_set, reference_state)
-    slowdowns: dict[int, dict[str, float]] = {}  # CLOS id -> workload -> slowdown
+    views = {cfg.id: (cfg.width, cfg.mba_percent) for cfg in lc}
+    memo: dict = {}
     while candidates:
         ranked, weights = _ranked(candidates, reference)
         worst = (-1.0, 0.0, "")  # (demand, -weight, name) of the largest demand
-        for cfg, _, _, segments in _deal(ranked, weights, lc, 0, epoch_quanta, True):
-            warm = warmup_window > 0 and len(segments) > 1
-            memo = slowdowns.setdefault(cfg.id, {})
-            for members, quanta in segments:
-                share = quanta / epoch_quanta
-                penalty = pairing_penalty if len(members) == 2 else 1.0
-                for w in members:
-                    if w.name not in memo:
-                        memo[w.name] = slowdown_xy(w.profile, cfg.width, cfg.mba_percent)
-                    base, warmed = segment_rates(w.sl_full, memo[w.name], penalty, warmup_factor)
-                    demand = w.offered_load / share / (warmed if warm else base)
-                    if demand >= worst[0] and (demand, -weights[w.name], w.name) > worst:
-                        worst, evicted = (demand, -weights[w.name], w.name), w
+        for _, n_segments, _, _, share, rates in rated(
+                _deal(ranked, weights, lc, 0, epoch_quanta, True), epoch_quanta, views, memo,
+                penalty=pairing_penalty, factor=warmup_factor):
+            warm = warmup_window > 0 and n_segments > 1
+            for w, base, warmed in rates:
+                demand = w.offered_load / share / (warmed if warm else base)
+                if demand >= worst[0] and (demand, -weights[w.name], w.name) > worst:
+                    worst, evicted = (demand, -weights[w.name], w.name), w
         if worst[0] <= 1.0 - overhead_margin:
             break
         candidates.remove(evicted)

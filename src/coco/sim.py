@@ -25,13 +25,12 @@ import random
 from dataclasses import dataclass
 
 from coco.closconfig import ClosSet
-from coco.core import AllocationState, WorkloadSpec, slowdown_xy
+from coco.core import AllocationState, WorkloadSpec
 from coco.errors import InfeasibleSloError
 # the scenario value types live in coco.params; re-exported for callers of coco.sim
 from coco.params import (MAX_DURATION, MAX_EPOCH_QUANTA, POLICIES, Policy, PolicySpec,
                          Scenario, WarmupParams, anti_monotone_set)
-from coco.scheduler import (Segment, admission_control, plan_epoch, round_robin_plan,
-                            segment_rates)
+from coco.scheduler import _checked, _deal, _ranked, admission_control, rated
 
 VIOLATION_SLACK = 1e-9
 _VIRTUAL_CLOS = -1
@@ -139,21 +138,6 @@ def _jitter_factors(scenario: Scenario, rng: random.Random) -> dict[str, float]:
             for w in scenario.workloads}
 
 
-def _schedule(scenario: Scenario, workloads: tuple[WorkloadSpec, ...],
-              clos_set: ClosSet | None, reference: AllocationState | None,
-              epoch: int) -> dict[int, tuple[Segment, ...]]:
-    """One epoch's segments per CLOS, from the policy's planner."""
-    planner = POLICIES[scenario.policy].planner
-    if planner == "rr":
-        return round_robin_plan(workloads, clos_set, scenario.epoch_quanta,
-                                epoch=epoch).schedule
-    if planner == "weighted":
-        return plan_epoch(workloads, clos_set, scenario.epoch_quanta,
-                          reference_state=reference).schedule
-    return {_VIRTUAL_CLOS: (Segment(tuple(w.name for w in workloads),
-                                    scenario.epoch_quanta),)}
-
-
 def _simulate(scenario: Scenario, *, apply_admission: bool
               ) -> tuple[dict[str, _Tally], int, tuple[WorkloadSpec, ...]]:
     """Core loop shared by run_scenario and max_affordable_load.
@@ -183,12 +167,17 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
     if not workloads:
         return tallies, migrations, workloads
 
-    by_name = {w.name: w for w in workloads}
     alpha = scenario.interference_alpha if spec.shared else 1.0
     penalty = scenario.pairing_penalty if spec.planner == "weighted" else 1.0
     window, factor = scenario.warmup.window, scenario.warmup.factor
     slack = 1.0 + VIOLATION_SLACK
-    prev_members: dict[int, tuple[str, ...]] = {}
+    epoch_quanta = scenario.epoch_quanta
+    if spec.planner != "shared":  # rr ranks as if equally slowed: by name, equal weights
+        lc, slowdowns = (_checked(workloads, clos_set, reference) if spec.planner == "weighted"
+                         else (clos_set.lc_configs(), {w.name: 1.0 for w in workloads}))
+        ranked, weights = _ranked(workloads, slowdowns)
+    memo: dict = {}
+    prev_members: dict[int, frozenset[str]] = {}
     # Without jitter the schedule has period P: rr rotates by one LC CLOS per
     # epoch and the other planners plan once.  Each CLOS's previous members
     # are periodic from epoch P on (before it, a CLOS left empty can reach
@@ -196,40 +185,37 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
     # of its phase.  A jittered run is the case P = duration.
     duration = scenario.duration
     period = (duration if scenario.load_jitter > 0
-              else len(clos_set.lc_configs()) if spec.planner == "rr" else 1)
+              else len(lc) if spec.planner == "rr" else 1)
     for epoch in range(min(duration, 2 * period)):
         count = 1 if epoch < period else (duration - 1 - epoch) // period + 1
-        if epoch == 0 or spec.planner == "rr":
-            schedule = _schedule(scenario, workloads, clos_set, reference, epoch)
-            clos_ids = sorted(schedule)
-            views = _views(scenario, clos_set, clos_ids)
+        if epoch == 0 or spec.planner == "rr":  # the shared planner deals itself
+            dealt = ([(_VIRTUAL_CLOS, workloads, [epoch_quanta], [(workloads, epoch_quanta)])]
+                     if spec.planner == "shared" else
+                     _deal(ranked, weights, lc, epoch, epoch_quanta, spec.planner == "weighted"))
+            views = _views(scenario, clos_set, [clos_id for clos_id, *_ in dealt])
+            segments = [(clos_id, frozenset(w.name for w in members), quanta, share, rates)
+                        for clos_id, _, members, quanta, share, rates in rated(
+                            dealt, epoch_quanta, views, memo,
+                            alpha=alpha, penalty=penalty, factor=factor)]
         jit = _jitter_factors(scenario, rng)
-        for clos_id in clos_ids:
-            ways, mba = views[clos_id]
-            for seg in schedule[clos_id]:
-                switched = (clos_id in prev_members
-                            and set(prev_members[clos_id]) != set(seg.members))
-                migrations += count * switched
-                warm = min(window, seg.quanta) if switched else 0
-                # each member, paired or not, runs the segment's whole window
-                share = seg.quanta / scenario.epoch_quanta
-                for name in seg.members:
-                    w = by_name[name]
-                    t = tallies[name]
-                    base, warm_rate = segment_rates(
-                        w.sl_full, slowdown_xy(w.profile, ways, mba) * alpha,
-                        penalty if len(seg.members) == 2 else 1.0, factor)
-                    apportioned = w.offered_load * jit[name] / share
-                    t.violations += count * (
-                        warm * (apportioned > warm_rate * slack)
-                        + (seg.quanta - warm) * (apportioned > base * slack))
-                    t.quanta += count * seg.quanta
-                    rate = warm_rate if warm else base
-                    t.min_affordable = min(t.min_affordable, rate * share)
-                    t.peak_demand = max(t.peak_demand, apportioned / rate)
-                    t.ideal_capacity += count * seg.quanta * base
-                    t.warmup_loss += count * warm * (base - warm_rate)
-                prev_members[clos_id] = seg.members
+        for clos_id, names, quanta, share, rates in segments:
+            switched = clos_id in prev_members and prev_members[clos_id] != names
+            migrations += count * switched
+            warm = min(window, quanta) if switched else 0
+            # each member, paired or not, runs the segment's whole window
+            for w, base, warm_rate in rates:
+                t = tallies[w.name]
+                apportioned = w.offered_load * jit[w.name] / share
+                t.violations += count * (
+                    warm * (apportioned > warm_rate * slack)
+                    + (quanta - warm) * (apportioned > base * slack))
+                t.quanta += count * quanta
+                rate = warm_rate if warm else base
+                t.min_affordable = min(t.min_affordable, rate * share)
+                t.peak_demand = max(t.peak_demand, apportioned / rate)
+                t.ideal_capacity += count * quanta * base
+                t.warmup_loss += count * warm * (base - warm_rate)
+            prev_members[clos_id] = names
     return tallies, migrations, workloads
 
 

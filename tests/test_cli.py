@@ -47,6 +47,7 @@ GRID_WORKLOAD = """\
       grid: {way_levels: %s, mba_levels: [50, 100], slowdowns: [[2.0, 1.5], [1.2, 1.0]]}
 """
 
+REFERENCE_POLICIES = "policies: [coco, coco-conflicting, cat-only, mba-only, rr, none]"
 # reference.yaml edits, each leaving one malformed value
 MALFORMED = {
     "nan-load": ("offered_load: 3000\n", "offered_load: .nan\n"),
@@ -76,6 +77,14 @@ MALFORMED = {
                       "machine: !!timestamp 2020-13-45\n"),
     "tag-bool": ("seed: 42\n", "seed: !!bool maybe\n"),
     "tag-unmatched-timestamp": ("quantum_ms: 100.0\n", "quantum_ms: !!timestamp soon\n"),
+    # a list of policies to compare names at least one, each once
+    "policies-empty": (REFERENCE_POLICIES, "policies: []"),
+    "policies-repeated": (REFERENCE_POLICIES, "policies: [rr, rr]"),
+    # a repeated key is an error, not "the last one wins"
+    "duplicate-workload-key": ("    offered_load: 12000\n",
+                               "    offered_load: 1\n    offered_load: 12000\n"),
+    "duplicate-machine-key": ("  cores: 16\n", "  cores: 16\n  llc_ways: 20\n"),
+    "duplicate-top-key": ("\nsim:\n", "\npolicies: [rr]\nsim:\n"),
 }
 
 # one leaf of a base document at a time is replaced by each of these, or deleted
@@ -180,6 +189,39 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err.count(reference_copy) == 1  # the path is named once
+
+    @pytest.mark.parametrize("case, key", [("duplicate-workload-key", "offered_load"),
+                                           ("duplicate-machine-key", "llc_ways"),
+                                           ("duplicate-top-key", "policies")])
+    def test_duplicate_key_names_key_and_line(self, case, key, reference_copy, capsys):
+        old, new = MALFORMED[case]
+        path = Path(reference_copy)
+        text = path.read_text().replace(old, new)
+        path.write_text(text)
+        # the second of the two keys is the one reported
+        line = [i for i, row in enumerate(text.splitlines(), 1)
+                if row.lstrip(" -").startswith(f"{key}:")][1]
+        assert main(["validate", reference_copy]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {reference_copy}, line {line}: invalid YAML: duplicate key '{key}'\n")
+
+    @pytest.mark.parametrize("case, message", [
+        ("policies-empty", "policies: expected at least one policy"),
+        ("policies-repeated", "policies: policy 'rr' named twice")])
+    def test_policy_list_error_names_the_key(self, case, message, reference_copy, capsys):
+        old, new = MALFORMED[case]
+        path = Path(reference_copy)
+        path.write_text(path.read_text().replace(old, new))
+        assert main(["validate", reference_copy]) == 2
+        assert capsys.readouterr().err == f"error: {reference_copy}: {message}\n"
+
+    def test_absent_policies_compare_all_six(self, reference_copy, capsys):
+        path = Path(reference_copy)
+        path.write_text(path.read_text().replace(REFERENCE_POLICIES, ""))
+        assert main(["compare", reference_copy, "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [r.split(",")[0] for r in rows if ",all," in r] == [
+            "coco", "coco-conflicting", "cat-only", "mba-only", "rr", "none"]
 
     def test_wide_width_names_its_entry(self, reference_copy, capsys):
         old, new = MALFORMED["wide-width"]
@@ -390,6 +432,16 @@ class TestCompare:
         assert capsys.readouterr().err == (
             "error: --policies: unknown policy 'bogus'; expected one of coco, "
             "coco-conflicting, cat-only, mba-only, rr, none\n")
+
+    @pytest.mark.parametrize("flag, message", [
+        (",", "--policies: expected at least one policy"),
+        ("", "--policies: expected at least one policy"),
+        ("coco,coco", "--policies: policy 'coco' named twice"),
+        ("rr, none ,rr", "--policies: policy 'rr' named twice")])
+    def test_empty_or_repeated_policies_rejected(self, flag, message, reference_copy, capsys):
+        assert main(["compare", reference_copy, "--policies", flag]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_table_has_ratios(self, reference_copy, capsys):
         assert main(["compare", reference_copy, "--policies", "coco,none"]) == 0

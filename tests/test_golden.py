@@ -1,9 +1,11 @@
-"""Byte-for-byte regression net for the reference scenario's outputs.
+"""Byte-for-byte regression net for the reference and overload outputs.
 
 The golden files under ``tests/data`` hold the `compare` reports and every
-policy's `run_scenario` serialization on the shipped reference colocation.
-To regenerate them deliberately, run this module as a script from the repo
-root: ``PYTHONPATH=src:tests python tests/test_golden.py``.
+policy's `run_scenario` serialization on the shipped reference colocation,
+which admits every workload, and the `simulate` and `compare` CSV reports
+on the benchmark's overload scenario at seed 101, where admission evicts 90
+of 156 workloads.  To regenerate them deliberately, run this module as a
+script from the repo root: ``PYTHONPATH=src:tests python tests/test_golden.py``.
 """
 
 import dataclasses
@@ -22,6 +24,10 @@ COMPARE_GOLDENS = {"csv": DATA / "reference_compare.golden.csv",
 POLICIES_GOLDEN = DATA / "reference_policies.golden"
 # (load_jitter, seed) pairs each policy runs at
 JITTER_RUNS = ((0.0, 7), (0.2, 7))
+# benchmark/scenarios.py's overload scenario at seed 101, as it writes it
+OVERLOAD = DATA / "overload-101.yaml"
+OVERLOAD_GOLDENS = {command: DATA / f"overload-101_{command}.golden.csv"
+                    for command in ("simulate", "compare")}
 
 
 def policies_text(reference_path) -> str:
@@ -49,6 +55,12 @@ def test_reference_policies(reference_path):
     assert policies_text(reference_path) == POLICIES_GOLDEN.read_text()
 
 
+@pytest.mark.parametrize("command", sorted(OVERLOAD_GOLDENS))
+def test_overload_csv(command, capsys):
+    assert main([command, str(OVERLOAD), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == OVERLOAD_GOLDENS[command].read_text()
+
+
 if __name__ == "__main__":
     import contextlib
     import importlib.resources
@@ -61,3 +73,8 @@ if __name__ == "__main__":
             assert main(["compare", ref, "--format", fmt]) == 0
         path.write_text(out.getvalue())
     POLICIES_GOLDEN.write_text(policies_text(ref))
+    for command, path in OVERLOAD_GOLDENS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([command, str(OVERLOAD), "--format", "csv"]) == 0
+        path.write_text(out.getvalue())

@@ -220,8 +220,24 @@ class TestLibyaml:
                     load_profile_file(profiles, "db"))
 
         fast = load_all()
-        monkeypatch.setattr(scenario, "_Loader", yaml.SafeLoader)  # no libyaml
+        monkeypatch.setattr(scenario, "_Loader", scenario._SafeLoader)  # no libyaml
         assert load_all() == fast
+
+    @pytest.mark.parametrize("loader", ["_Loader", "_SafeLoader"])
+    def test_both_loaders_reject_duplicate_keys(self, loader):
+        # libyaml's error sends the text to the pure-Python loader: both must refuse
+        with pytest.raises(yaml.YAMLError, match="duplicate key 'a'"):
+            yaml.load("m: {a: 1, b: 2, a: 3}\n", Loader=getattr(scenario, loader))
+
+    def test_merge_keys_still_override(self, tmp_path):
+        text = MINIMAL.replace("  - name: web\n", "  - &web\n    name: web\n") + """\
+  - <<: *web
+    name: web-2
+    offered_load: 250.0
+"""
+        web, web2 = (w.spec for w in load_scenario(write(tmp_path, text)).workloads)
+        assert (web2.name, web2.offered_load) == ("web-2", 250.0)
+        assert (web2.slo, web2.profile) == (web.slo, web.profile)
 
     def test_dump_equals_pure_python_dump(self, monkeypatch):
         # the overload benchmark's models: three applications on a 20 x 50 grid

@@ -14,8 +14,8 @@ from coco.core import (Dominance, MachineSpec, SensitivityProfile,
 from coco.errors import EpochUnderflowError
 from coco.scenario import load_scenario
 from coco.scheduler import (admission_control, pair_compatible, plan_epoch,
-                            round_robin_plan, segment_rates)
-from coco.sim import _scaled
+                            round_robin_plan)
+from coco.sim import Policy, Scenario, WarmupParams, _scaled, _simulate
 
 from conftest import SLO, make_workload
 
@@ -226,8 +226,8 @@ def _admission_by_plans(workloads, clos_set, epoch_quanta, *, overhead_margin,
                 for name in seg.members:
                     w = by_name[name]
                     slowdown = slowdown_xy(w.profile, cfg.width, cfg.mba_percent)
-                    base, warm_rate = segment_rates(w.sl_full, slowdown, penalty,
-                                                    warmup_factor)
+                    base = w.sl_full / (slowdown * penalty)
+                    warm_rate = base / warmup_factor
                     demands.append((w.offered_load / share / (warm_rate if warm else base),
                                     -plan.weights[name], name))
         demand, _, name = max(demands)
@@ -283,6 +283,35 @@ class TestAdmissionOracle:
                       warmup_factor=1.15, pairing_penalty=penalty)
         assert (admission_control(workloads, cs, quanta, **kwargs)
                 == _admission_by_plans(workloads, cs, quanta, **kwargs))
+
+
+class TestOneFeasibilityRule:
+    """Admission and the simulator judge feasibility alike: admission evicts
+    the workload with the largest peak demand of a 2-epoch, jitter-free run
+    of every candidate without admission, or nothing if that peak fits."""
+
+    @settings(max_examples=100, deadline=None)
+    @example(case=(REFERENCE_X12.workloads, REFERENCE_X12.effective_clos_set(),
+                   REFERENCE_X12.epoch_quanta), window=2, margin=0.05, penalty=1.05)
+    @given(case=admission_cases(), window=st.sampled_from((0, 2)),
+           margin=st.sampled_from((0.0, 0.05)), penalty=st.sampled_from((1.0, 1.05)))
+    def test_first_eviction_is_the_simulated_peak(self, case, window, margin, penalty):
+        workloads, cs, quanta = case
+        s = Scenario(machine=cs.machine, workloads=workloads, policy=Policy.COCO,
+                     clos_set=cs, epoch_quanta=quanta, duration=2, load_jitter=0.0,
+                     warmup=WarmupParams(window, 1.15), pairing_penalty=penalty,
+                     overhead_margin=margin)
+        tallies, _, _ = _simulate(s, apply_admission=False)
+        _, rejected = admission_control(
+            workloads, cs, quanta, overhead_margin=margin, warmup_window=window,
+            warmup_factor=1.15, pairing_penalty=penalty)
+        if max(t.peak_demand for t in tallies.values()) <= 1.0 - margin:
+            assert rejected == ()
+        else:
+            weights = plan_epoch(workloads, cs, quanta).weights
+            worst = max(workloads, key=lambda w: (tallies[w.name].peak_demand,
+                                                  -weights[w.name], w.name))
+            assert rejected and rejected[0].name == worst.name
 
 
 def _random_scenario(rng: random.Random):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from coco import sim
 from coco.calibration import calibrated_profile, reference_machine
 from coco.closconfig import ClosConfig, ClosSet, default_partition
 from coco.core import AllocationState, MachineSpec, SloSpec, WorkloadSpec, slowdown_xy
@@ -411,7 +412,25 @@ class TestRepeatedEpochs:
         lookups = []
         for duration in (2 * period, 50):
             s = dataclasses.replace(REFERENCE, policy=policy, duration=duration)
-            with mock.patch("coco.sim.slowdown_xy", wraps=slowdown_xy) as counted:
+            with mock.patch("coco.scheduler.slowdown_xy", wraps=slowdown_xy) as counted:
                 run_scenario(s)
             lookups.append(counted.call_count)
         assert lookups[0] == lookups[1] > 0
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the simulator built an EpochPlan")
+
+
+class TestOneRatingPass:
+    def test_simulation_builds_no_plan(self):
+        # the simulator deals and rates through the scheduler's generator;
+        # plan_epoch and round_robin_plan are public wrappers it never calls
+        assert not {"plan_epoch", "round_robin_plan", "slowdown_xy"} & vars(sim).keys()
+        with (mock.patch("coco.scheduler.plan_epoch", _refuse),
+              mock.patch("coco.scheduler.round_robin_plan", _refuse)):
+            for jitter in (0.0, 0.2):
+                s = dataclasses.replace(REFERENCE, load_jitter=jitter)
+                for policy in Policy:
+                    run_scenario(dataclasses.replace(s, policy=policy))
+                compare_policies(s, list(Policy))
