@@ -37,8 +37,13 @@ def _write_output(path: str | None, content: str) -> None:
         sys.stdout.write(content)
         return
     tmp = Path(path + ".tmp")
-    tmp.write_text(content)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(content)
+        os.replace(tmp, path)
+    except OSError as e:
+        if tmp.is_file():  # written, or half-written, before the failure
+            tmp.unlink()
+        raise CocoError(f"{path}: {e.strerror or e}") from None
 
 
 def _metrics_csv_rows(policy: Policy, metrics: SimMetrics,

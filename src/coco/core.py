@@ -18,6 +18,10 @@ from coco.errors import ValidationError
 # files, inline grids); genuine violations are orders of magnitude larger.
 MONOTONE_EPS = 1e-9
 
+# How far below 1 a slowdown may round (profile grids, scheduling weights):
+# one bound, so a grid that loads also schedules.
+SLOWDOWN_SLACK = 1e-12
+
 DOMINANCE_THETA = 1.5
 
 # Above x86 resctrl's 32-bit capacity bit-mask with room to spare; a model
@@ -128,13 +132,13 @@ class SensitivityProfile:
             raise ValidationError("slowdown grid shape does not match axis levels")
         if not (math.isfinite(self.sl_full) and self.sl_full > 0):
             raise ValidationError("sl_full must be finite and > 0")
-        if abs(grid[-1][-1] - 1.0) > 1e-12:
+        if abs(grid[-1][-1] - 1.0) > SLOWDOWN_SLACK:
             raise ValidationError("slowdown at full allocation must be 1.0")
         for i, row in enumerate(grid):
             for j, s in enumerate(row):
                 if not math.isfinite(s):
                     raise ValidationError(f"slowdown not finite at grid point ({i},{j})")
-                if s < 1.0 - 1e-12:
+                if s < 1.0 - SLOWDOWN_SLACK:
                     raise ValidationError(f"slowdown < 1 at grid point ({i},{j})")
                 if i + 1 < len(ways) and grid[i + 1][j] > s + MONOTONE_EPS:
                     raise ValidationError("slowdown not monotone along the ways axis")
@@ -221,7 +225,7 @@ def weights_of(slowdowns: list[float]) -> list[float]:
     if not slowdowns:
         raise ValidationError("weights_of requires a nonempty slowdown list")
     for s in slowdowns:
-        if s < 1.0 or not math.isfinite(s):
+        if not (math.isfinite(s) and s >= 1.0 - SLOWDOWN_SLACK):
             raise ValidationError(f"slowdown {s} must be a finite value >= 1")
     total = sum(slowdowns)
     return [s / total for s in slowdowns]

@@ -172,8 +172,8 @@ def round_robin_plan(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
 def rated(dealt: list[tuple], epoch_quanta: int, views: dict[int, tuple[float, float]],
           memo: dict, *, alpha: float = 1.0, penalty: float = 1.0, factor: float = 1.0):
     """Each segment of a deal with its members' rates, for admission and the
-    simulator alike: (CLOS id, segments on that CLOS, members, quanta, share
-    of the epoch, [(member, base rate, warm rate)]).  The base rate is the
+    simulator alike: (CLOS id, segments on that CLOS, quanta, share of the
+    epoch, [(member, base rate, warm rate)]).  The base rate is the
     full-allocation load over slowdown x ``alpha`` at the CLOS's (ways, MBA
     percent) view, and over ``penalty`` too if paired; the warm rate is the
     base over the warmup ``factor``.  ``memo`` keeps slowdown x alpha per
@@ -190,7 +190,7 @@ def rated(dealt: list[tuple], epoch_quanta: int, views: dict[int, tuple[float, f
                     memo[key] = slowdown_xy(w.profile, *view) * alpha
                 base = w.sl_full / (memo[key] * paired)
                 rates.append((w, base, base / factor))
-            yield clos_id, len(segments), members, quanta, quanta / epoch_quanta, rates
+            yield clos_id, len(segments), quanta, quanta / epoch_quanta, rates
 
 
 def admission_control(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
@@ -218,7 +218,7 @@ def admission_control(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
     while candidates:
         ranked, weights = _ranked(candidates, reference)
         worst = (-1.0, 0.0, "")  # (demand, -weight, name) of the largest demand
-        for _, n_segments, _, _, share, rates in rated(
+        for _, n_segments, _, share, rates in rated(
                 _deal(ranked, weights, lc, 0, epoch_quanta, True), epoch_quanta, views, memo,
                 penalty=pairing_penalty, factor=warmup_factor):
             warm = warmup_window > 0 and n_segments > 1

@@ -79,23 +79,16 @@ class CompareResult:
     ratios: dict[Policy, float | None]
 
 
-def _views(scenario: Scenario, clos_set: ClosSet | None,
-           active_ids: list[int]) -> dict[int, tuple[float, float]]:
-    """Effective (ways, MBA percent) each CLOS provides under the policy."""
-    machine = scenario.machine
-    if clos_set is None:
-        # the virtual CLOS: n workloads split whole ways and step-rounded MBA
-        n = len(scenario.workloads)
-        step = machine.mba_step
-        mba = min(100, max(step, ((100 // n + step // 2) // step) * step))
-        return {_VIRTUAL_CLOS: (max(1, machine.llc_ways // n), mba)}
+def _views(scenario: Scenario, clos_set: ClosSet,
+           dealt: list[tuple]) -> dict[int, tuple[float, float]]:
+    """Effective (ways, MBA percent) each dealt CLOS provides under the policy."""
     shared = POLICIES[scenario.policy].shared
-    n_active = max(1, len(active_ids))
+    n_active = max(1, len(dealt))
     views = {}
-    for clos_id in active_ids:
+    for clos_id, *_ in dealt:
         cfg = clos_set.by_id(clos_id)
         views[clos_id] = (
-            machine.llc_ways / n_active if "llc" in shared else cfg.width,
+            scenario.machine.llc_ways / n_active if "llc" in shared else cfg.width,
             100.0 / n_active if "mba" in shared else cfg.mba_percent)
     return views
 
@@ -142,11 +135,12 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
               ) -> tuple[dict[str, _Tally], int, tuple[WorkloadSpec, ...]]:
     """Core loop shared by run_scenario and max_affordable_load.
 
-    A segment runs at two rates: warm for the first min(window, quanta)
-    quanta after a working-set switch on its CLOS, base after that.  So it
-    is tallied once, as count x rate, not quantum by quantum.  Likewise an
-    epoch that recurs is simulated once and its additive tallies weighted
-    by how often it recurs.
+    It rates each distinct epoch of the policy once, as a phase, then walks
+    the epochs.  A segment runs at two rates: warm for the first
+    min(window, quanta) quanta after a working-set switch on its CLOS, base
+    after that.  So it is tallied once, as count x rate, not quantum by
+    quantum.  Likewise an epoch that recurs is simulated once and its
+    additive tallies weighted by how often it recurs.
     """
     spec = POLICIES[scenario.policy]
     tallies = {w.name: _Tally() for w in scenario.workloads}
@@ -171,34 +165,39 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
     penalty = scenario.pairing_penalty if spec.planner == "weighted" else 1.0
     window, factor = scenario.warmup.window, scenario.warmup.factor
     slack = 1.0 + VIOLATION_SLACK
-    epoch_quanta = scenario.epoch_quanta
-    if spec.planner != "shared":  # rr ranks as if equally slowed: by name, equal weights
+    epoch_quanta, duration = scenario.epoch_quanta, scenario.duration
+    # the phases: each distinct epoch's deal, its CLOS views, then its rates
+    if spec.planner == "shared":
+        # one virtual CLOS: n workloads split whole ways and step-rounded MBA
+        machine, n = scenario.machine, len(scenario.workloads)
+        step = machine.mba_step
+        mba = min(100, max(step, ((100 // n + step // 2) // step) * step))
+        plans = [([(_VIRTUAL_CLOS, workloads, [epoch_quanta], [(workloads, epoch_quanta)])],
+                  {_VIRTUAL_CLOS: (max(1, machine.llc_ways // n), mba)})]
+    else:  # rr ranks as if equally slowed: by name, equal weights
         lc, slowdowns = (_checked(workloads, clos_set, reference) if spec.planner == "weighted"
                          else (clos_set.lc_configs(), {w.name: 1.0 for w in workloads}))
         ranked, weights = _ranked(workloads, slowdowns)
+        # rr rotates by one LC CLOS per epoch; the weighted planner deals once
+        offsets = range(min(len(lc), duration) if spec.planner == "rr" else 1)
+        deals = (_deal(ranked, weights, lc, offset, epoch_quanta, spec.planner == "weighted")
+                 for offset in offsets)
+        plans = [(dealt, _views(scenario, clos_set, dealt)) for dealt in deals]
     memo: dict = {}
+    phases = [[(clos_id, frozenset(w.name for w, _, _ in rates), quanta, share, rates)
+               for clos_id, _, quanta, share, rates in rated(
+                   dealt, epoch_quanta, views, memo, alpha=alpha, penalty=penalty, factor=factor)]
+              for dealt, views in plans]
+    # Without jitter the schedule has period P = len(phases).  Each CLOS's
+    # previous members are periodic from epoch P on (before it, a CLOS left
+    # empty can reach back past epoch 0), so epoch e in P..2P-1 stands for
+    # every later epoch of its phase.  A jittered run is the case P = duration.
+    period = duration if scenario.load_jitter > 0 else len(phases)
     prev_members: dict[int, frozenset[str]] = {}
-    # Without jitter the schedule has period P: rr rotates by one LC CLOS per
-    # epoch and the other planners plan once.  Each CLOS's previous members
-    # are periodic from epoch P on (before it, a CLOS left empty can reach
-    # back past epoch 0), so epoch e in P..2P-1 stands for every later epoch
-    # of its phase.  A jittered run is the case P = duration.
-    duration = scenario.duration
-    period = (duration if scenario.load_jitter > 0
-              else len(lc) if spec.planner == "rr" else 1)
     for epoch in range(min(duration, 2 * period)):
         count = 1 if epoch < period else (duration - 1 - epoch) // period + 1
-        if epoch == 0 or spec.planner == "rr":  # the shared planner deals itself
-            dealt = ([(_VIRTUAL_CLOS, workloads, [epoch_quanta], [(workloads, epoch_quanta)])]
-                     if spec.planner == "shared" else
-                     _deal(ranked, weights, lc, epoch, epoch_quanta, spec.planner == "weighted"))
-            views = _views(scenario, clos_set, [clos_id for clos_id, *_ in dealt])
-            segments = [(clos_id, frozenset(w.name for w in members), quanta, share, rates)
-                        for clos_id, _, members, quanta, share, rates in rated(
-                            dealt, epoch_quanta, views, memo,
-                            alpha=alpha, penalty=penalty, factor=factor)]
         jit = _jitter_factors(scenario, rng)
-        for clos_id, names, quanta, share, rates in segments:
+        for clos_id, names, quanta, share, rates in phases[epoch % len(phases)]:
             switched = clos_id in prev_members and prev_members[clos_id] != names
             migrations += count * switched
             warm = min(window, quanta) if switched else 0

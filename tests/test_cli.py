@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import importlib.resources
 import io
 import math
@@ -260,6 +261,18 @@ class TestValidate:
             f"error: {path}: workloads[0].model: SLO bound 1.5 ms below zero-load "
             "latency 2.0 ms\n")
 
+    def test_grid_within_slowdown_slack_runs(self, reference_copy, capsys):
+        # a slowdown that rounds just below 1 loads, and so it also schedules
+        low = 0.9999999999995
+        path = Path(reference_copy)
+        path.write_text(path.read_text().replace(
+            "    profile: {calibration: mongodb, sl_full: 30000}\n",
+            "    profile:\n      grid: {way_levels: [1, 20], mba_levels: [50, 100], "
+            f"slowdowns: [[{low}, {low}], [{low}, 1.0]]}}\n", 1))
+        for command in ("validate", "simulate", "compare"):
+            assert main([command, reference_copy]) == 0, command
+        assert capsys.readouterr().err == ""
+
     def test_mixed_fuzz_base_loads(self, tmp_path, capsys):
         path = tmp_path / "mixed.yaml"
         path.write_text(yaml.safe_dump(MIXED_DOC))
@@ -474,6 +487,28 @@ class TestSimulate:
         out = tmp_path / "out.csv"
         assert main(["simulate", str(bad), "-o", str(out)]) == 2
         assert not out.exists()
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["simulate", "compare", "profile"])
+    @pytest.mark.parametrize("target, code", [("missing-dir", errno.ENOENT),
+                                              ("directory", errno.EISDIR)])
+    def test_one_line_error_and_no_files(self, command, target, code, tmp_path, capsys):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(MODEL_SCENARIO)
+        out = tmp_path / "out"
+        if target == "directory":
+            out.mkdir()
+        else:
+            out = out / "x.csv"
+        assert main([command, str(scenario), "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {out}: {os.strerror(code)}\n")
+        assert list(tmp_path.rglob("*.tmp")) == []
+        if target == "directory":  # left as it was
+            assert list(out.iterdir()) == []
+        else:
+            assert not out.parent.exists()
 
 
 class TestProfileCommand:

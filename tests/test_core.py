@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coco.calibration import calibrated_profile
-from coco.core import (AllocationState, Dominance, MachineSpec,
+from coco.core import (SLOWDOWN_SLACK, AllocationState, Dominance, MachineSpec,
                        SensitivityProfile, SloSpec, WorkloadSpec, dominance_of,
                        retainment_at, slowdown_at, weights_of)
 from coco.errors import ValidationError
@@ -149,6 +149,16 @@ class TestWeightsOf:
     def test_below_one_rejected(self):
         with pytest.raises(ValidationError):
             weights_of([1.5, 0.9])
+
+    def test_same_lower_bound_as_profiles(self):
+        lowest = 1.0 - SLOWDOWN_SLACK
+        SensitivityProfile((1, 2), (100,), ((lowest,), (1.0,)))
+        assert weights_of([lowest, 1.0]) == pytest.approx([0.5, 0.5])
+        below = lowest - 1e-13
+        with pytest.raises(ValidationError):
+            SensitivityProfile((1, 2), (100,), ((below,), (1.0,)))
+        with pytest.raises(ValidationError):
+            weights_of([below, 1.0])
 
     @given(slowdown_vectors())
     def test_sums_to_one(self, sds):

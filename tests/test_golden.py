@@ -3,12 +3,17 @@
 The golden files under ``tests/data`` hold the `compare` reports and every
 policy's `run_scenario` serialization on the shipped reference colocation,
 which admits every workload, and the `simulate` and `compare` CSV reports
-on the benchmark's overload scenario at seed 101, where admission evicts 90
-of 156 workloads.  To regenerate them deliberately, run this module as a
-script from the repo root: ``PYTHONPATH=src:tests python tests/test_golden.py``.
+on two of the benchmark's scenarios at seed 101: overload, where admission
+evicts 90 of 156 workloads, and fleet, with 60 workloads on the default
+16-CLOS partition at `mba_step` 5, where rr runs fewer epochs (10) than
+there are LC CLOSs (15).  To regenerate them deliberately, run this module
+as a script from the repo root:
+``PYTHONPATH=src:tests python tests/test_golden.py``.
 """
 
+import contextlib
 import dataclasses
+import io
 import shutil
 from pathlib import Path
 
@@ -24,10 +29,18 @@ COMPARE_GOLDENS = {"csv": DATA / "reference_compare.golden.csv",
 POLICIES_GOLDEN = DATA / "reference_policies.golden"
 # (load_jitter, seed) pairs each policy runs at
 JITTER_RUNS = ((0.0, 7), (0.2, 7))
-# benchmark/scenarios.py's overload scenario at seed 101, as it writes it
-OVERLOAD = DATA / "overload-101.yaml"
-OVERLOAD_GOLDENS = {command: DATA / f"overload-101_{command}.golden.csv"
-                    for command in ("simulate", "compare")}
+# benchmark/scenarios.py's scenarios at seed 101, as it writes them
+GENERATED = ("overload-101", "fleet-101")
+CSV_GOLDENS = {(name, command): DATA / f"{name}_{command}.golden.csv"
+               for name in GENERATED for command in ("simulate", "compare")}
+
+
+def csv_report(name: str, command: str) -> str:
+    """The CSV report of ``command`` on a generated scenario."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([command, str(DATA / f"{name}.yaml"), "--format", "csv"]) == 0
+    return out.getvalue()
 
 
 def policies_text(reference_path) -> str:
@@ -55,16 +68,18 @@ def test_reference_policies(reference_path):
     assert policies_text(reference_path) == POLICIES_GOLDEN.read_text()
 
 
-@pytest.mark.parametrize("command", sorted(OVERLOAD_GOLDENS))
-def test_overload_csv(command, capsys):
-    assert main([command, str(OVERLOAD), "--format", "csv"]) == 0
-    assert capsys.readouterr().out == OVERLOAD_GOLDENS[command].read_text()
+@pytest.mark.parametrize("command", ["compare", "simulate"])
+def test_overload_csv(command):
+    assert csv_report("overload-101", command) == CSV_GOLDENS["overload-101", command].read_text()
+
+
+@pytest.mark.parametrize("command", ["compare", "simulate"])
+def test_fleet_csv(command):
+    assert csv_report("fleet-101", command) == CSV_GOLDENS["fleet-101", command].read_text()
 
 
 if __name__ == "__main__":
-    import contextlib
     import importlib.resources
-    import io
 
     ref = str(importlib.resources.files("coco") / "data" / "reference.yaml")
     for fmt, path in COMPARE_GOLDENS.items():
@@ -73,8 +88,5 @@ if __name__ == "__main__":
             assert main(["compare", ref, "--format", fmt]) == 0
         path.write_text(out.getvalue())
     POLICIES_GOLDEN.write_text(policies_text(ref))
-    for command, path in OVERLOAD_GOLDENS.items():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main([command, str(OVERLOAD), "--format", "csv"]) == 0
-        path.write_text(out.getvalue())
+    for (name, command), path in CSV_GOLDENS.items():
+        path.write_text(csv_report(name, command))

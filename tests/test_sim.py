@@ -1,6 +1,10 @@
+import ast
 import dataclasses
 import importlib.resources
+import inspect
 import math
+import textwrap
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -13,6 +17,7 @@ from coco.closconfig import ClosConfig, ClosSet, default_partition
 from coco.core import AllocationState, MachineSpec, SloSpec, WorkloadSpec, slowdown_xy
 from coco.errors import InfeasibleSloError, ValidationError
 from coco.scenario import load_scenario
+from coco.scheduler import plan_epoch
 from coco.sim import (Policy, Scenario, WarmupParams, _scaled, _simulate,
                       _total_violations, anti_monotone_set, compare_policies,
                       max_affordable_load, run_scenario)
@@ -305,6 +310,23 @@ class TestPolicies:
             dataclasses.replace(base, policy=Policy.COCO_CONFLICTING))
         assert good.metrics.total_retainment > bad.metrics.total_retainment
 
+    def test_conflicting_strictly_worse_where_the_swap_binds(self):
+        # the fixture's binding workload keeps its CLOS under both sets, and
+        # the anti-monotone swap cuts that CLOS's bandwidth share
+        base = load_scenario(str(Path(__file__).parent / "data" / "swap-binds.yaml")).scenario()
+        totals, binds = {}, {}
+        for policy in (Policy.COCO, Policy.COCO_CONFLICTING):
+            s = dataclasses.replace(base, policy=policy)
+            tallies, _, _ = _simulate(s, apply_admission=False)
+            binding = max(tallies, key=lambda name: tallies[name].peak_demand)
+            clos_set = s.effective_clos_set()
+            plan = plan_epoch(s.workloads, clos_set, s.epoch_quanta,
+                              reference_state=sim._reference_state(s, clos_set))
+            binds[policy] = binding, clos_set.by_id(plan.slice_of(binding).clos_id).mba_percent
+            totals[policy] = max_affordable_load(s).metrics.total_retainment
+        assert binds == {Policy.COCO: ("nginx-b", 50), Policy.COCO_CONFLICTING: ("nginx-b", 10)}
+        assert totals[Policy.COCO] > totals[Policy.COCO_CONFLICTING]
+
     def test_policy_ordering_on_reference(self, reference):
         res = compare_policies(reference.scenario(), list(Policy))
         totals = {p: m.total_retainment for p, m in res.rows}
@@ -434,3 +456,31 @@ class TestOneRatingPass:
                 for policy in Policy:
                     run_scenario(dataclasses.replace(s, policy=policy))
                 compare_policies(s, list(Policy))
+
+
+class TestPlanThenWalk:
+    @pytest.mark.parametrize("path", [
+        str(importlib.resources.files("coco") / "data" / "reference.yaml"),
+        str(Path(__file__).parent / "data" / "fleet-101.yaml")], ids=["reference", "fleet-101"])
+    def test_jittered_rr_deals_each_rotation_once(self, path):
+        # an rr deal depends only on the epoch modulo the LC CLOS count, so a
+        # jittered run that walks every epoch deals min(LC CLOSs, duration) times
+        base = dataclasses.replace(load_scenario(path).scenario(),
+                                   policy=Policy.ROUND_ROBIN, load_jitter=0.1)
+        n_lc = len(base.effective_clos_set().lc_configs())
+        for duration in (3, 2 * n_lc, 2000):
+            with (mock.patch("coco.sim._deal", wraps=sim._deal) as deals,
+                  mock.patch("coco.sim.rated", wraps=sim.rated) as rates):
+                run_scenario(dataclasses.replace(base, duration=duration))
+            assert deals.call_count == rates.call_count == min(n_lc, duration), duration
+
+    def test_epoch_loop_only_tallies(self):
+        # every deal, rating and planner test happens before the epoch loop
+        tree = ast.parse(textwrap.dedent(inspect.getsource(sim._simulate)))
+        loop, = [node for node in ast.walk(tree) if isinstance(node, ast.For)
+                 and isinstance(node.target, ast.Name) and node.target.id == "epoch"]
+        names = {node.id for node in ast.walk(loop) if isinstance(node, ast.Name)}
+        attributes = {node.attr for node in ast.walk(loop) if isinstance(node, ast.Attribute)}
+        assert "_jitter_factors" in names
+        assert not {"_deal", "rated", "spec"} & names
+        assert "planner" not in attributes
