@@ -43,7 +43,8 @@ def _write_output(path: str | None, content: str) -> None:
     except OSError as e:
         if tmp.is_file():  # written, or half-written, before the failure
             tmp.unlink()
-        raise CocoError(f"{path}: {e.strerror or e}") from None
+        # a .tmp that is still there was not ours to write: name it, leave it
+        raise CocoError(f"{tmp if tmp.exists() else path}: {e.strerror or e}") from None
 
 
 def _metrics_csv_rows(policy: Policy, metrics: SimMetrics,

@@ -196,13 +196,14 @@ def rated(dealt: list[tuple], epoch_quanta: int, views: dict[int, tuple[float, f
 def admission_control(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
                       epoch_quanta: int, *,
                       overhead_margin: float = 0.0,
-                      reference_state: AllocationState | None = None,
                       warmup_window: int = 0, warmup_factor: float = 1.0,
                       pairing_penalty: float = 1.0,
                       ) -> tuple[tuple[WorkloadSpec, ...], tuple[WorkloadSpec, ...]]:
     """Evict workloads until every remaining one can serve its offered load.
 
-    Each round deals the candidates as ``plan_epoch`` does.  Demand is the
+    While a CLOS would get more members than ``epoch_quanta``, the
+    last-ranked workload is evicted: it is dealt onto a fullest CLOS.  Then
+    each round deals the candidates as ``plan_epoch`` does.  Demand is the
     simulator's peak demand, offered / share / rate, per segment (a pair
     shares its combined window), with the rates ``rated`` gives both.  The deal repeats every epoch, so on a CLOS
     with more than one segment each opens with a switch, at the warm rate.
@@ -212,7 +213,11 @@ def admission_control(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
     if not workloads:
         return (), ()
     candidates, rejected = list(workloads), []
-    lc, reference = _checked(candidates, clos_set, reference_state)
+    lc, reference = _checked(candidates, clos_set, None)
+    while len(candidates) > len(lc) * epoch_quanta:
+        evicted = _ranked(candidates, reference)[0][-1]  # smallest weight, then last name
+        candidates.remove(evicted)
+        rejected.append(evicted)
     views = {cfg.id: (cfg.width, cfg.mba_percent) for cfg in lc}
     memo: dict = {}
     while candidates:

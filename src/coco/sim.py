@@ -146,12 +146,11 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
     tallies = {w.name: _Tally() for w in scenario.workloads}
     rng = random.Random(scenario.seed)
     clos_set = scenario.effective_clos_set()
-    reference = None if clos_set is None else _reference_state(scenario, clos_set)
     workloads = scenario.workloads
     if apply_admission and spec.admission:
         workloads, rejected = admission_control(
             workloads, clos_set, scenario.epoch_quanta,
-            overhead_margin=scenario.overhead_margin, reference_state=reference,
+            overhead_margin=scenario.overhead_margin,
             warmup_window=scenario.warmup.window, warmup_factor=scenario.warmup.factor,
             pairing_penalty=scenario.pairing_penalty)
         for w in rejected:
@@ -175,7 +174,8 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
         plans = [([(_VIRTUAL_CLOS, workloads, [epoch_quanta], [(workloads, epoch_quanta)])],
                   {_VIRTUAL_CLOS: (max(1, machine.llc_ways // n), mba)})]
     else:  # rr ranks as if equally slowed: by name, equal weights
-        lc, slowdowns = (_checked(workloads, clos_set, reference) if spec.planner == "weighted"
+        lc, slowdowns = (_checked(workloads, clos_set, _reference_state(scenario, clos_set))
+                         if spec.planner == "weighted"
                          else (clos_set.lc_configs(), {w.name: 1.0 for w in workloads}))
         ranked, weights = _ranked(workloads, slowdowns)
         # rr rotates by one LC CLOS per epoch; the weighted planner deals once
@@ -229,18 +229,23 @@ def _overhead(tallies: dict[str, _Tally]) -> float:
 def _metrics_from(scenario: Scenario, tallies: dict[str, _Tally],
                   migrations: int,
                   affordable: dict[str, float] | None = None) -> SimMetrics:
-    """Per-workload metrics; affordable loads default to the capacity view."""
+    """Per-workload metrics; affordable loads default to the capacity view.
+
+    Given affordable loads, violations read 0: at the boundary m* every
+    quantum's m* x apportioned / rate is at most 1 but for rounding, well
+    inside VIOLATION_SLACK.  The tests re-simulate at m* to check this.
+    """
     per = {}
     total_ret = 0.0
     for w in scenario.workloads:
         t = tallies[w.name]
         if affordable is None:
-            load = 0.0 if t.quanta == 0 else t.min_affordable
+            load, violations = (0.0 if t.quanta == 0 else t.min_affordable), t.violations
         else:
-            load = affordable[w.name]
+            load, violations = affordable[w.name], 0
         retainment = load / w.sl_full
         total_ret += retainment
-        per[w.name] = WorkloadMetrics(load, retainment, t.violations, t.quanta)
+        per[w.name] = WorkloadMetrics(load, retainment, violations, t.quanta)
     return SimMetrics(per, migrations, _overhead(tallies), total_ret)
 
 
@@ -256,34 +261,22 @@ def run_scenario(scenario: Scenario) -> SimMetrics:
     return _metrics_from(scenario, tallies, migrations)
 
 
-def _scaled(scenario: Scenario, multiplier: float) -> Scenario:
-    return dataclasses.replace(scenario, workloads=tuple(
-        dataclasses.replace(w, offered_load=w.offered_load * multiplier)
-        for w in scenario.workloads))
-
-
-def _total_violations(scenario: Scenario, multiplier: float) -> int:
-    tallies, _, _ = _simulate(_scaled(scenario, multiplier), apply_admission=False)
-    return sum(t.violations for t in tallies.values())
-
-
 def max_affordable_load(scenario: Scenario) -> AffordableResult:
     """Largest uniform scaling of all offered loads with zero SLO violations.
 
     Scaling loads by m changes no schedule, so a quantum violates iff
     m * apportioned > rate * (1 + VIOLATION_SLACK), and the boundary is
-    m* = 1 / max(apportioned / rate) over every active segment: one pass at
-    the stated loads finds it, a second at m* reports (and counts) the
-    outcome.  Admission control is bypassed: the boundary is that of the
-    full workload set.
+    m* = 1 / max(apportioned / rate) over every active segment.  The one
+    pass at the stated loads that finds it also gives the outcome at m*:
+    quanta, migrations and warmup overhead do not depend on the loads.
+    Admission control is bypassed: the boundary is that of the full
+    workload set.
     """
-    tallies, _, _ = _simulate(scenario, apply_admission=False)
+    tallies, migrations, _ = _simulate(scenario, apply_admission=False)
     peak = max(t.peak_demand for t in tallies.values())
     if peak == 0:
         raise InfeasibleSloError("all offered loads are zero; nothing to scale")
     m_star = 1.0 / peak
-    tallies, migrations, _ = _simulate(_scaled(scenario, m_star),
-                                       apply_admission=False)
     affordable = {w.name: w.offered_load * m_star for w in scenario.workloads}
     return AffordableResult(
         m_star, affordable, _metrics_from(scenario, tallies, migrations, affordable))

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.resources
 
 import pytest
@@ -7,6 +8,7 @@ from coco.calibration import reference_machine
 from coco.closconfig import default_partition
 from coco.core import (AllocationState, MachineSpec, SensitivityProfile,
                        SloSpec, WorkloadSpec)
+from coco.sim import Scenario, _simulate
 
 SLO = SloSpec(percentile=0.99, latency_bound_ms=10.0)
 
@@ -43,6 +45,19 @@ def make_workload(name: str, slowdown: float, reference: AllocationState,
     """Workload with an exact slowdown at the scheduler's reference state."""
     profile = step_profile(reference, slowdown, llc_ways, sl_full)
     return WorkloadSpec(name, SLO, profile, offered)
+
+
+def _scaled(scenario: Scenario, multiplier: float) -> Scenario:
+    """The scenario with every offered load multiplied by ``multiplier``."""
+    return dataclasses.replace(scenario, workloads=tuple(
+        dataclasses.replace(w, offered_load=w.offered_load * multiplier)
+        for w in scenario.workloads))
+
+
+def _total_violations(scenario: Scenario, multiplier: float) -> int:
+    """Violations of a fresh simulation at the scaled loads, without admission."""
+    tallies, _, _ = _simulate(_scaled(scenario, multiplier), apply_admission=False)
+    return sum(t.violations for t in tallies.values())
 
 
 @st.composite

@@ -481,6 +481,18 @@ class TestSimulate:
         assert main(["compare", reference_copy]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_one_quantum_per_epoch(self, reference_copy, capsys):
+        # one quantum for two workloads per CLOS: admission evicts the
+        # last-ranked workloads until each CLOS has one; compare has no admission
+        path = Path(reference_copy)
+        path.write_text(path.read_text().replace("epoch_quanta: 20", "epoch_quanta: 1"))
+        assert main(["simulate", reference_copy, "--format", "csv"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert sorted(r[1] for r in rows if r[4] != "0") == ["memcached-a", "memcached-b",
+                                                              "nginx-b"]
+        assert main(["compare", reference_copy]) == 3
+        assert capsys.readouterr().err == "error: epoch underflow: 1 quanta for 2 workloads\n"
+
     def test_no_partial_output_on_error(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("not: [valid\n")
@@ -492,7 +504,8 @@ class TestSimulate:
 class TestUnwritableOutput:
     @pytest.mark.parametrize("command", ["simulate", "compare", "profile"])
     @pytest.mark.parametrize("target, code", [("missing-dir", errno.ENOENT),
-                                              ("directory", errno.EISDIR)])
+                                              ("directory", errno.EISDIR),
+                                              ("occupied-tmp", errno.EISDIR)])
     def test_one_line_error_and_no_files(self, command, target, code, tmp_path, capsys):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(MODEL_SCENARIO)
@@ -501,9 +514,16 @@ class TestUnwritableOutput:
             out.mkdir()
         else:
             out = out / "x.csv"
+        at_fault = out
+        if target == "occupied-tmp":  # a directory where the temporary file goes
+            at_fault = Path(f"{out}.tmp")
+            at_fault.mkdir(parents=True)
         assert main([command, str(scenario), "-o", str(out)]) == 2
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"error: {out}: {os.strerror(code)}\n")
+        assert (captured.out, captured.err) == ("", f"error: {at_fault}: {os.strerror(code)}\n")
+        if target == "occupied-tmp":  # named, left as it was, and nothing else written
+            assert sorted(out.parent.rglob("*")) == [at_fault]
+            return
         assert list(tmp_path.rglob("*.tmp")) == []
         if target == "directory":  # left as it was
             assert list(out.iterdir()) == []

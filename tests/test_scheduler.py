@@ -15,9 +15,9 @@ from coco.errors import EpochUnderflowError
 from coco.scenario import load_scenario
 from coco.scheduler import (admission_control, pair_compatible, plan_epoch,
                             round_robin_plan)
-from coco.sim import Policy, Scenario, WarmupParams, _scaled, _simulate
+from coco.sim import Policy, Scenario, WarmupParams, _simulate
 
-from conftest import SLO, make_workload
+from conftest import SLO, _scaled, make_workload
 
 REFERENCE_X12 = _scaled(load_scenario(
     str(importlib.resources.files("coco") / "data" / "reference.yaml")).scenario(), 1.2)
@@ -179,6 +179,16 @@ class TestAdmissionControl:
     def test_empty_input(self):
         cs = default_partition(machine())
         assert admission_control([], cs, 10) == ((), ())
+
+    def test_underflow_evicts_the_last_ranked(self):
+        # test_epoch_underflow's setup: 5 workloads, 1 LC CLOS, 4 quanta
+        cs = default_partition(machine(ways=8, clos=2))
+        ref = reference_of(cs)
+        ws = [make_workload(f"w{i}", sd, ref, llc_ways=8)
+              for i, sd in enumerate((2.0, 1.5, 3.0, 1.2, 2.5))]
+        admitted, rejected = admission_control(ws, cs, 4)
+        assert rejected == (ws[3],)  # the smallest weight
+        assert admitted == tuple(ws[:3] + ws[4:])
 
     def test_one_deal_per_round(self, monkeypatch):
         # one deal per round: the rounds are len(rejected) + 1

@@ -18,11 +18,10 @@ from coco.core import AllocationState, MachineSpec, SloSpec, WorkloadSpec, slowd
 from coco.errors import InfeasibleSloError, ValidationError
 from coco.scenario import load_scenario
 from coco.scheduler import plan_epoch
-from coco.sim import (Policy, Scenario, WarmupParams, _scaled, _simulate,
-                      _total_violations, anti_monotone_set, compare_policies,
-                      max_affordable_load, run_scenario)
+from coco.sim import (Policy, Scenario, WarmupParams, _simulate, anti_monotone_set,
+                      compare_policies, max_affordable_load, run_scenario)
 
-from conftest import SLO, make_workload
+from conftest import SLO, _scaled, _total_violations, make_workload
 
 NO_WARMUP = WarmupParams(window=0, factor=1.0)
 REFERENCE = load_scenario(
@@ -456,6 +455,37 @@ class TestOneRatingPass:
                 for policy in Policy:
                     run_scenario(dataclasses.replace(s, policy=policy))
                 compare_policies(s, list(Policy))
+
+
+def two_pass(s: Scenario) -> sim.AffordableResult:
+    """The affordable-load search as two passes: one at the stated loads
+    finds m*, a fresh one at m* gives the metrics and counts no violation."""
+    tallies, _, _ = _simulate(s, apply_admission=False)
+    m_star = 1.0 / max(t.peak_demand for t in tallies.values())
+    tallies, migrations, _ = _simulate(_scaled(s, m_star), apply_admission=False)
+    assert sum(t.violations for t in tallies.values()) == 0
+    affordable = {w.name: w.offered_load * m_star for w in s.workloads}
+    return sim.AffordableResult(
+        m_star, affordable, sim._metrics_from(s, tallies, migrations, affordable))
+
+
+class TestOneSearchPass:
+    def test_compare_simulates_once_per_policy(self):
+        with mock.patch("coco.sim._simulate", wraps=sim._simulate) as passes:
+            compare_policies(REFERENCE, list(Policy))
+        assert passes.call_count == len(Policy)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_scenarios())
+    def test_equals_two_passes(self, s):
+        assume(any(w.offered_load > 0 for w in s.workloads))
+        assert max_affordable_load(s) == two_pass(s)
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.2])
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_equals_two_passes_on_reference(self, policy, jitter):
+        s = dataclasses.replace(REFERENCE, policy=policy, load_jitter=jitter)
+        assert max_affordable_load(s) == two_pass(s)
 
 
 class TestPlanThenWalk:
