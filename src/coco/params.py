@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
@@ -112,6 +113,17 @@ class Scenario:
             raise ValidationError("load_jitter must be in [0, 1)")
         if not 0 <= self.overhead_margin < 1:
             raise ValidationError("overhead_margin must be in [0, 1)")
+        # the grid is monotone, so its first cell is its largest slowdown
+        largest = [w.profile.slowdowns[0][0] for w in self.workloads]
+        inflation = self.interference_alpha * self.pairing_penalty * self.warmup.factor
+        for w, slowdown in zip(self.workloads, largest):
+            if w.sl_full / (slowdown * inflation) < sys.float_info.min:
+                raise ValidationError(f"workload {w.name!r}: its smallest rate underflows to 0")
+        if not math.isfinite(sum(largest)):  # the weights divide by the slowdowns' total
+            raise ValidationError("the workloads' largest slowdowns overflow their total")
+        if not math.isfinite(self.duration * self.epoch_quanta * 2
+                             * sum(max(w.sl_full, w.offered_load) for w in self.workloads)):
+            raise ValidationError("offered loads and sl_full overflow the capacity totals")
         if self.clos_set is not None:
             if self.clos_set.machine != self.machine:
                 raise ValidationError("clos_set belongs to a different machine")

@@ -88,12 +88,12 @@ def _split_quanta(members: list[WorkloadSpec], weights: dict[str, float],
 
 
 def _deal(ranked: list[WorkloadSpec], weights: dict[str, float], lc: tuple[ClosConfig, ...],
-          offset: int, epoch_quanta: int, pairing: bool) -> list[tuple]:
-    """Deal ranked workloads onto the LC CLOSs in turn from ``offset``, then split and pair
-    each CLOS's epoch: per CLOS, (CLOS id, members, quanta, segments as (members, quanta))."""
+          epoch_quanta: int, pairing: bool) -> list[tuple]:
+    """Deal ranked workloads onto the LC CLOSs in turn, then split and pair each
+    CLOS's epoch: per CLOS, (CLOS id, members, quanta, segments as (members, quanta))."""
     dealt = []
     for j in range(min(len(ranked), len(lc))):
-        cfg, members = lc[(j + offset) % len(lc)], ranked[j::len(lc)]
+        members = ranked[j::len(lc)]
         counts = _split_quanta(members, weights, epoch_quanta)
         segments, i = [], 0
         while i < len(members):  # a compatible adjacent pair shares one segment
@@ -103,8 +103,14 @@ def _deal(ranked: list[WorkloadSpec], weights: dict[str, float], lc: tuple[ClosC
             else:
                 segments.append(((members[i],), counts[i]))
                 i += 1
-        dealt.append((cfg.id, members, counts, segments))
+        dealt.append((lc[j].id, members, counts, segments))
     return dealt
+
+
+def _rotated(dealt: list[tuple], lc: tuple[ClosConfig, ...], offset: int) -> list[tuple]:
+    """The deal with stripe j moved onto LC CLOS (j + offset) mod len(lc): a
+    stripe's split does not depend on which CLOS it lands on."""
+    return [(lc[(j + offset) % len(lc)].id, *rest) for j, (_, *rest) in enumerate(dealt)]
 
 
 def _build_plan(weights: dict[str, float], dealt: list[tuple]) -> EpochPlan:
@@ -119,23 +125,22 @@ def _build_plan(weights: dict[str, float], dealt: list[tuple]) -> EpochPlan:
     return EpochPlan(queues, slices, weights, schedule)
 
 
-def _checked(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
-             reference_state: AllocationState | None) -> tuple[tuple, dict[str, float]]:
-    """The LC CLOSs and each workload's slowdown at the reference state."""
+def _ranked(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
+            reference_state: AllocationState | None = None, *, equal: bool = False
+            ) -> tuple[tuple, list, dict[str, float]]:
+    """The LC CLOSs, the workloads by descending weight (ties by name), and the
+    weights: each workload's slowdown at the reference state, normalized.
+    ``equal`` takes every slowdown as 1, so the rank is name order."""
     if len({w.name for w in workloads}) != len(workloads):
         raise ValidationError("workload names must be unique")
     lc = clos_set.lc_configs()
     if not lc:
         raise ValidationError("clos set has no latency-critical CLOS")
     ref = reference_state or min(lc, key=lambda c: (c.width, c.id)).state()
-    return lc, {w.name: slowdown_xy(w.profile, ref.llc_ways, ref.mba_percent) for w in workloads}
-
-
-def _ranked(workloads: Sequence[WorkloadSpec], reference: dict[str, float]) -> tuple[list, dict]:
-    """Workloads by descending weight (ties by name), and the weights."""
-    weights = dict(zip([w.name for w in workloads],
-                       weights_of([reference[w.name] for w in workloads])))
-    return sorted(workloads, key=lambda w: (-weights[w.name], w.name)), weights
+    slowdowns = [1.0 if equal else slowdown_xy(w.profile, ref.llc_ways, ref.mba_percent)
+                 for w in workloads]
+    weights = dict(zip([w.name for w in workloads], weights_of(slowdowns)))
+    return lc, sorted(workloads, key=lambda w: (-weights[w.name], w.name)), weights
 
 
 def plan_epoch(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
@@ -150,9 +155,8 @@ def plan_epoch(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
     """
     if not workloads:
         raise ValidationError("plan_epoch requires at least one workload")
-    lc, reference = _checked(workloads, clos_set, reference_state)
-    ranked, weights = _ranked(workloads, reference)
-    return _build_plan(weights, _deal(ranked, weights, lc, 0, epoch_quanta, pairing))
+    lc, ranked, weights = _ranked(workloads, clos_set, reference_state)
+    return _build_plan(weights, _deal(ranked, weights, lc, epoch_quanta, pairing))
 
 
 def round_robin_plan(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
@@ -161,12 +165,9 @@ def round_robin_plan(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
     CLOS each epoch, no pairing."""
     if not workloads:
         raise ValidationError("round_robin_plan requires at least one workload")
-    lc = clos_set.lc_configs()
-    if not lc:
-        raise ValidationError("clos set has no latency-critical CLOS")
-    # equal slowdowns: equal weights, ranked by name
-    ranked, weights = _ranked(workloads, {w.name: 1.0 for w in workloads})
-    return _build_plan(weights, _deal(ranked, weights, lc, epoch, epoch_quanta, pairing=False))
+    lc, ranked, weights = _ranked(workloads, clos_set, equal=True)
+    dealt = _deal(ranked, weights, lc, epoch_quanta, pairing=False)
+    return _build_plan(weights, _rotated(dealt, lc, epoch))
 
 
 def rated(dealt: list[tuple], epoch_quanta: int, views: dict[int, tuple[float, float]],
@@ -201,30 +202,28 @@ def admission_control(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
                       ) -> tuple[tuple[WorkloadSpec, ...], tuple[WorkloadSpec, ...]]:
     """Evict workloads until every remaining one can serve its offered load.
 
-    While a CLOS would get more members than ``epoch_quanta``, the
-    last-ranked workload is evicted: it is dealt onto a fullest CLOS.  Then
-    each round deals the candidates as ``plan_epoch`` does.  Demand is the
+    The workloads are ranked once, as ``plan_epoch`` ranks them.  Those
+    ranked past LC CLOSs x ``epoch_quanta`` would overfill a CLOS's epoch:
+    they are evicted, last-ranked first.  Then each round deals the
+    remaining ranked list as ``plan_epoch`` does.  Demand is the
     simulator's peak demand, offered / share / rate, per segment (a pair
-    shares its combined window), with the rates ``rated`` gives both.  The deal repeats every epoch, so on a CLOS
-    with more than one segment each opens with a switch, at the warm rate.
-    While the largest demand exceeds 1 - overhead_margin its workload is
-    evicted (ties: smallest weight, then last name).
+    shares its combined window), with the rates ``rated`` gives both.  The
+    deal repeats every epoch, so on a CLOS with more than one segment each
+    opens with a switch, at the warm rate.  While the largest demand exceeds
+    1 - overhead_margin its workload is evicted (ties: the later-ranked).
+    The admitted keep their input order.
     """
     if not workloads:
         return (), ()
-    candidates, rejected = list(workloads), []
-    lc, reference = _checked(candidates, clos_set, None)
-    while len(candidates) > len(lc) * epoch_quanta:
-        evicted = _ranked(candidates, reference)[0][-1]  # smallest weight, then last name
-        candidates.remove(evicted)
-        rejected.append(evicted)
+    lc, ranked, weights = _ranked(workloads, clos_set)
+    fit = len(lc) * epoch_quanta
+    ranked, rejected = ranked[:fit], ranked[fit:][::-1]
     views = {cfg.id: (cfg.width, cfg.mba_percent) for cfg in lc}
     memo: dict = {}
-    while candidates:
-        ranked, weights = _ranked(candidates, reference)
+    while ranked:
         worst = (-1.0, 0.0, "")  # (demand, -weight, name) of the largest demand
         for _, n_segments, _, share, rates in rated(
-                _deal(ranked, weights, lc, 0, epoch_quanta, True), epoch_quanta, views, memo,
+                _deal(ranked, weights, lc, epoch_quanta, True), epoch_quanta, views, memo,
                 penalty=pairing_penalty, factor=warmup_factor):
             warm = warmup_window > 0 and n_segments > 1
             for w, base, warmed in rates:
@@ -233,6 +232,7 @@ def admission_control(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
                     worst, evicted = (demand, -weights[w.name], w.name), w
         if worst[0] <= 1.0 - overhead_margin:
             break
-        candidates.remove(evicted)
+        ranked.remove(evicted)
         rejected.append(evicted)
-    return tuple(candidates), tuple(rejected)
+    out = {w.name for w in rejected}
+    return tuple(w for w in workloads if w.name not in out), tuple(rejected)

@@ -30,7 +30,7 @@ from coco.errors import InfeasibleSloError
 # the scenario value types live in coco.params; re-exported for callers of coco.sim
 from coco.params import (MAX_DURATION, MAX_EPOCH_QUANTA, POLICIES, Policy, PolicySpec,
                          Scenario, WarmupParams, anti_monotone_set)
-from coco.scheduler import _checked, _deal, _ranked, admission_control, rated
+from coco.scheduler import _deal, _ranked, _rotated, admission_control, rated
 
 VIOLATION_SLACK = 1e-9
 _VIRTUAL_CLOS = -1
@@ -173,16 +173,13 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
         mba = min(100, max(step, ((100 // n + step // 2) // step) * step))
         plans = [([(_VIRTUAL_CLOS, workloads, [epoch_quanta], [(workloads, epoch_quanta)])],
                   {_VIRTUAL_CLOS: (max(1, machine.llc_ways // n), mba)})]
-    else:  # rr ranks as if equally slowed: by name, equal weights
-        lc, slowdowns = (_checked(workloads, clos_set, _reference_state(scenario, clos_set))
-                         if spec.planner == "weighted"
-                         else (clos_set.lc_configs(), {w.name: 1.0 for w in workloads}))
-        ranked, weights = _ranked(workloads, slowdowns)
-        # rr rotates by one LC CLOS per epoch; the weighted planner deals once
-        offsets = range(min(len(lc), duration) if spec.planner == "rr" else 1)
-        deals = (_deal(ranked, weights, lc, offset, epoch_quanta, spec.planner == "weighted")
-                 for offset in offsets)
-        plans = [(dealt, _views(scenario, clos_set, dealt)) for dealt in deals]
+    else:  # rr ranks as if equally slowed and rotates by one LC CLOS per epoch
+        lc, ranked, weights = _ranked(workloads, clos_set, _reference_state(scenario, clos_set),
+                                      equal=spec.planner == "rr")
+        dealt = _deal(ranked, weights, lc, epoch_quanta, spec.planner == "weighted")
+        deals = ([_rotated(dealt, lc, k) for k in range(min(len(lc), duration))]
+                 if spec.planner == "rr" else [dealt])
+        plans = [(deal, _views(scenario, clos_set, deal)) for deal in deals]
     memo: dict = {}
     phases = [[(clos_id, frozenset(w.name for w, _, _ in rates), quanta, share, rates)
                for clos_id, _, quanta, share, rates in rated(

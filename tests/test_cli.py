@@ -49,6 +49,12 @@ GRID_WORKLOAD = """\
 """
 
 REFERENCE_POLICIES = "policies: [coco, coco-conflicting, cat-only, mba-only, rr, none]"
+MEMCACHED_PROFILE = "    profile: {calibration: memcached, sl_full: 120000}\n"
+HUGE_SLOWDOWNS = """\
+    profile:
+      grid: {way_levels: [1, 20], mba_levels: [10, 100], sl_full: %s,
+             slowdowns: [[1.0e+308, 1.0e+308], [1.0e+308, 1.0]]}
+"""
 # reference.yaml edits, each leaving one malformed value
 MALFORMED = {
     "nan-load": ("offered_load: 3000\n", "offered_load: .nan\n"),
@@ -86,6 +92,13 @@ MALFORMED = {
                                "    offered_load: 1\n    offered_load: 12000\n"),
     "duplicate-machine-key": ("  cores: 16\n", "  cores: 16\n  llc_ways: 20\n"),
     "duplicate-top-key": ("\nsim:\n", "\npolicies: [rr]\nsim:\n"),
+    # finite values whose rates or capacity totals are not: a rate that underflows
+    # to 0, a slowdown x interference_alpha that overflows, and overflowing loads
+    "rate-underflow": (MEMCACHED_PROFILE, HUGE_SLOWDOWNS % "1.0e-20"),
+    "alpha-overflow": (MEMCACHED_PROFILE, HUGE_SLOWDOWNS % "1.0"),
+    "capacity-overflow": ("offered_load: 12000\n" + MEMCACHED_PROFILE,
+                          "offered_load: 1.7e+308\n"
+                          + MEMCACHED_PROFILE.replace("120000", "1.7e+308")),
 }
 
 # one leaf of a base document at a time is replaced by each of these, or deleted
@@ -313,7 +326,7 @@ def test_deep_input_one_line_error(case, tmp_path):
 @example(case=("reference", ("sim", "epoch_quanta")), value=10**400, command="simulate")
 @example(case=("reference", ("policies", 0)), value=7, command="validate")
 @given(case=st.sampled_from(FUZZ_LEAVES), value=st.sampled_from(FUZZ_VALUES + (DELETE,)),
-       command=st.sampled_from(("validate", "simulate")))
+       command=st.sampled_from(("validate", "simulate", "compare")))
 def test_fuzz_one_leaf(case, value, command):
     base, leaf = case
     doc = copy.deepcopy(FUZZ_BASES[base])
@@ -328,14 +341,14 @@ def test_fuzz_one_leaf(case, value, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.yaml"
         path.write_text(yaml.safe_dump(doc))
-        argv = [command, str(path)] + (["--format", "csv"] if command == "simulate" else [])
+        argv = [command, str(path)] + (["--format", "csv"] if command != "validate" else [])
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)  # a traceback would propagate out of main
     assert code in (0, 2, 3)
     assert err.getvalue() == "" or (err.getvalue().startswith("error: ")
                                     and err.getvalue().count("\n") == 1)
     assert err.getvalue().count(str(path)) <= 1
-    if code == 0 and command == "simulate":
+    if code == 0 and command != "validate":
         for row in out.getvalue().splitlines()[1:]:
             assert all(math.isfinite(float(x)) for x in row.split(",")[2:]), row
 

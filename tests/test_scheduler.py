@@ -1,6 +1,7 @@
 import importlib.resources
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from coco.calibration import calibrated_profile
 from coco.closconfig import default_partition
 from coco.core import (Dominance, MachineSpec, SensitivityProfile,
                        WorkloadSpec, slowdown_xy)
-from coco.errors import EpochUnderflowError
+from coco.errors import EpochUnderflowError, ValidationError
 from coco.scenario import load_scenario
 from coco.scheduler import (admission_control, pair_compatible, plan_epoch,
                             round_robin_plan)
@@ -125,6 +126,8 @@ class TestRoundRobin:
               for i in range(4)]
         plan = round_robin_plan(ws, cs, 8)
         assert all(ts.quanta == 4 for ts in plan.slices)
+        with pytest.raises(ValidationError, match="workload names must be unique"):
+            round_robin_plan([ws[0], ws[0]], cs, 8)
 
     def test_rotation_by_one(self):
         m = machine(ways=12, clos=3)
@@ -189,9 +192,15 @@ class TestAdmissionControl:
         admitted, rejected = admission_control(ws, cs, 4)
         assert rejected == (ws[3],)  # the smallest weight
         assert admitted == tuple(ws[:3] + ws[4:])
+        # 7 workloads: the last three ranked go, last-ranked first
+        ws += [make_workload(f"w{i}", sd, ref, llc_ways=8)
+               for i, sd in ((5, 1.8), (6, 1.2))]
+        admitted, rejected = admission_control(ws, cs, 4)
+        assert rejected == (ws[6], ws[3], ws[1])  # slowdowns 1.2 (w6, then w3), 1.5
+        assert admitted == (ws[0], ws[2], ws[4], ws[5])
 
     def test_one_deal_per_round(self, monkeypatch):
-        # one deal per round: the rounds are len(rejected) + 1
+        # one deal per round: the rounds are len(rejected) + 1; one ranking
         cs = default_partition(machine())
         ref = reference_of(cs)
         ws = [make_workload(f"w{i}", 1.0 + i, ref, offered=100.0 + 60.0 * i,
@@ -204,9 +213,11 @@ class TestAdmissionControl:
 
         deal = scheduler._deal
         monkeypatch.setattr(scheduler, "_deal", counting_deal)
-        admitted, rejected = admission_control(ws, cs, 40)
+        with mock.patch("coco.scheduler._ranked", wraps=scheduler._ranked) as ranks:
+            admitted, rejected = admission_control(ws, cs, 40)
         assert len(rejected) >= 2 and admitted
         assert len(calls) == len(rejected) + 1
+        assert ranks.call_count == 1  # one ranking serves every round
 
     def test_reference_x1_2_evicts_memcached_a_then_b(self):
         s = REFERENCE_X12

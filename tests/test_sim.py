@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from coco import sim
 from coco.calibration import calibrated_profile, reference_machine
 from coco.closconfig import ClosConfig, ClosSet, default_partition
-from coco.core import AllocationState, MachineSpec, SloSpec, WorkloadSpec, slowdown_xy
+from coco.core import (AllocationState, MachineSpec, SensitivityProfile, SloSpec,
+                       WorkloadSpec, slowdown_xy)
 from coco.errors import InfeasibleSloError, ValidationError
 from coco.scenario import load_scenario
 from coco.scheduler import plan_epoch
@@ -172,6 +173,15 @@ class TestNonFiniteRejected:
     def test_scenario_number(self, reference, key, bad):
         with pytest.raises(ValidationError):
             dataclasses.replace(reference.scenario(), **{key: bad})
+
+    def test_slowdown_total_overflows(self, reference):
+        # each rate is finite and normal, but the weights' total is not
+        huge = SensitivityProfile((1, 20), (10, 100), ((1e308, 1e308), (1e308, 1.0)), 1e10)
+        workloads = [dataclasses.replace(w, profile=huge) if w.name.startswith("memcached")
+                     else w for w in reference.scenario().workloads]
+        with pytest.raises(ValidationError, match="slowdowns overflow their total"):
+            dataclasses.replace(reference.scenario(), workloads=tuple(workloads),
+                                interference_alpha=1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_warmup_factor(self, bad):
@@ -492,9 +502,10 @@ class TestPlanThenWalk:
     @pytest.mark.parametrize("path", [
         str(importlib.resources.files("coco") / "data" / "reference.yaml"),
         str(Path(__file__).parent / "data" / "fleet-101.yaml")], ids=["reference", "fleet-101"])
-    def test_jittered_rr_deals_each_rotation_once(self, path):
-        # an rr deal depends only on the epoch modulo the LC CLOS count, so a
-        # jittered run that walks every epoch deals min(LC CLOSs, duration) times
+    def test_jittered_rr_deals_once_and_rates_each_rotation_once(self, path):
+        # an rr run deals once and rotates the deal by one LC CLOS per epoch;
+        # a rotation depends only on the epoch modulo the LC CLOS count, so a
+        # jittered run that walks every epoch rates min(LC CLOSs, duration) phases
         base = dataclasses.replace(load_scenario(path).scenario(),
                                    policy=Policy.ROUND_ROBIN, load_jitter=0.1)
         n_lc = len(base.effective_clos_set().lc_configs())
@@ -502,7 +513,8 @@ class TestPlanThenWalk:
             with (mock.patch("coco.sim._deal", wraps=sim._deal) as deals,
                   mock.patch("coco.sim.rated", wraps=sim.rated) as rates):
                 run_scenario(dataclasses.replace(base, duration=duration))
-            assert deals.call_count == rates.call_count == min(n_lc, duration), duration
+            assert deals.call_count == 1, duration
+            assert rates.call_count == min(n_lc, duration), duration
 
     def test_epoch_loop_only_tallies(self):
         # every deal, rating and planner test happens before the epoch loop
