@@ -1,8 +1,8 @@
 """Command-line front end: profile, simulate, compare, schemata, validate.
 
-Exit status: 0 success, 2 validation error, 3 infeasible SLO or admission
-failure.  Output files are written atomically; a failing run leaves no
-partial output behind.
+Exit status: 0 success, 2 validation error, 3 infeasible SLO (or, for
+compare, no offered load to scale).  Output files are written atomically; a
+failing run leaves no partial output behind.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from coco.errors import CocoError, EpochUnderflowError, InfeasibleSloError, ScenarioError
+from coco.errors import CocoError, InfeasibleSloError, ScenarioError
 from coco.closconfig import default_partition
 from coco.params import Policy
 from coco.scenario import _choice, _distinct_policies, dump_profiles, load_scenario
@@ -222,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InfeasibleSloError, EpochUnderflowError) as e:
+    except InfeasibleSloError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except CocoError as e:

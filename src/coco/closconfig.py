@@ -9,21 +9,21 @@ baseline can still be simulated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from coco.core import AllocationState, MachineSpec
+from coco.core import AllocationState, MachineSpec, Value, _set
 from coco.errors import ValidationError
 
 RESERVED_WAYS = 2  # background partition width on the reference machine
 
 
-@dataclass(frozen=True)
-class ClosConfig:
+class ClosConfig(Value):
     """One CLOS: id, cache capacity bit-mask, MBA percentage."""
 
-    id: int
-    mask: int
-    mba_percent: int
+    __slots__ = ("id", "mask", "mba_percent")
+
+    def __init__(self, id: int, mask: int, mba_percent: int):
+        _set(self, "id", id)
+        _set(self, "mask", mask)
+        _set(self, "mba_percent", mba_percent)
 
     @property
     def width(self) -> int:
@@ -39,13 +39,16 @@ class ClosConfig:
         return AllocationState(self.width, self.mba_percent)
 
 
-@dataclass(frozen=True)
-class ClosSet:
+class ClosSet(Value):
     """A complete CLOS configuration for one machine."""
 
-    machine: MachineSpec
-    configs: tuple[ClosConfig, ...]
-    reserved_id: int = 0
+    __slots__ = ("machine", "configs", "reserved_id")
+
+    def __init__(self, machine: MachineSpec, configs: tuple[ClosConfig, ...],
+                 reserved_id: int = 0):
+        _set(self, "machine", machine)
+        _set(self, "configs", configs)
+        _set(self, "reserved_id", reserved_id)
 
     def by_id(self, clos_id: int) -> ClosConfig:
         for c in self.configs:
@@ -59,21 +62,26 @@ class ClosSet:
         return tuple(sorted(lc, key=lambda c: (-c.width, c.id)))
 
 
-@dataclass(frozen=True)
-class MigrationEvent:
+class MigrationEvent(Value):
     """Per-CLOS change between two configurations."""
 
-    clos_id: int
-    delta_ways: int
-    delta_mba: int
-    flush_required: bool
-    conflict: bool = False
+    __slots__ = ("clos_id", "delta_ways", "delta_mba", "flush_required", "conflict")
+
+    def __init__(self, clos_id: int, delta_ways: int, delta_mba: int,
+                 flush_required: bool, conflict: bool = False):
+        _set(self, "clos_id", clos_id)
+        _set(self, "delta_ways", delta_ways)
+        _set(self, "delta_mba", delta_mba)
+        _set(self, "flush_required", flush_required)
+        _set(self, "conflict", conflict)
 
 
-@dataclass(frozen=True)
-class ReconfigPlan:
-    events: tuple[MigrationEvent, ...]
-    valid: bool
+class ReconfigPlan(Value):
+    __slots__ = ("events", "valid")
+
+    def __init__(self, events: tuple[MigrationEvent, ...], valid: bool):
+        _set(self, "events", events)
+        _set(self, "valid", valid)
 
 
 def _largest_remainder(quotas: list[float], total: int, minimum: int) -> list[int]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from dataclasses import dataclass, field
 
 from coco.errors import ValidationError
 
@@ -28,6 +27,64 @@ DOMINANCE_THETA = 1.5
 # workload is profiled over every way, so the bound also bounds load time.
 MAX_LLC_WAYS = 64
 
+# A profile's full-allocation sustainable load when none is given.
+DEFAULT_SL_FULL = 1.0
+
+_set = object.__setattr__  # how a Value's __init__ stores its fields
+
+
+class Record:
+    """Base of the value types: equality, repr and replace from ``__slots__``.
+
+    A subclass names its fields in ``__slots__``, in the order of its
+    ``__init__``'s parameters, and writes that ``__init__`` with its checks.
+    Two records are equal when they are of one class and their fields are
+    equal.  A Record is mutable, so it is not hashable.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __replace__(self, /, **changes):
+        """A copy with ``changes``, built by ``__init__`` so its checks run again."""
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        return self.__class__(**{**fields, **changes})
+
+
+class Value(Record):
+    """An immutable, hashable Record: its ``__init__`` stores fields by ``_set``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+def replace(obj: Record, /, **changes):
+    """A copy of ``obj`` with ``changes``, checked again; as ``copy.replace``."""
+    return obj.__replace__(**changes)
+
 
 class Dominance(enum.Enum):
     LLC_DOMINANT = "llc"
@@ -35,31 +92,33 @@ class Dominance(enum.Enum):
     BALANCED = "balanced"
 
 
-@dataclass(frozen=True)
-class MachineSpec:
+class MachineSpec(Value):
     """Hardware envelope: LLC ways, CLOS count, MBA granularity."""
 
-    llc_ways: int
-    clos_count: int
-    mba_step: int
-    max_bandwidth: float = 0.0  # bytes/sec, informational
-    cores: int = 16
+    __slots__ = ("llc_ways", "clos_count", "mba_step", "max_bandwidth", "cores")
 
-    def __post_init__(self):
-        if self.llc_ways < 1:
+    def __init__(self, llc_ways: int, clos_count: int, mba_step: int,
+                 max_bandwidth: float = 0.0,  # bytes/sec, informational
+                 cores: int = 16):
+        if llc_ways < 1:
             raise ValidationError("llc_ways must be >= 1")
-        if self.llc_ways > MAX_LLC_WAYS:
+        if llc_ways > MAX_LLC_WAYS:
             raise ValidationError(f"llc_ways must be <= {MAX_LLC_WAYS}")
-        if self.clos_count < 2:
+        if clos_count < 2:
             raise ValidationError("clos_count must be >= 2 (one CLOS is reserved)")
-        if self.llc_ways < self.clos_count:
+        if llc_ways < clos_count:
             raise ValidationError("llc_ways must be >= clos_count (each CLOS needs a way)")
-        if self.mba_step < 1 or 100 % self.mba_step != 0:
+        if mba_step < 1 or 100 % mba_step != 0:
             raise ValidationError("mba_step must divide 100")
-        if self.cores < 1:
+        if cores < 1:
             raise ValidationError("cores must be >= 1")
-        if not (math.isfinite(self.max_bandwidth) and self.max_bandwidth >= 0):
+        if not (math.isfinite(max_bandwidth) and max_bandwidth >= 0):
             raise ValidationError("max_bandwidth must be finite and >= 0")
+        _set(self, "llc_ways", llc_ways)
+        _set(self, "clos_count", clos_count)
+        _set(self, "mba_step", mba_step)
+        _set(self, "max_bandwidth", max_bandwidth)
+        _set(self, "cores", cores)
 
     def mba_levels(self) -> tuple[int, ...]:
         return tuple(range(self.mba_step, 101, self.mba_step))
@@ -76,36 +135,55 @@ class MachineSpec:
                 f"mba_percent {state.mba_percent} not a multiple of {self.mba_step}")
 
 
-@dataclass(frozen=True, order=True)
-class AllocationState:
-    """Resource allocation: LLC ways and MBA throttle percentage."""
+class AllocationState(Value):
+    """Resource allocation: LLC ways and MBA throttle percentage.
 
-    llc_ways: int
-    mba_percent: int
+    States order as (llc_ways, mba_percent) tuples.
+    """
 
-    def __post_init__(self):
-        if self.llc_ways < 1:
+    __slots__ = ("llc_ways", "mba_percent")
+
+    def __init__(self, llc_ways: int, mba_percent: int):
+        if llc_ways < 1:
             raise ValidationError("llc_ways must be >= 1")
-        if not 1 <= self.mba_percent <= 100:
+        if not 1 <= mba_percent <= 100:
             raise ValidationError("mba_percent must be in [1, 100]")
+        _set(self, "llc_ways", llc_ways)
+        _set(self, "mba_percent", mba_percent)
+
+    def _order(self, other, compare):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return compare(self._values(), other._values())
+
+    def __lt__(self, other):
+        return self._order(other, tuple.__lt__)
+
+    def __le__(self, other):
+        return self._order(other, tuple.__le__)
+
+    def __gt__(self, other):
+        return self._order(other, tuple.__gt__)
+
+    def __ge__(self, other):
+        return self._order(other, tuple.__ge__)
 
 
-@dataclass(frozen=True)
-class SloSpec:
+class SloSpec(Value):
     """Tail-latency objective: bound at a percentile."""
 
-    percentile: float
-    latency_bound_ms: float
+    __slots__ = ("percentile", "latency_bound_ms")
 
-    def __post_init__(self):
-        if not 0.0 < self.percentile < 1.0:
+    def __init__(self, percentile: float, latency_bound_ms: float):
+        if not 0.0 < percentile < 1.0:
             raise ValidationError("percentile must be in (0, 1)")
-        if not (math.isfinite(self.latency_bound_ms) and self.latency_bound_ms > 0):
+        if not (math.isfinite(latency_bound_ms) and latency_bound_ms > 0):
             raise ValidationError("latency_bound_ms must be finite and > 0")
+        _set(self, "percentile", percentile)
+        _set(self, "latency_bound_ms", latency_bound_ms)
 
 
-@dataclass(frozen=True)
-class SensitivityProfile:
+class SensitivityProfile(Value):
     """Rectangular grid of slowdown values over allocation states.
 
     ``way_levels`` and ``mba_levels`` are strictly ascending; the last level
@@ -113,13 +191,11 @@ class SensitivityProfile:
     ``slowdowns[i][j]`` belongs to (way_levels[i], mba_levels[j]).
     """
 
-    way_levels: tuple[int, ...]
-    mba_levels: tuple[int, ...]
-    slowdowns: tuple[tuple[float, ...], ...]
-    sl_full: float = 1.0
+    __slots__ = ("way_levels", "mba_levels", "slowdowns", "sl_full")
 
-    def __post_init__(self):
-        ways, mbas, grid = self.way_levels, self.mba_levels, self.slowdowns
+    def __init__(self, way_levels: tuple[int, ...], mba_levels: tuple[int, ...],
+                 slowdowns: tuple[tuple[float, ...], ...], sl_full: float = DEFAULT_SL_FULL):
+        ways, mbas, grid = way_levels, mba_levels, slowdowns
         if not ways or not mbas:
             raise ValidationError("profile grid must be nonempty")
         if not all(isinstance(x, int) or math.isfinite(x) for x in ways + mbas):
@@ -130,7 +206,7 @@ class SensitivityProfile:
             raise ValidationError("mba_levels must be strictly ascending and end at 100")
         if len(grid) != len(ways) or any(len(row) != len(mbas) for row in grid):
             raise ValidationError("slowdown grid shape does not match axis levels")
-        if not (math.isfinite(self.sl_full) and self.sl_full > 0):
+        if not (math.isfinite(sl_full) and sl_full > 0):
             raise ValidationError("sl_full must be finite and > 0")
         if abs(grid[-1][-1] - 1.0) > SLOWDOWN_SLACK:
             raise ValidationError("slowdown at full allocation must be 1.0")
@@ -144,6 +220,10 @@ class SensitivityProfile:
                     raise ValidationError("slowdown not monotone along the ways axis")
                 if j + 1 < len(mbas) and row[j + 1] > s + MONOTONE_EPS:
                     raise ValidationError("slowdown not monotone along the MBA axis")
+        _set(self, "way_levels", way_levels)
+        _set(self, "mba_levels", mba_levels)
+        _set(self, "slowdowns", slowdowns)
+        _set(self, "sl_full", sl_full)
 
     @property
     def full_state(self) -> AllocationState:
@@ -159,7 +239,7 @@ class SensitivityProfile:
 
     @classmethod
     def from_grid(cls, mapping: dict[AllocationState, float],
-                  sl_full: float = 1.0) -> "SensitivityProfile":
+                  sl_full: float = DEFAULT_SL_FULL) -> "SensitivityProfile":
         """Build from a complete rectangular state -> slowdown mapping."""
         ways = tuple(sorted({s.llc_ways for s in mapping}))
         mbas = tuple(sorted({s.mba_percent for s in mapping}))
@@ -248,23 +328,25 @@ def dominance_of(profile: SensitivityProfile,
     return Dominance.BALANCED
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """A latency-critical workload: SLO, sensitivity profile, offered load."""
+class WorkloadSpec(Value):
+    """A latency-critical workload: SLO, sensitivity profile, offered load.
 
-    name: str
-    slo: SloSpec
-    profile: SensitivityProfile
-    offered_load: float = 0.0
-    dominance: Dominance = field(default=None)  # type: ignore[assignment]
+    ``dominance`` defaults to the profile's own (``dominance_of``).
+    """
 
-    def __post_init__(self):
-        if not self.name:
+    __slots__ = ("name", "slo", "profile", "offered_load", "dominance")
+
+    def __init__(self, name: str, slo: SloSpec, profile: SensitivityProfile,
+                 offered_load: float = 0.0, dominance: Dominance | None = None):
+        if not name:
             raise ValidationError("workload name must be nonempty")
-        if not (math.isfinite(self.offered_load) and self.offered_load >= 0):
+        if not (math.isfinite(offered_load) and offered_load >= 0):
             raise ValidationError("offered_load must be finite and >= 0")
-        if self.dominance is None:
-            object.__setattr__(self, "dominance", dominance_of(self.profile))
+        _set(self, "name", name)
+        _set(self, "slo", slo)
+        _set(self, "profile", profile)
+        _set(self, "offered_load", offered_load)
+        _set(self, "dominance", dominance_of(profile) if dominance is None else dominance)
 
     @property
     def sl_full(self) -> float:

@@ -7,17 +7,15 @@ every name here.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 import sys
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
 from coco.closconfig import ClosSet, default_partition
 from coco.closconfig import validate as validate_clos_set
-from coco.core import MachineSpec, WorkloadSpec
+from coco.core import MachineSpec, Value, WorkloadSpec, _set, replace
 from coco.errors import ValidationError
 
 # Input validation for every run.  It bounds the cost of a jittered run
@@ -63,73 +61,95 @@ POLICIES = MappingProxyType({
 })
 
 
-@dataclass(frozen=True)
-class WarmupParams:
+class WarmupParams(Value):
     """Post-migration cache-refill penalty: window length and inflation."""
 
-    window: int = 2
-    factor: float = 1.15
+    __slots__ = ("window", "factor")
 
-    def __post_init__(self):
-        if self.window < 0:
+    def __init__(self, window: int = 2, factor: float = 1.15):
+        if window < 0:
             raise ValidationError("warmup window must be >= 0")
-        if not (math.isfinite(self.factor) and self.factor >= 1):
+        if not (math.isfinite(factor) and factor >= 1):
             raise ValidationError("warmup factor must be finite and >= 1")
+        _set(self, "window", window)
+        _set(self, "factor", factor)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    machine: MachineSpec
-    workloads: tuple[WorkloadSpec, ...]
-    policy: Policy
-    epoch_quanta: int = 20
-    quantum_ms: float = 100.0
-    duration: int = 10
-    warmup: WarmupParams = WarmupParams()
-    seed: int = 0
-    clos_set: ClosSet | None = None
-    interference_alpha: float = 1.0
-    pairing_penalty: float = 1.05
-    load_jitter: float = 0.0
-    overhead_margin: float = 0.05
+class Scenario(Value):
+    """One run: the machine, its workloads, the policy and the run parameters."""
 
-    def __post_init__(self):
-        if not self.workloads:
+    __slots__ = ("machine", "workloads", "policy", "epoch_quanta", "quantum_ms", "duration",
+                 "warmup", "seed", "clos_set", "interference_alpha", "pairing_penalty",
+                 "load_jitter", "overhead_margin")
+
+    def __init__(self, machine: MachineSpec, workloads: tuple[WorkloadSpec, ...],
+                 policy: Policy, epoch_quanta: int = 20, quantum_ms: float = 100.0,
+                 duration: int = 10, warmup: WarmupParams = WarmupParams(), seed: int = 0,
+                 clos_set: ClosSet | None = None, interference_alpha: float = 1.0,
+                 pairing_penalty: float = 1.05, load_jitter: float = 0.0,
+                 overhead_margin: float = 0.05):
+        if not workloads:
             raise ValidationError("scenario needs at least one workload")
-        names = [w.name for w in self.workloads]
+        names = [w.name for w in workloads]
         if len(set(names)) != len(names):
             raise ValidationError("workload names must be unique")
-        if not 1 <= self.duration <= MAX_DURATION:
+        if not 1 <= duration <= MAX_DURATION:
             raise ValidationError(f"duration must be in [1, {MAX_DURATION}] epochs")
-        if not (math.isfinite(self.quantum_ms) and self.quantum_ms > 0):
+        if not (math.isfinite(quantum_ms) and quantum_ms > 0):
             raise ValidationError("quantum_ms must be finite and > 0")
-        if not 1 <= self.epoch_quanta <= MAX_EPOCH_QUANTA:
+        if not 1 <= epoch_quanta <= MAX_EPOCH_QUANTA:
             raise ValidationError(f"epoch_quanta must be in [1, {MAX_EPOCH_QUANTA}]")
-        if not (math.isfinite(self.interference_alpha) and self.interference_alpha >= 1):
+        # a deal puts up to ceil(workloads / LC CLOSs) on one CLOS, a quantum each
+        lc_count = machine.clos_count - 1
+        crowd = -(-len(workloads) // lc_count)
+        if epoch_quanta < crowd:
+            raise ValidationError(f"epoch_quanta must be >= {crowd}: {len(workloads)} workloads "
+                                  f"on {lc_count} LC CLOSs need a quantum each")
+        if not (math.isfinite(interference_alpha) and interference_alpha >= 1):
             raise ValidationError("interference_alpha must be finite and >= 1")
-        if not (math.isfinite(self.pairing_penalty) and self.pairing_penalty >= 1):
+        if not (math.isfinite(pairing_penalty) and pairing_penalty >= 1):
             raise ValidationError("pairing_penalty must be finite and >= 1")
-        if not 0 <= self.load_jitter < 1:
+        if not 0 <= load_jitter < 1:
             raise ValidationError("load_jitter must be in [0, 1)")
-        if not 0 <= self.overhead_margin < 1:
+        if not 0 <= overhead_margin < 1:
             raise ValidationError("overhead_margin must be in [0, 1)")
         # the grid is monotone, so its first cell is its largest slowdown
-        largest = [w.profile.slowdowns[0][0] for w in self.workloads]
-        inflation = self.interference_alpha * self.pairing_penalty * self.warmup.factor
-        for w, slowdown in zip(self.workloads, largest):
-            if w.sl_full / (slowdown * inflation) < sys.float_info.min:
+        largest = [w.profile.slowdowns[0][0] for w in workloads]
+        inflation = interference_alpha * pairing_penalty * warmup.factor
+        smallest_rates = [w.sl_full / (slowdown * inflation)
+                          for w, slowdown in zip(workloads, largest)]
+        for w, rate in zip(workloads, smallest_rates):
+            if rate < sys.float_info.min:
                 raise ValidationError(f"workload {w.name!r}: its smallest rate underflows to 0")
         if not math.isfinite(sum(largest)):  # the weights divide by the slowdowns' total
             raise ValidationError("the workloads' largest slowdowns overflow their total")
-        if not math.isfinite(self.duration * self.epoch_quanta * 2
-                             * sum(max(w.sl_full, w.offered_load) for w in self.workloads)):
+        if not math.isfinite(duration * epoch_quanta * 2
+                             * sum(max(w.sl_full, w.offered_load) for w in workloads)):
             raise ValidationError("offered loads and sl_full overflow the capacity totals")
-        if self.clos_set is not None:
-            if self.clos_set.machine != self.machine:
+        # the largest demand: the jittered load on a one-quantum share at the smallest rate
+        for w, rate in zip(workloads, smallest_rates):
+            if not math.isfinite(w.offered_load * (1 + load_jitter) * epoch_quanta / rate):
+                raise ValidationError(f"workload {w.name!r}: offered_load x epoch_quanta over "
+                                      "its smallest rate overflows")
+        if clos_set is not None:
+            if clos_set.machine != machine:
                 raise ValidationError("clos_set belongs to a different machine")
-            problems = validate_clos_set(self.clos_set)
+            problems = validate_clos_set(clos_set)
             if problems:
                 raise ValidationError("clos_set invalid: " + "; ".join(problems))
+        _set(self, "machine", machine)
+        _set(self, "workloads", workloads)
+        _set(self, "policy", policy)
+        _set(self, "epoch_quanta", epoch_quanta)
+        _set(self, "quantum_ms", quantum_ms)
+        _set(self, "duration", duration)
+        _set(self, "warmup", warmup)
+        _set(self, "seed", seed)
+        _set(self, "clos_set", clos_set)
+        _set(self, "interference_alpha", interference_alpha)
+        _set(self, "pairing_penalty", pairing_penalty)
+        _set(self, "load_jitter", load_jitter)
+        _set(self, "overhead_margin", overhead_margin)
 
     def effective_clos_set(self) -> ClosSet | None:
         """The CLOS set the policy schedules on; None if it partitions nothing."""
@@ -146,6 +166,6 @@ def anti_monotone_set(clos_set: ClosSet) -> ClosSet:
     mba_sorted = sorted(c.mba_percent for c in lc)  # ascending -> widest gets least
     replacement = {c.id: m for c, m in zip(lc, mba_sorted)}
     configs = tuple(
-        dataclasses.replace(c, mba_percent=replacement.get(c.id, c.mba_percent))
+        replace(c, mba_percent=replacement.get(c.id, c.mba_percent))
         for c in clos_set.configs)
-    return dataclasses.replace(clos_set, configs=configs)
+    return replace(clos_set, configs=configs)

@@ -10,15 +10,13 @@ The latency model inverts in closed form, so no search is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
-from coco.core import AllocationState, MachineSpec, SensitivityProfile, SloSpec
+from coco.core import AllocationState, MachineSpec, SensitivityProfile, SloSpec, Value, _set
 from coco.errors import InfeasibleSloError, ValidationError
 
 
-@dataclass(frozen=True)
-class GroundTruthModel:
+class GroundTruthModel(Value):
     """Closed latency model: latency = base * inflation / (1 - load/capacity).
 
     ``capacity_fn`` maps an allocation state to the state's saturation
@@ -26,15 +24,17 @@ class GroundTruthModel:
     ``tail_inflation`` maps the mean latency to the SLO percentile.
     """
 
-    base_latency_ms: float
-    tail_inflation: float
-    capacity_fn: Callable[[AllocationState], float]
+    __slots__ = ("base_latency_ms", "tail_inflation", "capacity_fn")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.base_latency_ms) and self.base_latency_ms > 0):
+    def __init__(self, base_latency_ms: float, tail_inflation: float,
+                 capacity_fn: Callable[[AllocationState], float]):
+        if not (math.isfinite(base_latency_ms) and base_latency_ms > 0):
             raise ValidationError("base_latency_ms must be finite and > 0")
-        if not (math.isfinite(self.tail_inflation) and self.tail_inflation >= 1):
+        if not (math.isfinite(tail_inflation) and tail_inflation >= 1):
             raise ValidationError("tail_inflation must be finite and >= 1")
+        _set(self, "base_latency_ms", base_latency_ms)
+        _set(self, "tail_inflation", tail_inflation)
+        _set(self, "capacity_fn", capacity_fn)
 
     def floor_latency_ms(self) -> float:
         return self.base_latency_ms * self.tail_inflation

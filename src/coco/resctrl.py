@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import os
 import shutil
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from coco.closconfig import ClosConfig, ClosSet
+from coco.core import Record, Value, _set
 from coco.errors import ApplyDriftError, SchemataParseError, ValidationError
 
 DEFAULT_RESCTRL_ROOT = "/sys/fs/resctrl"
@@ -28,12 +28,14 @@ GROUP_FILES = ("schemata", "tasks", "cpus")
 _HEX_DIGITS = set("0123456789abcdef")
 
 
-@dataclass(frozen=True)
-class SchemataFragment:
+class SchemataFragment(Value):
     """Parsed schemata content: per-cache-id masks and MBA percentages."""
 
-    l3_masks: dict[int, int]
-    mb_percents: dict[int, int]
+    __slots__ = ("l3_masks", "mb_percents")
+
+    def __init__(self, l3_masks: dict[int, int], mb_percents: dict[int, int]):
+        _set(self, "l3_masks", l3_masks)
+        _set(self, "mb_percents", mb_percents)
 
     def mask(self, cache_id: int = 0) -> int:
         return self.l3_masks[cache_id]
@@ -42,11 +44,13 @@ class SchemataFragment:
         return self.mb_percents[cache_id]
 
 
-@dataclass(frozen=True)
-class ResctrlLayout:
+class ResctrlLayout(Value):
     """Group-per-CLOS directory layout under a configurable root."""
 
-    root_path: Path
+    __slots__ = ("root_path",)
+
+    def __init__(self, root_path: Path):
+        _set(self, "root_path", root_path)
 
     @classmethod
     def from_env(cls, root: str | None = None) -> "ResctrlLayout":
@@ -56,16 +60,21 @@ class ResctrlLayout:
         return self.root_path / f"clos{clos_id}"
 
 
-@dataclass
-class GroupReport:
-    group: str
-    action: str  # created | updated | unchanged | failed
-    error: str | None = None
+class GroupReport(Record):
+    __slots__ = ("group", "action", "error")
+
+    def __init__(self, group: str, action: str,  # created | updated | unchanged | failed
+                 error: str | None = None):
+        self.group = group
+        self.action = action
+        self.error = error
 
 
-@dataclass
-class ApplyReport:
-    groups: list[GroupReport] = field(default_factory=list)
+class ApplyReport(Record):
+    __slots__ = ("groups",)
+
+    def __init__(self, groups: list[GroupReport] | None = None):
+        self.groups = [] if groups is None else groups
 
     @property
     def ok(self) -> bool:

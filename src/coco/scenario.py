@@ -14,7 +14,6 @@ sees a profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -22,8 +21,8 @@ import yaml
 
 from coco import calibration
 from coco.closconfig import ClosConfig, ClosSet
-from coco.core import (Dominance, MachineSpec, SensitivityProfile, SloSpec,
-                       WorkloadSpec, bilinear)
+from coco.core import (DEFAULT_SL_FULL, Dominance, MachineSpec, SensitivityProfile,
+                       SloSpec, Value, WorkloadSpec, _set, bilinear)
 from coco.errors import CocoError, InfeasibleSloError, ScenarioError
 from coco.params import Policy, Scenario, WarmupParams
 from coco.profiler import GroundTruthModel, build_profile
@@ -77,20 +76,26 @@ else:
 _Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
-@dataclass(frozen=True)
-class LoadedWorkload:
-    spec: WorkloadSpec
-    model: GroundTruthModel | None
+class LoadedWorkload(Value):
+    __slots__ = ("spec", "model")
+
+    def __init__(self, spec: WorkloadSpec, model: GroundTruthModel | None):
+        _set(self, "spec", spec)
+        _set(self, "model", model)
 
 
-@dataclass(frozen=True)
-class LoadedScenario:
-    path: Path
-    machine: MachineSpec
-    workloads: tuple[LoadedWorkload, ...]
-    policies: tuple[Policy, ...]
-    sim_params: dict
-    clos_set: ClosSet | None
+class LoadedScenario(Value):
+    __slots__ = ("path", "machine", "workloads", "policies", "sim_params", "clos_set")
+
+    def __init__(self, path: Path, machine: MachineSpec,
+                 workloads: tuple[LoadedWorkload, ...], policies: tuple[Policy, ...],
+                 sim_params: dict, clos_set: ClosSet | None):
+        _set(self, "path", path)
+        _set(self, "machine", machine)
+        _set(self, "workloads", workloads)
+        _set(self, "policies", policies)
+        _set(self, "sim_params", sim_params)
+        _set(self, "clos_set", clos_set)
 
     def scenario(self, seed: int | None = None) -> Scenario:
         params = dict(self.sim_params)
@@ -324,7 +329,7 @@ def _workload(w: dict, where: str, machine: MachineSpec,
             profile = load_profile_file(base_dir / p["file"], p.get("workload", w["name"]))
         else:
             profile = _build(calibration.calibrated_profile, at, p["calibration"],
-                             p.get("sl_full", SensitivityProfile.sl_full))
+                             p.get("sl_full", DEFAULT_SL_FULL))
     if profile.way_levels[-1] != machine.llc_ways:
         raise ScenarioError(
             f"{where}: profile full allocation ({profile.way_levels[-1]} ways) "

@@ -10,45 +10,53 @@ opposite resource axes may share a working set concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from coco.closconfig import ClosConfig, ClosSet
-from coco.core import (AllocationState, Dominance, WorkloadSpec, slowdown_xy,
+from coco.core import (AllocationState, Dominance, Value, WorkloadSpec, _set, slowdown_xy,
                        weights_of)
 from coco.errors import EpochUnderflowError, ValidationError
 
 
-@dataclass(frozen=True)
-class TimeSlice:
+class TimeSlice(Value):
     """Quanta allotted to one workload on one CLOS within an epoch."""
 
-    workload: str
-    clos_id: int
-    quanta: int
+    __slots__ = ("workload", "clos_id", "quanta")
+
+    def __init__(self, workload: str, clos_id: int, quanta: int):
+        _set(self, "workload", workload)
+        _set(self, "clos_id", clos_id)
+        _set(self, "quanta", quanta)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Value):
     """A contiguous stretch of a CLOS's schedule: 1 or 2 concurrent members."""
 
-    members: tuple[str, ...]
-    quanta: int
+    __slots__ = ("members", "quanta")
+
+    def __init__(self, members: tuple[str, ...], quanta: int):
+        _set(self, "members", members)
+        _set(self, "quanta", quanta)
 
 
-@dataclass(frozen=True)
-class QueueState:
-    clos_id: int
-    working_set: frozenset[str]
-    wait_queue: tuple[str, ...]
+class QueueState(Value):
+    __slots__ = ("clos_id", "working_set", "wait_queue")
+
+    def __init__(self, clos_id: int, working_set: frozenset[str], wait_queue: tuple[str, ...]):
+        _set(self, "clos_id", clos_id)
+        _set(self, "working_set", working_set)
+        _set(self, "wait_queue", wait_queue)
 
 
-@dataclass(frozen=True)
-class EpochPlan:
-    queues: tuple[QueueState, ...]
-    slices: tuple[TimeSlice, ...]
-    weights: dict[str, float]
-    schedule: dict[int, tuple[Segment, ...]]
+class EpochPlan(Value):
+    __slots__ = ("queues", "slices", "weights", "schedule")
+
+    def __init__(self, queues: tuple[QueueState, ...], slices: tuple[TimeSlice, ...],
+                 weights: dict[str, float], schedule: dict[int, tuple[Segment, ...]]):
+        _set(self, "queues", queues)
+        _set(self, "slices", slices)
+        _set(self, "weights", weights)
+        _set(self, "schedule", schedule)
 
     def slice_of(self, workload: str) -> TimeSlice:
         for s in self.slices:

@@ -19,13 +19,11 @@ CLOS, so one loop serves every policy.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
-from dataclasses import dataclass
 
 from coco.closconfig import ClosSet
-from coco.core import AllocationState, WorkloadSpec
+from coco.core import AllocationState, Value, WorkloadSpec, _set, replace
 from coco.errors import InfeasibleSloError
 # the scenario value types live in coco.params; re-exported for callers of coco.sim
 from coco.params import (MAX_DURATION, MAX_EPOCH_QUANTA, POLICIES, Policy, PolicySpec,
@@ -36,20 +34,26 @@ VIOLATION_SLACK = 1e-9
 _VIRTUAL_CLOS = -1
 
 
-@dataclass(frozen=True)
-class WorkloadMetrics:
-    affordable_load: float
-    retainment: float
-    slo_violations: int
-    quanta_received: int
+class WorkloadMetrics(Value):
+    __slots__ = ("affordable_load", "retainment", "slo_violations", "quanta_received")
+
+    def __init__(self, affordable_load: float, retainment: float, slo_violations: int,
+                 quanta_received: int):
+        _set(self, "affordable_load", affordable_load)
+        _set(self, "retainment", retainment)
+        _set(self, "slo_violations", slo_violations)
+        _set(self, "quanta_received", quanta_received)
 
 
-@dataclass(frozen=True)
-class SimMetrics:
-    per_workload: dict[str, WorkloadMetrics]
-    migrations: int
-    overhead_fraction: float
-    total_retainment: float
+class SimMetrics(Value):
+    __slots__ = ("per_workload", "migrations", "overhead_fraction", "total_retainment")
+
+    def __init__(self, per_workload: dict[str, WorkloadMetrics], migrations: int,
+                 overhead_fraction: float, total_retainment: float):
+        _set(self, "per_workload", per_workload)
+        _set(self, "migrations", migrations)
+        _set(self, "overhead_fraction", overhead_fraction)
+        _set(self, "total_retainment", total_retainment)
 
     def serialize(self) -> str:
         lines = [f"migrations={self.migrations}",
@@ -64,19 +68,24 @@ class SimMetrics:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class AffordableResult:
+class AffordableResult(Value):
     """Largest violation-free uniform load scaling and its outcome."""
 
-    multiplier: float
-    affordable: dict[str, float]
-    metrics: SimMetrics
+    __slots__ = ("multiplier", "affordable", "metrics")
+
+    def __init__(self, multiplier: float, affordable: dict[str, float], metrics: SimMetrics):
+        _set(self, "multiplier", multiplier)
+        _set(self, "affordable", affordable)
+        _set(self, "metrics", metrics)
 
 
-@dataclass(frozen=True)
-class CompareResult:
-    rows: tuple[tuple[Policy, SimMetrics], ...]
-    ratios: dict[Policy, float | None]
+class CompareResult(Value):
+    __slots__ = ("rows", "ratios")
+
+    def __init__(self, rows: tuple[tuple[Policy, SimMetrics], ...],
+                 ratios: dict[Policy, float | None]):
+        _set(self, "rows", rows)
+        _set(self, "ratios", ratios)
 
 
 def _views(scenario: Scenario, clos_set: ClosSet,
@@ -283,7 +292,7 @@ def compare_policies(base: Scenario, policies: list[Policy]) -> CompareResult:
     """Affordable-load comparison of policies on otherwise-identical scenarios."""
     rows = []
     for policy in policies:
-        scenario = dataclasses.replace(base, policy=policy)
+        scenario = replace(base, policy=policy)
         rows.append((policy, max_affordable_load(scenario).metrics))
     baseline = next((m.total_retainment for p, m in rows
                      if p is Policy.NO_PARTITION), None)

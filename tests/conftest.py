@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.resources
 
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import strategies as st
 from coco.calibration import reference_machine
 from coco.closconfig import default_partition
 from coco.core import (AllocationState, MachineSpec, SensitivityProfile,
-                       SloSpec, WorkloadSpec)
+                       SloSpec, WorkloadSpec, replace)
 from coco.sim import Scenario, _simulate
 
 SLO = SloSpec(percentile=0.99, latency_bound_ms=10.0)
@@ -49,8 +48,8 @@ def make_workload(name: str, slowdown: float, reference: AllocationState,
 
 def _scaled(scenario: Scenario, multiplier: float) -> Scenario:
     """The scenario with every offered load multiplied by ``multiplier``."""
-    return dataclasses.replace(scenario, workloads=tuple(
-        dataclasses.replace(w, offered_load=w.offered_load * multiplier)
+    return replace(scenario, workloads=tuple(
+        replace(w, offered_load=w.offered_load * multiplier)
         for w in scenario.workloads))
 
 

@@ -3,7 +3,6 @@
 Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
-import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -15,7 +14,7 @@ from coco.calibration import (CAT_RETAINMENT, MBA_RETAINMENT, calibrated_profile
                               reference_machine)
 from coco.closconfig import ClosConfig, ClosSet, default_partition, diff
 from coco.core import AllocationState, MachineSpec, SloSpec, WorkloadSpec, \
-    slowdown_at, weights_of
+    replace, slowdown_at, weights_of
 from coco.profiler import (GroundTruthModel, build_profile, grid_states,
                            max_sustainable_load)
 from coco.resctrl import (ResctrlLayout, apply, parse_schemata,
@@ -166,7 +165,7 @@ def test_criterion_4_policy_ordering(reference):
 def test_criterion_5_overhead_calibration(reference):
     overhead = run_scenario(reference).overhead_fraction
     assert 0.024 <= overhead <= 0.061
-    disabled = dataclasses.replace(reference, warmup=WarmupParams(0, 1.0))
+    disabled = replace(reference, warmup=WarmupParams(0, 1.0))
     assert run_scenario(disabled).overhead_fraction == 0.0
     ok(5, f"default warmup overhead {overhead:.4f} in [0.024, 0.061]; disabled is 0")
 

@@ -17,6 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coco.cli import main
+from coco.params import Policy
+from coco.scenario import load_scenario
+from coco.sim import compare_policies
 
 GOLDEN = Path(__file__).parent / "data" / "schemata_default.golden"
 
@@ -99,6 +102,12 @@ MALFORMED = {
     "capacity-overflow": ("offered_load: 12000\n" + MEMCACHED_PROFILE,
                           "offered_load: 1.7e+308\n"
                           + MEMCACHED_PROFILE.replace("120000", "1.7e+308")),
+    # a finite load whose demand, over a finite but tiny rate, is not
+    "demand-overflow": ("offered_load: 12000\n" + MEMCACHED_PROFILE,
+                        "offered_load: 1.0e+300\n"
+                        + MEMCACHED_PROFILE.replace("120000", "1.0e-300")),
+    # six workloads on three LC CLOSs: two to a CLOS, a quantum each
+    "epoch-underflow": ("epoch_quanta: 20", "epoch_quanta: 1"),
 }
 
 # one leaf of a base document at a time is replaced by each of these, or deleted
@@ -321,9 +330,11 @@ def test_deep_input_one_line_error(case, tmp_path):
 
 @settings(max_examples=60, deadline=None)
 # regressions: the duration ran without end, the epoch_quanta overflowed a float,
-# a bad policies entry named the file twice
+# one quantum for two workloads validated but did not compare, a bad policies
+# entry named the file twice
 @example(case=("reference", ("sim", "duration")), value=10**400, command="simulate")
 @example(case=("reference", ("sim", "epoch_quanta")), value=10**400, command="simulate")
+@example(case=("reference", ("sim", "epoch_quanta")), value=1, command="compare")
 @example(case=("reference", ("policies", 0)), value=7, command="validate")
 @given(case=st.sampled_from(FUZZ_LEAVES), value=st.sampled_from(FUZZ_VALUES + (DELETE,)),
        command=st.sampled_from(("validate", "simulate", "compare")))
@@ -337,20 +348,39 @@ def test_fuzz_one_leaf(case, value, command):
         del node[leaf[-1]]
     else:
         node[leaf[-1]] = value
-    out, err = io.StringIO(), io.StringIO()
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)  # a traceback would propagate out of main
+        return code, out.getvalue(), err.getvalue()
+
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.yaml"
         path.write_text(yaml.safe_dump(doc))
         argv = [command, str(path)] + (["--format", "csv"] if command != "validate" else [])
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)  # a traceback would propagate out of main
-    assert code in (0, 2, 3)
-    assert err.getvalue() == "" or (err.getvalue().startswith("error: ")
-                                    and err.getvalue().count("\n") == 1)
-    assert err.getvalue().count(str(path)) <= 1
-    if code == 0 and command != "validate":
-        for row in out.getvalue().splitlines()[1:]:
-            assert all(math.isfinite(float(x)) for x in row.split(",")[2:]), row
+        code, out, err = run(argv)
+        assert code in (0, 2, 3)
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)
+        assert err.count(str(path)) <= 1
+        if command == "validate":
+            return
+        # a file validate accepts also simulates and compares; one it refuses,
+        # every command refuses alike
+        validated, _, validate_err = run(["validate", str(path)])
+        want = (0, "") if validated == 0 else (validated, validate_err)
+        assert (code, err) == want
+        if code == 0:
+            for row in out.splitlines()[1:]:
+                assert all(math.isfinite(float(x)) for x in row.split(",")[2:]), row
+        if code == 0 and command == "compare":
+            # each workload offered a load affords a positive share of it
+            loaded = load_scenario(path)
+            result = compare_policies(loaded.scenario(), list(loaded.policies) or list(Policy))
+            for policy, metrics in result.rows:
+                for w in loaded.workloads:
+                    m = metrics.per_workload[w.spec.name]
+                    assert w.spec.offered_load == 0 or m.affordable_load > 0, (policy, m)
 
 
 # each range rule the value types own, broken once in MIXED_DOC:
@@ -495,16 +525,29 @@ class TestSimulate:
         assert capsys.readouterr().err == ""
 
     def test_one_quantum_per_epoch(self, reference_copy, capsys):
-        # one quantum for two workloads per CLOS: admission evicts the
-        # last-ranked workloads until each CLOS has one; compare has no admission
+        # one quantum for two workloads per CLOS: every command refuses the
+        # file as validate does (admission's own eviction of the last-ranked
+        # is test_scheduler's test_reference_one_quantum_evicts_the_last_ranked)
         path = Path(reference_copy)
         path.write_text(path.read_text().replace("epoch_quanta: 20", "epoch_quanta: 1"))
-        assert main(["simulate", reference_copy, "--format", "csv"]) == 0
-        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-        assert sorted(r[1] for r in rows if r[4] != "0") == ["memcached-a", "memcached-b",
-                                                              "nginx-b"]
-        assert main(["compare", reference_copy]) == 3
-        assert capsys.readouterr().err == "error: epoch underflow: 1 quanta for 2 workloads\n"
+        for command in ("validate", "simulate", "compare"):
+            assert main([command, reference_copy]) == 2, command
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", (
+                f"error: {reference_copy}: epoch_quanta must be >= 2: "
+                "6 workloads on 3 LC CLOSs need a quantum each\n")), command
+
+    def test_demand_overflow_refused(self, reference_copy, capsys):
+        # validated, this file compared to affordable load 0 for every policy
+        old, new = MALFORMED["demand-overflow"]
+        path = Path(reference_copy)
+        path.write_text(path.read_text().replace(old, new))
+        for command in ("validate", "simulate", "compare"):
+            assert main([command, reference_copy]) == 2, command
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", (
+                f"error: {reference_copy}: workload 'memcached-a': offered_load x "
+                "epoch_quanta over its smallest rate overflows\n")), command
 
     def test_no_partial_output_on_error(self, tmp_path):
         bad = tmp_path / "bad.yaml"

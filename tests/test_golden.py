@@ -12,7 +12,6 @@ as a script from the repo root:
 """
 
 import contextlib
-import dataclasses
 import io
 import shutil
 from pathlib import Path
@@ -20,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from coco.cli import main
+from coco.core import replace
 from coco.scenario import load_scenario
 from coco.sim import Policy, run_scenario
 
@@ -49,8 +49,8 @@ def policies_text(reference_path) -> str:
     parts = []
     for jitter, seed in JITTER_RUNS:
         for policy in Policy:
-            s = dataclasses.replace(base, policy=policy, load_jitter=jitter,
-                                    seed=seed)
+            s = replace(base, policy=policy, load_jitter=jitter,
+                        seed=seed)
             parts.append(f"[{policy.value} load_jitter={jitter} seed={seed}]\n"
                          + run_scenario(s).serialize())
     return "".join(parts)

@@ -19,6 +19,8 @@ REFERENCE = str(importlib.resources.files("coco") / "data" / "reference.yaml")
 PROBE = ("import sys\nfrom coco.cli import main\ncode = main(sys.argv[2:])\n"
          "print(code, *(m for m in sys.argv[1].split(',') if m in sys.modules))")
 SIMULATOR = "coco.sim,coco.scheduler"
+# the value types are slotted classes: no command generates code for them
+CODEGEN = "dataclasses,inspect"
 
 PUBLIC = {
     "AllocationState", "Dominance", "MachineSpec", "SensitivityProfile", "SloSpec",
@@ -41,6 +43,14 @@ def _python(*args: str) -> list[str]:
     return run.stdout.splitlines()[-1].split() if run.stdout else []
 
 
+def _argv(argv: list[str], tmp_path: Path) -> list[str]:
+    """`argv` with MODEL a model scenario file and OUT a path in `tmp_path`."""
+    model = tmp_path / "model.yaml"
+    model.write_text(MODEL_SCENARIO)
+    return [str(model) if a == "MODEL" else str(tmp_path / "out") if a == "OUT" else a
+            for a in argv]
+
+
 @pytest.mark.parametrize("argv, code", [
     (["validate", REFERENCE], 0),
     (["profile", REFERENCE], 2),  # reference.yaml has no model to profile
@@ -48,11 +58,18 @@ def _python(*args: str) -> list[str]:
     (["schemata", REFERENCE, "--apply", "--root", "OUT"], 0),
 ])
 def test_non_simulating_commands_skip_the_simulator(argv, code, tmp_path):
-    model = tmp_path / "model.yaml"
-    model.write_text(MODEL_SCENARIO)
-    argv = [str(model) if a == "MODEL" else str(tmp_path / "out") if a == "OUT" else a
-            for a in argv]
-    assert _python("-c", PROBE, SIMULATOR, *argv) == [str(code)]
+    assert _python("-c", PROBE, SIMULATOR, *_argv(argv, tmp_path)) == [str(code)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", REFERENCE],
+    ["simulate", REFERENCE],
+    ["compare", REFERENCE],
+    ["profile", "MODEL", "-o", "OUT"],
+    ["schemata", REFERENCE, "--apply", "--root", "OUT"],
+], ids=lambda argv: argv[0])
+def test_no_command_imports_dataclasses_or_inspect(argv, tmp_path):
+    assert _python("-c", PROBE, CODEGEN, *_argv(argv, tmp_path)) == ["0"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])

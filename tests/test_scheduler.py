@@ -219,6 +219,17 @@ class TestAdmissionControl:
         assert len(calls) == len(rejected) + 1
         assert ranks.call_count == 1  # one ranking serves every round
 
+    def test_reference_one_quantum_evicts_the_last_ranked(self):
+        # one quantum for six workloads on three LC CLOSs: a scenario refuses
+        # it, but admission alone keeps three, one to a CLOS
+        s = load_scenario(
+            str(importlib.resources.files("coco") / "data" / "reference.yaml")).scenario()
+        _, rejected = admission_control(
+            s.workloads, s.effective_clos_set(), 1,
+            overhead_margin=s.overhead_margin, warmup_window=s.warmup.window,
+            warmup_factor=s.warmup.factor, pairing_penalty=s.pairing_penalty)
+        assert sorted(w.name for w in rejected) == ["memcached-a", "memcached-b", "nginx-b"]
+
     def test_reference_x1_2_evicts_memcached_a_then_b(self):
         s = REFERENCE_X12
         _, rejected = admission_control(

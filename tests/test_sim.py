@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import importlib.resources
 import inspect
 import math
@@ -15,7 +14,7 @@ from coco import sim
 from coco.calibration import calibrated_profile, reference_machine
 from coco.closconfig import ClosConfig, ClosSet, default_partition
 from coco.core import (AllocationState, MachineSpec, SensitivityProfile, SloSpec,
-                       WorkloadSpec, slowdown_xy)
+                       WorkloadSpec, replace, slowdown_xy)
 from coco.errors import InfeasibleSloError, ValidationError
 from coco.scenario import load_scenario
 from coco.scheduler import plan_epoch
@@ -120,7 +119,7 @@ class TestRunScenario:
     def test_calibrated_coco_beats_no_partition(self, reference):
         base = reference.scenario()
         coco = run_scenario(base)
-        nopart = run_scenario(dataclasses.replace(base, policy=Policy.NO_PARTITION))
+        nopart = run_scenario(replace(base, policy=Policy.NO_PARTITION))
         assert coco.total_retainment > nopart.total_retainment
 
     def test_work_conservation(self, reference):
@@ -153,7 +152,7 @@ class TestAdmission:
     @given(s=small_scenarios(), conflicting=st.booleans(),
            margin=st.sampled_from((0.0, 0.05)))
     def test_admitted_workloads_never_violate(self, s, conflicting, margin):
-        s = dataclasses.replace(
+        s = replace(
             s, load_jitter=0.0, overhead_margin=margin,
             policy=Policy.COCO_CONFLICTING if conflicting else Policy.COCO)
         for name, wm in run_scenario(s).per_workload.items():
@@ -165,23 +164,23 @@ class TestNonFiniteRejected:
     def test_nan_offered_load_in_reference(self, reference):
         workloads = list(reference.scenario().workloads)
         with pytest.raises(ValidationError):
-            workloads[2] = dataclasses.replace(workloads[2], offered_load=math.nan)
+            workloads[2] = replace(workloads[2], offered_load=math.nan)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("key", ["quantum_ms", "interference_alpha",
                                      "pairing_penalty"])
     def test_scenario_number(self, reference, key, bad):
         with pytest.raises(ValidationError):
-            dataclasses.replace(reference.scenario(), **{key: bad})
+            replace(reference.scenario(), **{key: bad})
 
     def test_slowdown_total_overflows(self, reference):
         # each rate is finite and normal, but the weights' total is not
         huge = SensitivityProfile((1, 20), (10, 100), ((1e308, 1e308), (1e308, 1.0)), 1e10)
-        workloads = [dataclasses.replace(w, profile=huge) if w.name.startswith("memcached")
+        workloads = [replace(w, profile=huge) if w.name.startswith("memcached")
                      else w for w in reference.scenario().workloads]
         with pytest.raises(ValidationError, match="slowdowns overflow their total"):
-            dataclasses.replace(reference.scenario(), workloads=tuple(workloads),
-                                interference_alpha=1.0)
+            replace(reference.scenario(), workloads=tuple(workloads),
+                    interference_alpha=1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_warmup_factor(self, bad):
@@ -192,24 +191,24 @@ class TestNonFiniteRejected:
 class TestDeterminism:
     def test_byte_identical_serialization(self, reference):
         base = reference.scenario()
-        jittered = dataclasses.replace(base, load_jitter=0.2, seed=99)
+        jittered = replace(base, load_jitter=0.2, seed=99)
         assert run_scenario(jittered).serialize() == run_scenario(jittered).serialize()
 
     def test_seed_ignored_without_jitter(self, reference):
         base = reference.scenario()
-        a = run_scenario(dataclasses.replace(base, seed=1))
-        b = run_scenario(dataclasses.replace(base, seed=2))
+        a = run_scenario(replace(base, seed=1))
+        b = run_scenario(replace(base, seed=2))
         assert a.serialize() == b.serialize()
 
 
 class TestWarmup:
     def test_disabled_warmup_zero_overhead(self, reference):
-        s = dataclasses.replace(reference.scenario(), warmup=NO_WARMUP)
+        s = replace(reference.scenario(), warmup=NO_WARMUP)
         assert run_scenario(s).overhead_fraction == 0.0
 
     def test_window_zero_zero_overhead(self, reference):
-        s = dataclasses.replace(reference.scenario(),
-                                warmup=WarmupParams(window=0, factor=1.5))
+        s = replace(reference.scenario(),
+                    warmup=WarmupParams(window=0, factor=1.5))
         assert run_scenario(s).overhead_fraction == 0.0
 
     def test_default_overhead_in_band(self, reference):
@@ -249,7 +248,7 @@ class TestMaxAffordableLoad:
     def test_bracketing(self, reference):
         for policy in Policy:
             for jitter in (0.0, 0.2):
-                assert_exact_boundary(dataclasses.replace(
+                assert_exact_boundary(replace(
                     reference.scenario(), policy=policy, load_jitter=jitter))
 
     @settings(max_examples=60, deadline=None)
@@ -259,7 +258,7 @@ class TestMaxAffordableLoad:
         assert_exact_boundary(s)
 
     def test_zero_offered_everywhere_rejected(self):
-        w = dataclasses.replace(memcached_workload(), offered_load=0.0)
+        w = replace(memcached_workload(), offered_load=0.0)
         s = Scenario(machine=solo_machine(), workloads=(w,),
                      policy=Policy.NO_PARTITION)
         with pytest.raises(InfeasibleSloError):
@@ -316,7 +315,7 @@ class TestPolicies:
         base = Scenario(machine=machine, workloads=(w,), policy=Policy.COCO)
         good = max_affordable_load(base)
         bad = max_affordable_load(
-            dataclasses.replace(base, policy=Policy.COCO_CONFLICTING))
+            replace(base, policy=Policy.COCO_CONFLICTING))
         assert good.metrics.total_retainment > bad.metrics.total_retainment
 
     def test_conflicting_strictly_worse_where_the_swap_binds(self):
@@ -325,7 +324,7 @@ class TestPolicies:
         base = load_scenario(str(Path(__file__).parent / "data" / "swap-binds.yaml")).scenario()
         totals, binds = {}, {}
         for policy in (Policy.COCO, Policy.COCO_CONFLICTING):
-            s = dataclasses.replace(base, policy=policy)
+            s = replace(base, policy=policy)
             tallies, _, _ = _simulate(s, apply_admission=False)
             binding = max(tallies, key=lambda name: tallies[name].peak_demand)
             clos_set = s.effective_clos_set()
@@ -355,7 +354,7 @@ class TestPolicies:
               mb_dominant_workload("bandwidth-hungry", offered=100.0))
         s = Scenario(machine=solo_machine(), workloads=ws,
                      policy=Policy.NO_PARTITION, pairing_penalty=1.0)
-        penalized = dataclasses.replace(s, pairing_penalty=1.5)
+        penalized = replace(s, pairing_penalty=1.5)
         assert run_scenario(penalized) == run_scenario(s)
         assert max_affordable_load(penalized) == max_affordable_load(s)
 
@@ -375,8 +374,8 @@ class TestInterference:
         # calibrates alpha in one step
         assume(any(w.offered_load > 0 for w in s.workloads))
         shared = [Policy.NO_PARTITION, Policy.CAT_ONLY, Policy.MBA_ONLY]
-        at_one = compare_policies(dataclasses.replace(s, interference_alpha=1.0), shared)
-        at_alpha = compare_policies(dataclasses.replace(s, interference_alpha=alpha),
+        at_one = compare_policies(replace(s, interference_alpha=1.0), shared)
+        at_alpha = compare_policies(replace(s, interference_alpha=alpha),
                                     shared)
         for (_, one), (_, scaled) in zip(at_one.rows, at_alpha.rows):
             assert scaled.total_retainment * alpha == pytest.approx(
@@ -388,10 +387,10 @@ class TestPairingInSim:
         from test_scheduler import llc_dominant_workload, mb_dominant_workload
         machine = solo_machine()
         cs = single_lc_set(machine, width=6)
-        a = dataclasses.replace(llc_dominant_workload("cache-hungry"),
-                                offered_load=10.0)
-        b = dataclasses.replace(mb_dominant_workload("bandwidth-hungry"),
-                                offered_load=10.0)
+        a = replace(llc_dominant_workload("cache-hungry"),
+                    offered_load=10.0)
+        b = replace(mb_dominant_workload("bandwidth-hungry"),
+                    offered_load=10.0)
         s = Scenario(machine=machine, workloads=(a, b), policy=Policy.COCO,
                      clos_set=cs, warmup=NO_WARMUP, duration=2)
         m = run_scenario(s)
@@ -410,8 +409,8 @@ class TestRepeatedEpochs:
     # rr with two workloads on three LC CLOSs: a CLOS left empty in epoch 1
     # reaches back past epoch 0, so the cycle is steady only from epoch 3 on
     # (17 migrations; counting cycles from epoch 1 gives 15)
-    @example(s=dataclasses.replace(REFERENCE, workloads=REFERENCE.workloads[:2],
-                                   policy=Policy.ROUND_ROBIN),
+    @example(s=replace(REFERENCE, workloads=REFERENCE.workloads[:2],
+                       policy=Policy.ROUND_ROBIN),
              clos_count=REFERENCE.machine.clos_count, duration=10)
     @given(s=small_scenarios(), clos_count=st.integers(2, 7),
            duration=st.integers(1, 20))
@@ -419,14 +418,14 @@ class TestRepeatedEpochs:
         # a jittered run simulates every epoch; with unit jitter factors it is
         # the epoch-by-epoch reference for the same jitter-free run.  Up to six
         # LC CLOSs put rr with fewer workloads than CLOSs in most rr examples.
-        s = dataclasses.replace(
-            s, machine=dataclasses.replace(s.machine, clos_count=clos_count),
+        s = replace(
+            s, machine=replace(s.machine, clos_count=clos_count),
             load_jitter=0.0, duration=duration)
         for admission in (True, False):
             got, got_migrations, got_admitted = _simulate(s, apply_admission=admission)
             with mock.patch("coco.sim._jitter_factors", _no_jitter):
                 want, want_migrations, want_admitted = _simulate(
-                    dataclasses.replace(s, load_jitter=0.5), apply_admission=admission)
+                    replace(s, load_jitter=0.5), apply_admission=admission)
             assert (got_migrations, got_admitted) == (want_migrations, want_admitted)
             for name, t in want.items():
                 g = got[name]
@@ -442,7 +441,7 @@ class TestRepeatedEpochs:
                   if policy is Policy.ROUND_ROBIN else 1)
         lookups = []
         for duration in (2 * period, 50):
-            s = dataclasses.replace(REFERENCE, policy=policy, duration=duration)
+            s = replace(REFERENCE, policy=policy, duration=duration)
             with mock.patch("coco.scheduler.slowdown_xy", wraps=slowdown_xy) as counted:
                 run_scenario(s)
             lookups.append(counted.call_count)
@@ -461,9 +460,9 @@ class TestOneRatingPass:
         with (mock.patch("coco.scheduler.plan_epoch", _refuse),
               mock.patch("coco.scheduler.round_robin_plan", _refuse)):
             for jitter in (0.0, 0.2):
-                s = dataclasses.replace(REFERENCE, load_jitter=jitter)
+                s = replace(REFERENCE, load_jitter=jitter)
                 for policy in Policy:
-                    run_scenario(dataclasses.replace(s, policy=policy))
+                    run_scenario(replace(s, policy=policy))
                 compare_policies(s, list(Policy))
 
 
@@ -494,7 +493,7 @@ class TestOneSearchPass:
     @pytest.mark.parametrize("jitter", [0.0, 0.2])
     @pytest.mark.parametrize("policy", list(Policy))
     def test_equals_two_passes_on_reference(self, policy, jitter):
-        s = dataclasses.replace(REFERENCE, policy=policy, load_jitter=jitter)
+        s = replace(REFERENCE, policy=policy, load_jitter=jitter)
         assert max_affordable_load(s) == two_pass(s)
 
 
@@ -506,13 +505,13 @@ class TestPlanThenWalk:
         # an rr run deals once and rotates the deal by one LC CLOS per epoch;
         # a rotation depends only on the epoch modulo the LC CLOS count, so a
         # jittered run that walks every epoch rates min(LC CLOSs, duration) phases
-        base = dataclasses.replace(load_scenario(path).scenario(),
-                                   policy=Policy.ROUND_ROBIN, load_jitter=0.1)
+        base = replace(load_scenario(path).scenario(),
+                       policy=Policy.ROUND_ROBIN, load_jitter=0.1)
         n_lc = len(base.effective_clos_set().lc_configs())
         for duration in (3, 2 * n_lc, 2000):
             with (mock.patch("coco.sim._deal", wraps=sim._deal) as deals,
                   mock.patch("coco.sim.rated", wraps=sim.rated) as rates):
-                run_scenario(dataclasses.replace(base, duration=duration))
+                run_scenario(replace(base, duration=duration))
             assert deals.call_count == 1, duration
             assert rates.call_count == min(n_lc, duration), duration
 
