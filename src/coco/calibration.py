@@ -40,15 +40,6 @@ def _interp_row(row: dict[int, float], levels: list[int], x: float) -> float:
     return row[levels[i]] * (1 - f) + row[levels[i + 1]] * f
 
 
-def retainment_fraction(app: str, ways: float, mba: float) -> float:
-    """Multiplicatively composed retainment at (ways, mba) for a known app."""
-    if app not in CAT_RETAINMENT:
-        raise ValidationError(f"unknown calibration app {app!r}; have {APPS}")
-    way_levels, mba_levels = _LEVELS[app]
-    return (_interp_row(CAT_RETAINMENT[app], way_levels, ways)
-            * _interp_row(MBA_RETAINMENT[app], mba_levels, mba))
-
-
 def calibrated_profile(app: str, sl_full: float = 1.0) -> SensitivityProfile:
     """Sensitivity profile for a reference app on the 20-way machine."""
     if app not in CAT_RETAINMENT:
@@ -70,9 +61,17 @@ def calibrated_capacity_fn(app: str, full: float):
     """
     if full <= 0:
         raise ValidationError("full must be > 0")
+    cat, mba = {}, {}  # each axis level's interpolated retainment, composed per state
 
     def capacity(state: AllocationState) -> float:
-        return full * retainment_fraction(app, state.llc_ways, state.mba_percent)
+        if app not in CAT_RETAINMENT:
+            raise ValidationError(f"unknown calibration app {app!r}; have {APPS}")
+        w, m = state.llc_ways, state.mba_percent
+        if w not in cat:
+            cat[w] = _interp_row(CAT_RETAINMENT[app], _LEVELS[app][0], w)
+        if m not in mba:
+            mba[m] = _interp_row(MBA_RETAINMENT[app], _LEVELS[app][1], m)
+        return full * (cat[w] * mba[m])
 
     return capacity
 

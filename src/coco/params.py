@@ -131,6 +131,13 @@ class Scenario(Value):
             if not math.isfinite(w.offered_load * (1 + load_jitter) * epoch_quanta / rate):
                 raise ValidationError(f"workload {w.name!r}: offered_load x epoch_quanta over "
                                       "its smallest rate overflows")
+        # the smallest demand: the least jittered load at the largest rate, about sl_full;
+        # kept normal, its reciprocal m* = 1 / peak demand is finite (inf x 0 is nan)
+        for w in workloads:
+            if w.offered_load > 0 and (w.offered_load * (1 - load_jitter) / w.sl_full
+                                       < sys.float_info.min):
+                raise ValidationError(f"workload {w.name!r}: offered_load over its largest "
+                                      "rate underflows")
         if clos_set is not None:
             if clos_set.machine != machine:
                 raise ValidationError("clos_set belongs to a different machine")

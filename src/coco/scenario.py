@@ -314,8 +314,8 @@ def _load_yaml(path: Path) -> dict:
     return doc
 
 
-def _workload(w: dict, where: str, machine: MachineSpec,
-              base_dir: Path) -> LoadedWorkload:
+def _workload(w: dict, where: str, machine: MachineSpec, base_dir: Path,
+              parsed: dict[Path, list]) -> LoadedWorkload:
     source = _one_of(w, where, ("profile", "model"))
     p, model = w.pop("profile", None), w.pop("model", None)
     if source == "model":
@@ -326,7 +326,8 @@ def _workload(w: dict, where: str, machine: MachineSpec,
         if source == "grid":
             profile = p["grid"]
         elif source == "file":
-            profile = load_profile_file(base_dir / p["file"], p.get("workload", w["name"]))
+            profile = load_profile_file(base_dir / p["file"], p.get("workload", w["name"]),
+                                        parsed)
         else:
             profile = _build(calibration.calibrated_profile, at, p["calibration"],
                              p.get("sl_full", DEFAULT_SL_FULL))
@@ -359,8 +360,8 @@ def load_scenario(path: str | Path) -> LoadedScenario:
     path = Path(path)
     doc = _fields(_load_yaml(path), str(path), _SCENARIO, ("machine", "workloads"),
                   sep=": ")
-    machine = doc["machine"]
-    workloads = tuple(_workload(w, f"{path}: workloads[{i}]", machine, path.parent)
+    machine, parsed = doc["machine"], {}
+    workloads = tuple(_workload(w, f"{path}: workloads[{i}]", machine, path.parent, parsed)
                       for i, w in enumerate(doc["workloads"]))
     clos_set = None
     if "clos_set" in doc:
@@ -371,25 +372,35 @@ def load_scenario(path: str | Path) -> LoadedScenario:
     return loaded
 
 
+def _yaml_float(x) -> str:
+    """PyYAML's plain form of a finite float: its repr, `.0` before a bare exponent."""
+    text = repr(float(x)).lower()
+    return text if "." in text or "e" not in text else text.replace("e", ".0e", 1)
+
+
 def dump_profiles(workload_profiles: dict[str, SensitivityProfile]) -> str:
-    """Profile file content for the given workload -> profile mapping."""
-    entries = []
+    """Profile file content for the given workload -> profile mapping, in PyYAML's
+    block layout byte for byte: only names and ``sl_full`` pass through PyYAML."""
+    parts = ["profiles:\n" if workload_profiles else "profiles: []\n"]
     for name in sorted(workload_profiles):
         p = workload_profiles[name]
-        entries.append({
-            "workload": name,
-            "sl_full": float(p.sl_full),
-            "way_levels": list(p.way_levels),
-            "mba_levels": list(p.mba_levels),
-            "slowdowns": [[float(x) for x in row] for row in p.slowdowns],
-        })
-    return yaml.dump({"profiles": entries}, Dumper=_Dumper, sort_keys=False)
+        parts += [yaml.dump([{"workload": name, "sl_full": float(p.sl_full)}],
+                            Dumper=_Dumper, sort_keys=False),
+                  "  way_levels:\n", *(f"  - {w}\n" for w in p.way_levels),
+                  "  mba_levels:\n", *(f"  - {m}\n" for m in p.mba_levels), "  slowdowns:\n"]
+        parts += ["  - - " + "\n    - ".join(map(_yaml_float, row)) + "\n" for row in p.slowdowns]
+    return "".join(parts)
 
 
-def load_profile_file(path: str | Path, workload: str) -> SensitivityProfile:
-    path = Path(path)
-    doc = _fields(_load_yaml(path), str(path), _PROFILE_FILE, ("profiles",), sep=": ")
-    for i, e in enumerate(doc["profiles"]):
+def load_profile_file(path: str | Path, workload: str,
+                      parsed: dict[Path, list] | None = None) -> SensitivityProfile:
+    """The profile of ``workload`` in a profile file; ``parsed`` keeps each file's
+    key-checked entries across calls, so one scenario load parses a file once."""
+    path, parsed = Path(path), {} if parsed is None else parsed
+    if path not in parsed:
+        doc = _fields(_load_yaml(path), str(path), _PROFILE_FILE, ("profiles",), sep=": ")
+        parsed[path] = doc["profiles"]
+    for i, e in enumerate(parsed[path]):
         if e.get("workload") == workload:
             grid = {k: v for k, v in e.items() if k != "workload"}
             return _grid_profile(grid, f"{path}: profiles[{i}]")

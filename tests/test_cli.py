@@ -5,6 +5,7 @@ import importlib.resources
 import io
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -58,6 +59,9 @@ HUGE_SLOWDOWNS = """\
       grid: {way_levels: [1, 20], mba_levels: [10, 100], sl_full: %s,
              slowdowns: [[1.0e+308, 1.0e+308], [1.0e+308, 1.0]]}
 """
+REFERENCE_TEXT = (importlib.resources.files("coco") / "data" / "reference.yaml").read_text()
+REFERENCE_WORKLOADS = REFERENCE_TEXT[REFERENCE_TEXT.index("workloads:"):
+                                     REFERENCE_TEXT.index("policies:")]
 # reference.yaml edits, each leaving one malformed value
 MALFORMED = {
     "nan-load": ("offered_load: 3000\n", "offered_load: .nan\n"),
@@ -108,6 +112,11 @@ MALFORMED = {
                         + MEMCACHED_PROFILE.replace("120000", "1.0e-300")),
     # six workloads on three LC CLOSs: two to a CLOS, a quantum each
     "epoch-underflow": ("epoch_quanta: 20", "epoch_quanta: 1"),
+    # every load 0 but one subnormal load, whose demand underflows: m* = 1 / peak
+    # demand was inf, and inf x 0 the affordable load nan for the others
+    "demand-underflow": (REFERENCE_WORKLOADS,
+                         re.sub(r"offered_load: \d+", "offered_load: 0", REFERENCE_WORKLOADS)
+                         .replace("offered_load: 0", "offered_load: 1.0e-310", 1)),
 }
 
 # one leaf of a base document at a time is replaced by each of these, or deleted
@@ -161,8 +170,7 @@ sim:
   load_jitter: 0.1
 """)
 FUZZ_BASES = {
-    "reference": yaml.safe_load(
-        (importlib.resources.files("coco") / "data" / "reference.yaml").read_text()),
+    "reference": yaml.safe_load(REFERENCE_TEXT),
     "mixed": MIXED_DOC,
 }
 
@@ -549,6 +557,18 @@ class TestSimulate:
                 f"error: {reference_copy}: workload 'memcached-a': offered_load x "
                 "epoch_quanta over its smallest rate overflows\n")), command
 
+    def test_demand_underflow_refused(self, reference_copy, capsys):
+        # validated, this file compared to affordable load nan with exit 0
+        old, new = MALFORMED["demand-underflow"]
+        path = Path(reference_copy)
+        path.write_text(path.read_text().replace(old, new))
+        for command in ("validate", "simulate", "compare"):
+            assert main([command, reference_copy]) == 2, command
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", (
+                f"error: {reference_copy}: workload 'memcached-a': offered_load over its "
+                "largest rate underflows\n")), command
+
     def test_no_partial_output_on_error(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("not: [valid\n")
@@ -616,3 +636,15 @@ class TestProfileCommand:
                                                    "latency_bound_ms: 1.5"))
         assert main(["profile", str(scenario), "-o", str(tmp_path / "p.yaml")]) == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "simulate", "compare", "profile"])
+    def test_unknown_calibration_app(self, command, tmp_path, capsys):
+        # the capacity function refuses the name when the model is profiled
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(MODEL_SCENARIO.replace("capacity: {calibration: nginx, full: 1000.0}",
+                                                   "capacity: {calibration: bogus}"))
+        assert main([command, str(scenario)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", (
+            f"error: {scenario}: workloads[0].model: unknown calibration app 'bogus'; "
+            "have ('memcached', 'mongodb', 'nginx')\n"))

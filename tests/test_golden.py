@@ -6,14 +6,18 @@ which admits every workload, and the `simulate` and `compare` CSV reports
 on two of the benchmark's scenarios at seed 101: overload, where admission
 evicts 90 of 156 workloads, and fleet, with 60 workloads on the default
 16-CLOS partition at `mba_step` 5, where rr runs fewer epochs (10) than
-there are LC CLOSs (15).  To regenerate them deliberately, run this module
-as a script from the repo root:
-``PYTHONPATH=src:tests python tests/test_golden.py``.
+there are LC CLOSs (15).  The 151 KB profile file `coco profile` writes
+for overload is pinned by its sha256.  To regenerate the golden files
+deliberately, run this module as a script from the repo root:
+``PYTHONPATH=src:tests python tests/test_golden.py``; it prints the
+profile file's sha256 for ``PROFILE_SHA256``.
 """
 
 import contextlib
+import hashlib
 import io
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -33,6 +37,8 @@ JITTER_RUNS = ((0.0, 7), (0.2, 7))
 GENERATED = ("overload-101", "fleet-101")
 CSV_GOLDENS = {(name, command): DATA / f"{name}_{command}.golden.csv"
                for name in GENERATED for command in ("simulate", "compare")}
+# sha256 of `coco profile tests/data/overload-101.yaml -o profiles.yaml`
+PROFILE_SHA256 = "2aea206286e348565e371d2263b2a9b0c504525bb88ad1fc2c80a2d23118ec5c"
 
 
 def csv_report(name: str, command: str) -> str:
@@ -41,6 +47,13 @@ def csv_report(name: str, command: str) -> str:
     with contextlib.redirect_stdout(out):
         assert main([command, str(DATA / f"{name}.yaml"), "--format", "csv"]) == 0
     return out.getvalue()
+
+
+def profile_sha256(out_dir: Path) -> str:
+    """The sha256 of the profile file of overload's six models."""
+    out = out_dir / "profiles.yaml"
+    assert main(["profile", str(DATA / "overload-101.yaml"), "-o", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def policies_text(reference_path) -> str:
@@ -73,6 +86,10 @@ def test_overload_csv(command):
     assert csv_report("overload-101", command) == CSV_GOLDENS["overload-101", command].read_text()
 
 
+def test_overload_profile_file(tmp_path):
+    assert profile_sha256(tmp_path) == PROFILE_SHA256
+
+
 @pytest.mark.parametrize("command", ["compare", "simulate"])
 def test_fleet_csv(command):
     assert csv_report("fleet-101", command) == CSV_GOLDENS["fleet-101", command].read_text()
@@ -90,3 +107,5 @@ if __name__ == "__main__":
     POLICIES_GOLDEN.write_text(policies_text(ref))
     for (name, command), path in CSV_GOLDENS.items():
         path.write_text(csv_report(name, command))
+    with tempfile.TemporaryDirectory() as tmp:
+        print("PROFILE_SHA256 =", profile_sha256(Path(tmp)))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coco.calibration import calibrated_capacity_fn, reference_machine
+from coco.calibration import (APPS, CAT_RETAINMENT, MBA_RETAINMENT, _interp_row,
+                              calibrated_capacity_fn, reference_machine)
 from coco.core import AllocationState, MachineSpec, SloSpec
 from coco.errors import InfeasibleSloError, ValidationError
 from coco.profiler import (GroundTruthModel, build_profile, grid_states,
@@ -164,3 +165,20 @@ class TestBuildProfile:
         model = GroundTruthModel(1.0, 1.0, random_monotone_capacity(rng, machine))
         profile = build_profile(model, machine, SLO)  # constructor validates
         assert profile.slowdowns[-1][-1] == 1.0
+
+
+class TestCalibratedCapacity:
+    @pytest.mark.parametrize("app", APPS)
+    def test_memo_equals_composed_rows(self, app):
+        # each axis is interpolated once per level; the capacity is still
+        # full x (cache row x MBA row), bit for bit, in any query order
+        machine = MachineSpec(llc_ways=20, clos_count=4, mba_step=1)
+        states = list(grid_states(machine)) * 2
+        random.Random(app).shuffle(states)
+        ways, mbas = sorted(CAT_RETAINMENT[app]), sorted(MBA_RETAINMENT[app])
+        for full in (1.0, 152353.6, 41745.2):
+            capacity = calibrated_capacity_fn(app, full)
+            for s in states:
+                want = full * (_interp_row(CAT_RETAINMENT[app], ways, s.llc_ways)
+                               * _interp_row(MBA_RETAINMENT[app], mbas, s.mba_percent))
+                assert capacity(s) == want

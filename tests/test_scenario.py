@@ -1,9 +1,15 @@
+import tempfile
+from collections import Counter
+from pathlib import Path
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coco import scenario
 from coco.calibration import calibrated_capacity_fn
-from coco.core import Dominance, MachineSpec, SloSpec
+from coco.core import Dominance, MachineSpec, SensitivityProfile, SloSpec
 from coco.errors import ScenarioError
 from coco.profiler import GroundTruthModel, build_profile
 from coco.scenario import dump_profiles, load_profile_file, load_scenario
@@ -17,6 +23,66 @@ workloads:
     offered_load: 100.0
     profile: {calibration: nginx, sl_full: 1000.0}
 """
+
+# three workloads reading one profile file, the third by another name
+SHARED_FILE = """\
+machine: {llc_ways: 20, clos_count: 4, mba_step: 10}
+workloads:
+  - name: web
+    slo: {percentile: 0.99, latency_bound_ms: 20.0}
+    profile: {file: profiles.yaml}
+  - name: db
+    slo: {percentile: 0.99, latency_bound_ms: 40.0}
+    profile: {file: profiles.yaml}
+  - name: web-2
+    slo: {percentile: 0.99, latency_bound_ms: 20.0}
+    profile: {file: profiles.yaml, workload: web}
+"""
+
+
+def pyyaml_dump(profiles, dumper=yaml.SafeDumper) -> str:
+    """A profile file as PyYAML writes it, by default its pure-Python dumper."""
+    entries = [{"workload": name,
+                "sl_full": float(p.sl_full),
+                "way_levels": list(p.way_levels),
+                "mba_levels": list(p.mba_levels),
+                "slowdowns": [[float(x) for x in row] for row in p.slowdowns]}
+               for name, p in sorted(profiles.items())]
+    return yaml.dump({"profiles": entries}, Dumper=dumper, sort_keys=False)
+
+
+# names PyYAML must quote, escape or fold, and plain ones; libyaml folds a long
+# escaped name otherwise than pure-Python PyYAML, so this text is printable ASCII
+PROFILE_NAMES = st.sampled_from(
+    ["web", "yes", "null", "123", "1.5", "a: b", "- x", "#x", "caf\u00e9 \u6f22\u5b57",
+     "tab\there", "a model name with spaces, long enough to pass eighty columns " * 2]
+) | st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1, max_size=100)
+# slowdowns: integers, floats whose repr has an exponent, and any finite float >= 1
+SLOWDOWNS = st.sampled_from([1, 2, 7, 1.5, 1e16, 1e22, 1.0000001, 3e300]) | st.floats(1.0, 1e300)
+
+
+@st.composite
+def profiles(draw):
+    """A valid profile: each cell the larger of its row's and its column's
+    descending value, so the grid is monotone and 1 at the full corner."""
+    ways = sorted(draw(st.sets(st.integers(1, 10**6), min_size=1, max_size=4)))
+    mbas = sorted(draw(st.sets(st.integers(1, 99), max_size=3))) + [100]
+    row = sorted(draw(st.lists(SLOWDOWNS, min_size=len(ways) - 1, max_size=len(ways) - 1)),
+                 reverse=True) + [1]
+    col = sorted(draw(st.lists(SLOWDOWNS, min_size=len(mbas) - 1, max_size=len(mbas) - 1)),
+                 reverse=True) + [1]
+    grid = tuple(tuple(max(a, b) for b in col) for a in row)
+    sl_full = draw(st.sampled_from([1, 1e16, 1e-5, 5e-324, 120000.0, 1.7e308])
+                   | st.floats(1e-300, 1e300))
+    return SensitivityProfile(tuple(ways), tuple(mbas), grid, sl_full)
+
+
+def assert_loads_back(text, profiles):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "profiles.yaml"
+        path.write_text(text)
+        for name, profile in profiles.items():
+            assert load_profile_file(path, name) == profile
 
 
 def write(tmp_path, text, name="scenario.yaml"):
@@ -201,6 +267,41 @@ class TestProfileFiles:
         loaded = load_scenario(write(tmp_path, text))
         assert loaded.workloads[0].spec.profile == profile
 
+    def test_shared_file_parsed_once(self, tmp_path, machine20, monkeypatch):
+        model = GroundTruthModel(1.0, 2.0, calibrated_capacity_fn("nginx", 1000.0))
+        web = build_profile(model, machine20, SloSpec(0.99, 20.0))
+        db = build_profile(model, machine20, SloSpec(0.99, 40.0))
+        profiles = tmp_path / "profiles.yaml"
+        profiles.write_text(dump_profiles({"web": web, "db": db}))
+        path = write(tmp_path, SHARED_FILE)
+        parsed = Counter()
+
+        def counting_load(p):
+            parsed[p] += 1
+            return load_yaml(p)
+
+        load_yaml = scenario._load_yaml
+        monkeypatch.setattr(scenario, "_load_yaml", counting_load)
+        loaded = load_scenario(path)
+        assert parsed == {path: 1, profiles: 1}
+        assert [w.spec.profile for w in loaded.workloads] == [web, db, web]
+
+    @pytest.mark.parametrize("edit, message", [
+        (("workload: web", "workload: api"), "{profiles}: no profile for workload 'api'"),
+        (("{file: profiles.yaml}", "{file: missing.yaml}"),
+         "{missing}: [Errno 2] No such file or directory: '{missing}'"),
+    ])
+    def test_shared_file_errors_unchanged(self, tmp_path, machine20, edit, message):
+        model = GroundTruthModel(1.0, 2.0, calibrated_capacity_fn("nginx", 1000.0))
+        profile = build_profile(model, machine20, SloSpec(0.99, 20.0))
+        profiles = tmp_path / "profiles.yaml"
+        profiles.write_text(dump_profiles({"web": profile, "db": profile}))
+        path = write(tmp_path, SHARED_FILE.replace(*edit))
+        with pytest.raises(ScenarioError) as e:
+            load_scenario(path)
+        assert str(e.value) == message.format(profiles=profiles,
+                                              missing=tmp_path / "missing.yaml")
+
 
 class TestLibyaml:
     """The libyaml-backed loader and dumper agree with PyYAML's pure-Python ones."""
@@ -239,7 +340,7 @@ class TestLibyaml:
         assert (web2.name, web2.offered_load) == ("web-2", 250.0)
         assert (web2.slo, web2.profile) == (web.slo, web.profile)
 
-    def test_dump_equals_pure_python_dump(self, monkeypatch):
+    def test_dump_equals_pure_python_dump(self):
         # the overload benchmark's models: three applications on a 20 x 50 grid
         machine = MachineSpec(llc_ways=20, clos_count=16, mba_step=2)
         profiles = {}
@@ -247,9 +348,22 @@ class TestLibyaml:
                                   ("mongodb", 15.0, 41745.2)):
             model = GroundTruthModel(slo_ms / 10, 2.0, calibrated_capacity_fn(app, full))
             profiles[f"model-{app}"] = build_profile(model, machine, SloSpec(0.99, slo_ms))
-        fast = dump_profiles(profiles)
-        monkeypatch.setattr(scenario, "_Dumper", yaml.SafeDumper)
-        assert fast == dump_profiles(profiles)
+        assert dump_profiles(profiles) == pyyaml_dump(profiles)
+
+    @settings(max_examples=200, deadline=None)
+    @given(profiles=st.dictionaries(PROFILE_NAMES, profiles(), max_size=3))
+    def test_dump_equals_pyyaml_and_loads_back(self, profiles):
+        text = dump_profiles(profiles)
+        assert text == pyyaml_dump(profiles)
+        assert_loads_back(text, profiles)
+
+    @settings(max_examples=100, deadline=None)
+    @given(profiles=st.dictionaries(st.text(min_size=1), profiles(), max_size=3))
+    def test_any_name_as_the_whole_file_dumper_writes_it(self, profiles):
+        # any name comes out as in the whole file dumped by libyaml, when present
+        text = dump_profiles(profiles)
+        assert text == pyyaml_dump(profiles, scenario._Dumper)
+        assert_loads_back(text, profiles)
 
     @pytest.mark.parametrize("text, message", [
         ("machine: *nope\n", "line 1: invalid YAML: found undefined alias 'nope'"),
