@@ -314,8 +314,8 @@ def _load_yaml(path: Path) -> dict:
     return doc
 
 
-def _workload(w: dict, where: str, machine: MachineSpec, base_dir: Path,
-              parsed: dict[Path, list]) -> LoadedWorkload:
+def _workload(w: dict, where: str, machine: MachineSpec,
+              base_dir: Path) -> LoadedWorkload:
     source = _one_of(w, where, ("profile", "model"))
     p, model = w.pop("profile", None), w.pop("model", None)
     if source == "model":
@@ -326,8 +326,7 @@ def _workload(w: dict, where: str, machine: MachineSpec, base_dir: Path,
         if source == "grid":
             profile = p["grid"]
         elif source == "file":
-            profile = load_profile_file(base_dir / p["file"], p.get("workload", w["name"]),
-                                        parsed)
+            profile = load_profile_file(base_dir / p["file"], p.get("workload", w["name"]))
         else:
             profile = _build(calibration.calibrated_profile, at, p["calibration"],
                              p.get("sl_full", DEFAULT_SL_FULL))
@@ -360,8 +359,8 @@ def load_scenario(path: str | Path) -> LoadedScenario:
     path = Path(path)
     doc = _fields(_load_yaml(path), str(path), _SCENARIO, ("machine", "workloads"),
                   sep=": ")
-    machine, parsed = doc["machine"], {}
-    workloads = tuple(_workload(w, f"{path}: workloads[{i}]", machine, path.parent, parsed)
+    machine = doc["machine"]
+    workloads = tuple(_workload(w, f"{path}: workloads[{i}]", machine, path.parent)
                       for i, w in enumerate(doc["workloads"]))
     clos_set = None
     if "clos_set" in doc:
@@ -392,15 +391,10 @@ def dump_profiles(workload_profiles: dict[str, SensitivityProfile]) -> str:
     return "".join(parts)
 
 
-def load_profile_file(path: str | Path, workload: str,
-                      parsed: dict[Path, list] | None = None) -> SensitivityProfile:
-    """The profile of ``workload`` in a profile file; ``parsed`` keeps each file's
-    key-checked entries across calls, so one scenario load parses a file once."""
-    path, parsed = Path(path), {} if parsed is None else parsed
-    if path not in parsed:
-        doc = _fields(_load_yaml(path), str(path), _PROFILE_FILE, ("profiles",), sep=": ")
-        parsed[path] = doc["profiles"]
-    for i, e in enumerate(parsed[path]):
+def load_profile_file(path: str | Path, workload: str) -> SensitivityProfile:
+    path = Path(path)
+    doc = _fields(_load_yaml(path), str(path), _PROFILE_FILE, ("profiles",), sep=": ")
+    for i, e in enumerate(doc["profiles"]):
         if e.get("workload") == workload:
             grid = {k: v for k, v in e.items() if k != "workload"}
             return _grid_profile(grid, f"{path}: profiles[{i}]")

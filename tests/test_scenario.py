@@ -1,5 +1,4 @@
 import tempfile
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,21 +21,6 @@ workloads:
     slo: {percentile: 0.99, latency_bound_ms: 20.0}
     offered_load: 100.0
     profile: {calibration: nginx, sl_full: 1000.0}
-"""
-
-# three workloads reading one profile file, the third by another name
-SHARED_FILE = """\
-machine: {llc_ways: 20, clos_count: 4, mba_step: 10}
-workloads:
-  - name: web
-    slo: {percentile: 0.99, latency_bound_ms: 20.0}
-    profile: {file: profiles.yaml}
-  - name: db
-    slo: {percentile: 0.99, latency_bound_ms: 40.0}
-    profile: {file: profiles.yaml}
-  - name: web-2
-    slo: {percentile: 0.99, latency_bound_ms: 20.0}
-    profile: {file: profiles.yaml, workload: web}
 """
 
 
@@ -266,41 +250,6 @@ class TestProfileFiles:
                                "profile: {file: profiles.yaml}")
         loaded = load_scenario(write(tmp_path, text))
         assert loaded.workloads[0].spec.profile == profile
-
-    def test_shared_file_parsed_once(self, tmp_path, machine20, monkeypatch):
-        model = GroundTruthModel(1.0, 2.0, calibrated_capacity_fn("nginx", 1000.0))
-        web = build_profile(model, machine20, SloSpec(0.99, 20.0))
-        db = build_profile(model, machine20, SloSpec(0.99, 40.0))
-        profiles = tmp_path / "profiles.yaml"
-        profiles.write_text(dump_profiles({"web": web, "db": db}))
-        path = write(tmp_path, SHARED_FILE)
-        parsed = Counter()
-
-        def counting_load(p):
-            parsed[p] += 1
-            return load_yaml(p)
-
-        load_yaml = scenario._load_yaml
-        monkeypatch.setattr(scenario, "_load_yaml", counting_load)
-        loaded = load_scenario(path)
-        assert parsed == {path: 1, profiles: 1}
-        assert [w.spec.profile for w in loaded.workloads] == [web, db, web]
-
-    @pytest.mark.parametrize("edit, message", [
-        (("workload: web", "workload: api"), "{profiles}: no profile for workload 'api'"),
-        (("{file: profiles.yaml}", "{file: missing.yaml}"),
-         "{missing}: [Errno 2] No such file or directory: '{missing}'"),
-    ])
-    def test_shared_file_errors_unchanged(self, tmp_path, machine20, edit, message):
-        model = GroundTruthModel(1.0, 2.0, calibrated_capacity_fn("nginx", 1000.0))
-        profile = build_profile(model, machine20, SloSpec(0.99, 20.0))
-        profiles = tmp_path / "profiles.yaml"
-        profiles.write_text(dump_profiles({"web": profile, "db": profile}))
-        path = write(tmp_path, SHARED_FILE.replace(*edit))
-        with pytest.raises(ScenarioError) as e:
-            load_scenario(path)
-        assert str(e.value) == message.format(profiles=profiles,
-                                              missing=tmp_path / "missing.yaml")
 
 
 class TestLibyaml:
