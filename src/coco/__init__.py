@@ -12,7 +12,7 @@ _HOMES = {
                   "SloSpec", "WorkloadSpec", "dominance_of", "retainment_at",
                   "slowdown_at", "weights_of"),
     "coco.closconfig": ("ClosConfig", "ClosSet", "MigrationEvent", "ReconfigPlan",
-                        "default_partition", "diff", "validate"),
+                        "default_partition", "diff"),
     "coco.profiler": ("GroundTruthModel", "build_profile", "max_sustainable_load"),
     "coco.scheduler": ("EpochPlan", "QueueState", "TimeSlice", "admission_control",
                        "pair_compatible", "plan_epoch", "round_robin_plan"),

@@ -78,5 +78,4 @@ def calibrated_capacity_fn(app: str, full: float):
 
 def reference_machine() -> MachineSpec:
     """The machine the calibration rows were measured on."""
-    return MachineSpec(llc_ways=CALIBRATION_WAYS, clos_count=4, mba_step=10,
-                       max_bandwidth=204.8e9, cores=16)
+    return MachineSpec(llc_ways=CALIBRATION_WAYS, clos_count=4, mba_step=10)

@@ -184,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, output=True):
         p.add_argument("scenario", help="scenario YAML file")
-        p.add_argument("--seed", type=int, default=None, help="override sim seed")
         if output:
             p.add_argument("-o", "--output", default=None, help="output file")
 
@@ -198,11 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the scenario's policy once")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="override sim seed")
     p.add_argument("--format", choices=("csv", "table"), default="table")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("compare", help="affordable-load comparison across policies")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="override sim seed")
     p.add_argument("--policies", default=None,
                    help="comma-separated policy names (default: scenario's list)")
     p.add_argument("--format", choices=("csv", "table"), default="table")

@@ -39,13 +39,52 @@ class ClosConfig(Value):
         return AllocationState(self.width, self.mba_percent)
 
 
+def _problems(machine: MachineSpec, configs: tuple[ClosConfig, ...],
+              reserved_id: int) -> list[str]:
+    """Every rule a CLOS set on ``machine`` breaks; empty when it holds."""
+    v: list[str] = []
+    ids = [c.id for c in configs]
+    if len(configs) != machine.clos_count:
+        v.append(f"expected {machine.clos_count} configs, got {len(configs)}")
+    if len(set(ids)) != len(ids):
+        v.append("duplicate clos ids")
+    for c in configs:
+        if not 0 <= c.id < machine.clos_count:
+            v.append(f"clos id out of range: clos {c.id}")
+        if c.mask < 0:
+            v.append(f"negative mask: clos {c.id}")
+        elif c.mask == 0:
+            v.append(f"zero mask: clos {c.id}")
+        elif not c.is_contiguous():
+            v.append(f"non-contiguous mask: clos {c.id}")
+        if c.mask >> machine.llc_ways > 0:  # a negative mask shifts to -1
+            v.append(f"mask exceeds llc_ways: clos {c.id}")
+        if not machine.mba_step <= c.mba_percent <= 100:
+            v.append(f"mba_percent out of range: clos {c.id}")
+        elif c.mba_percent % machine.mba_step != 0:
+            v.append(f"mba_percent not a step multiple: clos {c.id}")
+    placed = [c for c in configs if c.mask > 0]  # negative: reported above
+    for i, a in enumerate(placed):
+        for b in placed[i + 1:]:
+            if a.mask & b.mask:
+                v.append(f"overlap: clos {a.id}, clos {b.id}")
+    if reserved_id not in ids:
+        v.append(f"reserved_id {reserved_id} not present")
+    if sum(c.mba_percent for c in configs) > 100:
+        v.append("mba shares exceed 100")
+    return v
+
+
 class ClosSet(Value):
-    """A complete CLOS configuration for one machine."""
+    """A complete CLOS configuration for one machine; no invalid one can be built."""
 
     __slots__ = ("machine", "configs", "reserved_id")
 
     def __init__(self, machine: MachineSpec, configs: tuple[ClosConfig, ...],
                  reserved_id: int = 0):
+        problems = _problems(machine, configs, reserved_id)
+        if problems:
+            raise ValidationError("; ".join(problems))
         _set(self, "machine", machine)
         _set(self, "configs", configs)
         _set(self, "reserved_id", reserved_id)
@@ -85,7 +124,11 @@ class ReconfigPlan(Value):
 
 
 def _largest_remainder(quotas: list[float], total: int, minimum: int) -> list[int]:
-    """Round quotas to integers summing to ``total``, each >= ``minimum``."""
+    """Round quotas to integers summing to ``total``, each >= ``minimum``.
+
+    Not shared with ``scheduler._split_quanta``, whose ties go by weight and
+    name, not lowest index: either rule in both places changes outputs.
+    """
     base = [int(q) for q in quotas]
     fracs = sorted(range(len(quotas)), key=lambda i: (quotas[i] - base[i], -i),
                    reverse=True)
@@ -138,51 +181,11 @@ def default_partition(machine: MachineSpec) -> ClosSet:
         mask = ((1 << w) - 1) << bit
         bit += w
         configs.append(ClosConfig(clos_id, mask, mba_units[clos_id] * machine.mba_step))
-    clos_set = ClosSet(machine, tuple(configs), reserved_id=0)
-    problems = validate(clos_set)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return clos_set
-
-
-def validate(clos_set: ClosSet) -> list[str]:
-    """All invariant violations in the set; empty list means ok."""
-    v: list[str] = []
-    machine = clos_set.machine
-    ids = [c.id for c in clos_set.configs]
-    if len(clos_set.configs) != machine.clos_count:
-        v.append(f"expected {machine.clos_count} configs, got {len(clos_set.configs)}")
-    if len(set(ids)) != len(ids):
-        v.append("duplicate clos ids")
-    for c in clos_set.configs:
-        if not 0 <= c.id < machine.clos_count:
-            v.append(f"clos id out of range: clos {c.id}")
-        if c.mask < 0:
-            v.append(f"negative mask: clos {c.id}")
-        elif c.mask == 0:
-            v.append(f"zero mask: clos {c.id}")
-        elif not c.is_contiguous():
-            v.append(f"non-contiguous mask: clos {c.id}")
-        if c.mask >> machine.llc_ways > 0:  # a negative mask shifts to -1
-            v.append(f"mask exceeds llc_ways: clos {c.id}")
-        if not machine.mba_step <= c.mba_percent <= 100:
-            v.append(f"mba_percent out of range: clos {c.id}")
-        elif c.mba_percent % machine.mba_step != 0:
-            v.append(f"mba_percent not a step multiple: clos {c.id}")
-    placed = [c for c in clos_set.configs if c.mask > 0]  # negative: reported above
-    for i, a in enumerate(placed):
-        for b in placed[i + 1:]:
-            if a.mask & b.mask:
-                v.append(f"overlap: clos {a.id}, clos {b.id}")
-    if clos_set.reserved_id not in ids:
-        v.append(f"reserved_id {clos_set.reserved_id} not present")
-    if sum(c.mba_percent for c in clos_set.configs) > 100:
-        v.append("mba shares exceed 100")
-    return v
+    return ClosSet(machine, tuple(configs), reserved_id=0)
 
 
 def diff(old: ClosSet, new: ClosSet) -> ReconfigPlan:
-    """Migration events between two valid sets on the same machine.
+    """Migration events between two sets on the same machine.
 
     A CLOS that gained or lost cache ways (or whose mask moved) must flush
     the changed ways; a plan is flagged invalid when any CLOS's ways and MBA
@@ -190,10 +193,6 @@ def diff(old: ClosSet, new: ClosSet) -> ReconfigPlan:
     """
     if old.machine != new.machine:
         raise ValidationError("clos sets belong to different machines")
-    for label, s in (("old", old), ("new", new)):
-        problems = validate(s)
-        if problems:
-            raise ValidationError(f"{label} set invalid: " + "; ".join(problems))
     events = []
     for c_old in sorted(old.configs, key=lambda c: c.id):
         c_new = new.by_id(c_old.id)

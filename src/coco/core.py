@@ -33,17 +33,17 @@ DEFAULT_SL_FULL = 1.0
 _set = object.__setattr__  # how a Value's __init__ stores its fields
 
 
-class Record:
-    """Base of the value types: equality, repr and replace from ``__slots__``.
+class Value:
+    """Base of the value types: equality, hash, repr and replace from ``__slots__``.
 
     A subclass names its fields in ``__slots__``, in the order of its
-    ``__init__``'s parameters, and writes that ``__init__`` with its checks.
-    Two records are equal when they are of one class and their fields are
-    equal.  A Record is mutable, so it is not hashable.
+    ``__init__``'s parameters, and writes that ``__init__`` with its checks,
+    storing each field by ``_set``.  Two values are equal when they are of
+    one class and their fields are equal.  A value is immutable; it hashes
+    as the tuple of its fields, so one that holds a list or a dict does not.
     """
 
     __slots__ = ()
-    __hash__ = None
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -52,6 +52,15 @@ class Record:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -66,22 +75,7 @@ class Record:
         return self.__class__(**{**fields, **changes})
 
 
-class Value(Record):
-    """An immutable, hashable Record: its ``__init__`` stores fields by ``_set``."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-
-def replace(obj: Record, /, **changes):
+def replace(obj: Value, /, **changes):
     """A copy of ``obj`` with ``changes``, checked again; as ``copy.replace``."""
     return obj.__replace__(**changes)
 
@@ -95,11 +89,9 @@ class Dominance(enum.Enum):
 class MachineSpec(Value):
     """Hardware envelope: LLC ways, CLOS count, MBA granularity."""
 
-    __slots__ = ("llc_ways", "clos_count", "mba_step", "max_bandwidth", "cores")
+    __slots__ = ("llc_ways", "clos_count", "mba_step")
 
-    def __init__(self, llc_ways: int, clos_count: int, mba_step: int,
-                 max_bandwidth: float = 0.0,  # bytes/sec, informational
-                 cores: int = 16):
+    def __init__(self, llc_ways: int, clos_count: int, mba_step: int):
         if llc_ways < 1:
             raise ValidationError("llc_ways must be >= 1")
         if llc_ways > MAX_LLC_WAYS:
@@ -110,15 +102,9 @@ class MachineSpec(Value):
             raise ValidationError("llc_ways must be >= clos_count (each CLOS needs a way)")
         if mba_step < 1 or 100 % mba_step != 0:
             raise ValidationError("mba_step must divide 100")
-        if cores < 1:
-            raise ValidationError("cores must be >= 1")
-        if not (math.isfinite(max_bandwidth) and max_bandwidth >= 0):
-            raise ValidationError("max_bandwidth must be finite and >= 0")
         _set(self, "llc_ways", llc_ways)
         _set(self, "clos_count", clos_count)
         _set(self, "mba_step", mba_step)
-        _set(self, "max_bandwidth", max_bandwidth)
-        _set(self, "cores", cores)
 
     def mba_levels(self) -> tuple[int, ...]:
         return tuple(range(self.mba_step, 101, self.mba_step))
@@ -311,8 +297,7 @@ def weights_of(slowdowns: list[float]) -> list[float]:
     return [s / total for s in slowdowns]
 
 
-def dominance_of(profile: SensitivityProfile,
-                 theta: float = DOMINANCE_THETA) -> Dominance:
+def dominance_of(profile: SensitivityProfile) -> Dominance:
     """Classify which resource axis dominates the profile's sensitivity.
 
     Compares the slowdown at the most-restricted cache endpoint (min ways,
@@ -321,9 +306,9 @@ def dominance_of(profile: SensitivityProfile,
     """
     a = profile.slowdowns[0][-1]   # (min ways, 100%)
     b = profile.slowdowns[-1][0]   # (full ways, min MBA)
-    if a >= theta * b:
+    if a >= DOMINANCE_THETA * b:
         return Dominance.LLC_DOMINANT
-    if b >= theta * a:
+    if b >= DOMINANCE_THETA * a:
         return Dominance.MB_DOMINANT
     return Dominance.BALANCED
 

@@ -14,7 +14,6 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from coco.closconfig import ClosSet, default_partition
-from coco.closconfig import validate as validate_clos_set
 from coco.core import MachineSpec, Value, WorkloadSpec, _set, replace
 from coco.errors import ValidationError
 
@@ -138,12 +137,8 @@ class Scenario(Value):
                                        < sys.float_info.min):
                 raise ValidationError(f"workload {w.name!r}: offered_load over its largest "
                                       "rate underflows")
-        if clos_set is not None:
-            if clos_set.machine != machine:
-                raise ValidationError("clos_set belongs to a different machine")
-            problems = validate_clos_set(clos_set)
-            if problems:
-                raise ValidationError("clos_set invalid: " + "; ".join(problems))
+        if clos_set is not None and clos_set.machine != machine:
+            raise ValidationError("clos_set belongs to a different machine")
         _set(self, "machine", machine)
         _set(self, "workloads", workloads)
         _set(self, "policy", policy)

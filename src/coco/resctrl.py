@@ -20,7 +20,7 @@ import shutil
 from pathlib import Path
 
 from coco.closconfig import ClosConfig, ClosSet
-from coco.core import Record, Value, _set
+from coco.core import Value, _set
 from coco.errors import ApplyDriftError, SchemataParseError, ValidationError
 
 DEFAULT_RESCTRL_ROOT = "/sys/fs/resctrl"
@@ -60,21 +60,21 @@ class ResctrlLayout(Value):
         return self.root_path / f"clos{clos_id}"
 
 
-class GroupReport(Record):
+class GroupReport(Value):
     __slots__ = ("group", "action", "error")
 
     def __init__(self, group: str, action: str,  # created | updated | unchanged | failed
                  error: str | None = None):
-        self.group = group
-        self.action = action
-        self.error = error
+        _set(self, "group", group)
+        _set(self, "action", action)
+        _set(self, "error", error)
 
 
-class ApplyReport(Record):
+class ApplyReport(Value):
     __slots__ = ("groups",)
 
     def __init__(self, groups: list[GroupReport] | None = None):
-        self.groups = [] if groups is None else groups
+        _set(self, "groups", [] if groups is None else groups)
 
     @property
     def ok(self) -> bool:

@@ -73,8 +73,6 @@ else:
             yaml.constructor.SafeConstructor.__init__(self)
             yaml.resolver.Resolver.__init__(self)
 
-_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-
 
 class LoadedWorkload(Value):
     __slots__ = ("spec", "model")
@@ -270,8 +268,7 @@ _WORKLOAD = {"name": _string,
              "slo": _section(_SLO, ("percentile", "latency_bound_ms"), SloSpec),
              "offered_load": _number, "profile": _section(_PROFILE),
              "model": _model, "dominance": _choice(Dominance)}
-_MACHINE = {"llc_ways": _integer, "clos_count": _integer, "mba_step": _integer,
-            "max_bandwidth": _number, "cores": _integer}
+_MACHINE = {"llc_ways": _integer, "clos_count": _integer, "mba_step": _integer}
 _SIM = {"policy": _choice(Policy), "epoch_quanta": _integer, "quantum_ms": _number,
         "duration": _integer, "seed": _integer,
         "warmup": _section({"window": _integer, "factor": _number}, make=WarmupParams),
@@ -352,7 +349,7 @@ def _clos_set(cs: dict, where: str, machine: MachineSpec) -> ClosSet:
             mask = ((1 << e["width"]) - 1) << bit
             bit += e["width"]
         configs.append(ClosConfig(e.get("id", idx), mask, e["mba_percent"]))
-    return ClosSet(machine, tuple(configs), **cs)
+    return _build(ClosSet, where, machine, tuple(configs), **cs)
 
 
 def load_scenario(path: str | Path) -> LoadedScenario:
@@ -367,7 +364,7 @@ def load_scenario(path: str | Path) -> LoadedScenario:
         clos_set = _clos_set(doc["clos_set"], f"{path}: clos_set", machine)
     loaded = LoadedScenario(path, machine, workloads, doc.get("policies", ()),
                             {"policy": Policy.COCO, **doc.get("sim", {})}, clos_set)
-    _build(loaded.scenario, str(path))  # Scenario's checks: sim ranges, names, clos_set
+    _build(loaded.scenario, str(path))  # Scenario's checks: sim ranges, names, loads
     return loaded
 
 
@@ -379,12 +376,13 @@ def _yaml_float(x) -> str:
 
 def dump_profiles(workload_profiles: dict[str, SensitivityProfile]) -> str:
     """Profile file content for the given workload -> profile mapping, in PyYAML's
-    block layout byte for byte: only names and ``sl_full`` pass through PyYAML."""
+    block layout byte for byte: only names and ``sl_full`` pass through PyYAML, by
+    its pure-Python dumper, as libyaml folds long escaped names at other points."""
     parts = ["profiles:\n" if workload_profiles else "profiles: []\n"]
     for name in sorted(workload_profiles):
         p = workload_profiles[name]
         parts += [yaml.dump([{"workload": name, "sl_full": float(p.sl_full)}],
-                            Dumper=_Dumper, sort_keys=False),
+                            Dumper=yaml.SafeDumper, sort_keys=False),
                   "  way_levels:\n", *(f"  - {w}\n" for w in p.way_levels),
                   "  mba_levels:\n", *(f"  - {m}\n" for m in p.mba_levels), "  slowdowns:\n"]
         parts += ["  - - " + "\n    - ".join(map(_yaml_float, row)) + "\n" for row in p.slowdowns]

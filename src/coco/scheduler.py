@@ -73,7 +73,11 @@ def pair_compatible(a: WorkloadSpec, b: WorkloadSpec) -> bool:
 
 def _split_quanta(members: list[WorkloadSpec], weights: dict[str, float],
                   epoch_quanta: int) -> list[int]:
-    """Largest-remainder split of an epoch, one-quantum floor per member."""
+    """Largest-remainder split of an epoch, one-quantum floor per member.
+
+    Not ``closconfig._largest_remainder``, whose ties go to the lowest index:
+    with them, simulate and compare change on the fleet and overload scenarios.
+    """
     if epoch_quanta < len(members):
         raise EpochUnderflowError(
             f"epoch underflow: {epoch_quanta} quanta for {len(members)} workloads")

@@ -92,7 +92,7 @@ def _views(scenario: Scenario, clos_set: ClosSet,
            dealt: list[tuple]) -> dict[int, tuple[float, float]]:
     """Effective (ways, MBA percent) each dealt CLOS provides under the policy."""
     shared = POLICIES[scenario.policy].shared
-    n_active = max(1, len(dealt))
+    n_active = len(dealt)
     views = {}
     for clos_id, *_ in dealt:
         cfg = clos_set.by_id(clos_id)

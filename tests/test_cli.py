@@ -17,7 +17,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coco.cli import main
+from coco.cli import build_parser, main
 from coco.params import Policy
 from coco.scenario import load_scenario
 from coco.sim import compare_policies
@@ -86,8 +86,7 @@ MALFORMED = {
     # tags the safe constructor cannot apply
     "tag-int": ("calibration: nginx", "calibration: !!int nginx"),
     "tag-float": ("mba_step: 10\n", "mba_step: !!float x\n"),
-    "tag-timestamp": ("machine:\n  llc_ways: 20\n  clos_count: 4\n  mba_step: 10\n"
-                      "  max_bandwidth: 2.048e+11\n  cores: 16\n",
+    "tag-timestamp": ("machine:\n  llc_ways: 20\n  clos_count: 4\n  mba_step: 10\n",
                       "machine: !!timestamp 2020-13-45\n"),
     "tag-bool": ("seed: 42\n", "seed: !!bool maybe\n"),
     "tag-unmatched-timestamp": ("quantum_ms: 100.0\n", "quantum_ms: !!timestamp soon\n"),
@@ -97,8 +96,10 @@ MALFORMED = {
     # a repeated key is an error, not "the last one wins"
     "duplicate-workload-key": ("    offered_load: 12000\n",
                                "    offered_load: 1\n    offered_load: 12000\n"),
-    "duplicate-machine-key": ("  cores: 16\n", "  cores: 16\n  llc_ways: 20\n"),
+    "duplicate-machine-key": ("  mba_step: 10\n", "  mba_step: 10\n  llc_ways: 20\n"),
     "duplicate-top-key": ("\nsim:\n", "\npolicies: [rr]\nsim:\n"),
+    # a machine setting nothing reads is an unknown key
+    "machine-cores": ("  mba_step: 10\n", "  mba_step: 10\n  cores: 16\n"),
     # finite values whose rates or capacity totals are not: a rate that underflows
     # to 0, a slowdown x interference_alpha that overflows, and overflowing loads
     "rate-underflow": (MEMCACHED_PROFILE, HUGE_SLOWDOWNS % "1.0e-20"),
@@ -124,7 +125,7 @@ FUZZ_VALUES = (0, -1, 1e308, math.nan, math.inf, "x", None, [], 10**400, True)
 DELETE = object()
 # covers the sections reference.yaml lacks: grid profile, models, clos_set, warmup
 MIXED_DOC = yaml.safe_load("""\
-machine: {llc_ways: 20, clos_count: 4, mba_step: 10, max_bandwidth: 1.0e+11, cores: 8}
+machine: {llc_ways: 20, clos_count: 4, mba_step: 10}
 workloads:
   - name: grid
     slo: {percentile: 0.99, latency_bound_ms: 5.0}
@@ -245,6 +246,19 @@ class TestValidate:
         path.write_text(path.read_text().replace(old, new))
         assert main(["validate", reference_copy]) == 2
         assert capsys.readouterr().err == f"error: {reference_copy}: {message}\n"
+
+    @pytest.mark.parametrize("lines, keys", [
+        (MALFORMED["machine-cores"][1], "['cores']"),
+        ("  mba_step: 10\n  max_bandwidth: 2.048e+11\n  cores: 16\n",
+         "['cores', 'max_bandwidth']")])
+    def test_unread_machine_keys_rejected(self, lines, keys, reference_copy, capsys):
+        path = Path(reference_copy)
+        path.write_text(path.read_text().replace("  mba_step: 10\n", lines))
+        for command in ("validate", "simulate", "compare"):
+            assert main([command, reference_copy]) == 2, command
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", f"error: {reference_copy}: machine: unknown keys {keys}\n"), command
 
     def test_absent_policies_compare_all_six(self, reference_copy, capsys):
         path = Path(reference_copy)
@@ -423,14 +437,15 @@ OUT_OF_RANGE = {
                       "workloads[2].model.capacity: full must be > 0"),
     "way_levels": (("workloads", 0, "profile", "grid", "way_levels"), [0, 20],
                    "workloads[0].profile.grid: way_levels must be strictly ascending"),
-    "clos-id": (("clos_set", "configs", 0, "id"), -1, "clos id out of range: clos -1"),
-    "mask-negative": (("clos_set", "configs", 2, "mask"), -1, "negative mask: clos 2"),
+    "clos-id": (("clos_set", "configs", 0, "id"), -1,
+                "clos_set: clos id out of range: clos -1"),
+    "mask-negative": (("clos_set", "configs", 2, "mask"), -1, "clos_set: negative mask: clos 2"),
     "width-0": (("clos_set", "configs", 0, "width"), 0, "configs[0].width: must be >= 1"),
     "width-negative": (("clos_set", "configs", 0, "width"), -1,
                        "configs[0].width: must be >= 1"),
     "mba_percent": (("clos_set", "configs", 0, "mba_percent"), 0,
-                    "mba_percent out of range: clos 0"),
-    "reserved_id": (("clos_set", "reserved_id"), -1, "reserved_id -1 not present"),
+                    "clos_set: mba_percent out of range: clos 0"),
+    "reserved_id": (("clos_set", "reserved_id"), -1, "clos_set: reserved_id -1 not present"),
 }
 
 
@@ -449,6 +464,38 @@ def test_out_of_range_field_one_line_error(case, tmp_path, capsys):
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
     assert err.count(str(path)) == 1
     assert names in err
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", ["validate", "profile", "simulate", "compare",
+                                         "schemata"])
+    def test_seed_only_where_it_is_read(self, command, capsys):
+        parser = build_parser()
+        argv = [command, "scenario.yaml", "--seed", "7"]
+        if command in ("simulate", "compare"):
+            assert parser.parse_args(argv).seed == 7
+            return
+        with pytest.raises(SystemExit) as e:
+            parser.parse_args(argv)
+        assert e.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+    def test_validate_names_seed(self, reference_copy, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["validate", reference_copy, "--seed", "1"])
+        assert e.value.code == 2
+        assert "--seed" in capsys.readouterr().err.splitlines()[-1]
+
+
+def test_clos_set_reported_before_sim_ranges(tmp_path, capsys):
+    # the loader builds the set, which checks itself, before the Scenario
+    doc = copy.deepcopy(MIXED_DOC)
+    doc["clos_set"]["configs"][0]["mba_percent"] = 60
+    doc["sim"]["duration"] = 0
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: clos_set: mba shares exceed 100\n"
 
 
 class TestSchemata:

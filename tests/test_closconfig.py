@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coco.closconfig import (ClosConfig, ClosSet, default_partition, diff,
-                             validate)
+from coco.closconfig import ClosConfig, ClosSet, default_partition, diff
 from coco.core import MachineSpec
 from coco.errors import ValidationError
 
@@ -50,47 +49,53 @@ class TestDefaultPartition:
         assert widths == [2, 8]
 
     def test_output_validates(self):
+        # ClosSet's constructor checks the set rules, so building is the check
         for ways, clos, step in ((20, 4, 10), (10, 2, 10), (12, 3, 20),
                                  (4, 2, 50), (24, 4, 5)):
-            assert validate(default_partition(machine(ways, clos, step))) == []
+            assert len(default_partition(machine(ways, clos, step)).configs) == clos
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 8), st.integers(4, 32), st.sampled_from((5, 10, 20, 25)))
     def test_output_always_validates(self, clos, ways, step):
         if ways < clos or 100 // step < clos:
             return
-        assert validate(default_partition(machine(ways, clos, step))) == []
+        assert len(default_partition(machine(ways, clos, step)).configs) == clos
+
+
+def problems(*configs, reserved_id=0):
+    """The one-line error ClosSet raises for ``configs`` on an 8-way, 2-CLOS machine."""
+    with pytest.raises(ValidationError) as raised:
+        ClosSet(machine(ways=8, clos=2), configs, reserved_id)
+    return str(raised.value)
 
 
 class TestValidate:
     def test_default_is_ok(self):
-        assert validate(default_partition(machine())) == []
+        cs = default_partition(machine())
+        assert ClosSet(cs.machine, cs.configs, cs.reserved_id) == cs
 
     def test_overlap_reported(self):
-        m = machine(ways=8, clos=2)
-        cs = ClosSet(m, (ClosConfig(0, 0b1100, 50), ClosConfig(1, 0b1000, 50)))
-        assert any("overlap: clos 0, clos 1" in msg for msg in validate(cs))
+        assert "overlap: clos 0, clos 1" in problems(ClosConfig(0, 0b1100, 50),
+                                                     ClosConfig(1, 0b1000, 50))
 
     def test_non_contiguous_reported(self):
-        m = machine(ways=8, clos=2)
-        cs = ClosSet(m, (ClosConfig(0, 0b101, 50), ClosConfig(1, 0b010, 50)))
-        assert any("non-contiguous mask" in msg for msg in validate(cs))
+        assert "non-contiguous mask" in problems(ClosConfig(0, 0b101, 50),
+                                                 ClosConfig(1, 0b010, 50))
 
     def test_zero_mask_reported(self):
-        m = machine(ways=8, clos=2)
-        cs = ClosSet(m, (ClosConfig(0, 0, 50), ClosConfig(1, 0b1, 50)))
-        assert any("zero mask: clos 0" in msg for msg in validate(cs))
+        assert "zero mask: clos 0" in problems(ClosConfig(0, 0, 50), ClosConfig(1, 0b1, 50))
 
     @pytest.mark.parametrize("mask", [-1, -5])
     def test_negative_mask_is_one_problem(self, mask):
-        m = machine(ways=8, clos=2)
-        cs = ClosSet(m, (ClosConfig(0, 0b1, 50), ClosConfig(1, mask, 50)))
-        assert validate(cs) == ["negative mask: clos 1"]
+        assert problems(ClosConfig(0, 0b1, 50), ClosConfig(1, mask, 50)) == \
+            "negative mask: clos 1"
 
     def test_mba_share_overflow_reported(self):
-        m = machine(ways=8, clos=2)
-        cs = ClosSet(m, (ClosConfig(0, 0b1, 60), ClosConfig(1, 0b10, 60)))
-        assert any("exceed 100" in msg for msg in validate(cs))
+        assert "exceed 100" in problems(ClosConfig(0, 0b1, 60), ClosConfig(1, 0b10, 60))
+
+    def test_problems_joined_in_one_error(self):
+        assert problems(ClosConfig(0, 0b11, 60), ClosConfig(1, 0b10, 60), reserved_id=5) == \
+            "overlap: clos 0, clos 1; reserved_id 5 not present; mba shares exceed 100"
 
 
 class TestDiff:
@@ -144,10 +149,9 @@ class TestDiff:
             diff(default_partition(machine()), default_partition(machine(ways=24)))
 
     def test_invalid_set_rejected(self):
-        m = machine(ways=8, clos=2)
-        bad = ClosSet(m, (ClosConfig(0, 0b11, 50), ClosConfig(1, 0b10, 50)))
-        with pytest.raises(ValidationError):
-            diff(bad, bad)
+        # no invalid set reaches diff: the constructor refuses it
+        assert problems(ClosConfig(0, 0b11, 50), ClosConfig(1, 0b10, 50)) == \
+            "overlap: clos 0, clos 1"
 
 
 class TestDiffProperties:

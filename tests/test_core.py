@@ -61,10 +61,6 @@ class TestProfileValidation:
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 class TestNonFiniteRejected:
-    def test_machine_bandwidth(self, bad):
-        with pytest.raises(ValidationError):
-            MachineSpec(llc_ways=20, clos_count=4, mba_step=10, max_bandwidth=bad)
-
     def test_slo_bound(self, bad):
         with pytest.raises(ValidationError):
             SloSpec(0.99, bad)

@@ -26,7 +26,7 @@ PUBLIC = {
     "AllocationState", "Dominance", "MachineSpec", "SensitivityProfile", "SloSpec",
     "WorkloadSpec", "dominance_of", "retainment_at", "slowdown_at", "weights_of",
     "ClosConfig", "ClosSet", "MigrationEvent", "ReconfigPlan", "default_partition",
-    "diff", "validate", "GroundTruthModel", "build_profile", "max_sustainable_load",
+    "diff", "GroundTruthModel", "build_profile", "max_sustainable_load",
     "EpochPlan", "QueueState", "TimeSlice", "admission_control", "pair_compatible",
     "plan_epoch", "round_robin_plan", "Policy", "Scenario", "SimMetrics",
     "WarmupParams", "compare_policies", "max_affordable_load", "run_scenario",

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from coco import resctrl
 from coco.calibration import reference_machine
+from coco.cli import main
 from coco.closconfig import ClosConfig, default_partition
-from coco.errors import SchemataParseError, ValidationError
+from coco.errors import ApplyDriftError, SchemataParseError, ValidationError
 from coco.resctrl import (ResctrlLayout, apply, parse_schemata,
                           serialize_clos_set, serialize_schemata)
 
@@ -156,6 +157,22 @@ class TestApply:
             assert list(root.iterdir()) == []  # no partial directories
         finally:
             os.chmod(root, 0o755)
+
+    def test_read_back_mismatch_raises_drift(self, tmp_path, monkeypatch, reference_path,
+                                              capsys):
+        # runs as root too: every group's schemata gets CLOS 1's lines
+        clos1 = serialize_schemata(default_partition(reference_machine()).by_id(1))
+        write = resctrl._write_schemata
+        monkeypatch.setattr(resctrl, "_write_schemata", lambda path, _: write(path, clos1))
+        drifted = tmp_path / "api" / "clos2" / "schemata"
+        with pytest.raises(ApplyDriftError) as e:
+            apply(default_partition(reference_machine()), ResctrlLayout(tmp_path / "api"))
+        assert str(e.value) == f"apply drift: {drifted} does not match clos 2"
+
+        root = tmp_path / "cli"
+        assert main(["schemata", str(reference_path), "--apply", "--root", str(root)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: apply drift: {root / 'clos2' / 'schemata'} does not match clos 2\n")
 
     def test_env_root_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RESCTRL_ROOT", str(tmp_path))

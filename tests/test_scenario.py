@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coco import scenario
@@ -35,12 +35,11 @@ def pyyaml_dump(profiles, dumper=yaml.SafeDumper) -> str:
     return yaml.dump({"profiles": entries}, Dumper=dumper, sort_keys=False)
 
 
-# names PyYAML must quote, escape or fold, and plain ones; libyaml folds a long
-# escaped name otherwise than pure-Python PyYAML, so this text is printable ASCII
+# names PyYAML must quote, escape or fold, plain ones, and any text
 PROFILE_NAMES = st.sampled_from(
     ["web", "yes", "null", "123", "1.5", "a: b", "- x", "#x", "caf\u00e9 \u6f22\u5b57",
      "tab\there", "a model name with spaces, long enough to pass eighty columns " * 2]
-) | st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1, max_size=100)
+) | st.text(min_size=1, max_size=100)
 # slowdowns: integers, floats whose repr has an exponent, and any finite float >= 1
 SLOWDOWNS = st.sampled_from([1, 2, 7, 1.5, 1e16, 1e22, 1.0000001, 3e300]) | st.floats(1.0, 1e300)
 
@@ -59,6 +58,9 @@ def profiles(draw):
     sl_full = draw(st.sampled_from([1, 1e16, 1e-5, 5e-324, 120000.0, 1.7e308])
                    | st.floats(1e-300, 1e300))
     return SensitivityProfile(tuple(ways), tuple(mbas), grid, sl_full)
+
+
+FLAT = SensitivityProfile((1, 20), (50, 100), ((1.0, 1.0), (1.0, 1.0)))
 
 
 def assert_loads_back(text, profiles):
@@ -145,7 +147,6 @@ class TestLoadScenario:
         loaded = load_scenario(write(tmp_path, MINIMAL + "sim: {warmup: {window: 3}}\n"))
         assert loaded.sim_params == {"policy": Policy.COCO,
                                      "warmup": WarmupParams(window=3)}
-        assert loaded.machine.cores == 16 and loaded.machine.max_bandwidth == 0.0
         assert loaded.scenario().warmup.factor == 1.15
 
     def test_clos_mask_and_width_exclusive(self, tmp_path):
@@ -299,19 +300,15 @@ class TestLibyaml:
             profiles[f"model-{app}"] = build_profile(model, machine, SloSpec(0.99, slo_ms))
         assert dump_profiles(profiles) == pyyaml_dump(profiles)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
+    # long escaped names, which libyaml folds at other points than PyYAML
+    @example(profiles={"a\x1f" * 30: FLAT})
+    @example(profiles={"\u00e9" * 50: FLAT})
     @given(profiles=st.dictionaries(PROFILE_NAMES, profiles(), max_size=3))
     def test_dump_equals_pyyaml_and_loads_back(self, profiles):
+        # the same bytes on every install, with or without libyaml
         text = dump_profiles(profiles)
         assert text == pyyaml_dump(profiles)
-        assert_loads_back(text, profiles)
-
-    @settings(max_examples=100, deadline=None)
-    @given(profiles=st.dictionaries(st.text(min_size=1), profiles(), max_size=3))
-    def test_any_name_as_the_whole_file_dumper_writes_it(self, profiles):
-        # any name comes out as in the whole file dumped by libyaml, when present
-        text = dump_profiles(profiles)
-        assert text == pyyaml_dump(profiles, scenario._Dumper)
         assert_loads_back(text, profiles)
 
     @pytest.mark.parametrize("text, message", [

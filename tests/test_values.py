@@ -1,7 +1,7 @@
 """The public value types: equality, hash, repr, immutability and replace.
 
-Each type is a slotted class on ``coco.core.Value`` (``Record`` for the two
-mutable resctrl reports), and behaves as the frozen dataclass it replaces.
+Each type is a slotted class on ``coco.core.Value``, and behaves as the
+frozen dataclass it replaces.
 """
 
 import copy
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from coco.closconfig import ClosConfig, ClosSet, MigrationEvent, ReconfigPlan
-from coco.core import (AllocationState, Dominance, MachineSpec, Record, SensitivityProfile,
+from coco.core import (AllocationState, Dominance, MachineSpec, SensitivityProfile,
                        SloSpec, Value, WorkloadSpec, replace)
 from coco.errors import ValidationError
 from coco.profiler import GroundTruthModel
@@ -29,7 +29,9 @@ def capacity(state):
 SLO = SloSpec(0.99, 5.0)
 PROFILE = SensitivityProfile((1, 20), (50, 100), ((2.0, 1.5), (1.2, 1.0)), 10.0)
 MACHINE = MachineSpec(20, 4, 10)
+PAIR = MachineSpec(20, 2, 10)
 CLOS = ClosConfig(1, 7, 30)
+RESERVED = ClosConfig(0, 0x18, 70)
 WORKLOAD = WorkloadSpec("w", SLO, PROFILE, 5.0)
 EVENT = MigrationEvent(1, 2, -10, True)
 SLICE = TimeSlice("w", 1, 5)
@@ -45,9 +47,8 @@ GROUP = GroupReport("clos1", "created")
 VALUE_TYPES = [
     (AllocationState, (3, 40), {"llc_ways": 4}, {"llc_ways": 0},
      "AllocationState(llc_ways=3, mba_percent=40)", True),
-    (MachineSpec, (20, 4, 10), {"cores": 8}, {"clos_count": 1},
-     "MachineSpec(llc_ways=20, clos_count=4, mba_step=10, max_bandwidth=0.0, cores=16)",
-     True),
+    (MachineSpec, (20, 4, 10), {"mba_step": 5}, {"clos_count": 1},
+     "MachineSpec(llc_ways=20, clos_count=4, mba_step=10)", True),
     (SloSpec, (0.99, 5.0), {"latency_bound_ms": 2.0}, {"percentile": 1.0},
      "SloSpec(percentile=0.99, latency_bound_ms=5.0)", True),
     (SensitivityProfile, ((1, 20), (50, 100), ((2.0, 1.5), (1.2, 1.0)), 10.0),
@@ -59,8 +60,8 @@ VALUE_TYPES = [
      "dominance=<Dominance.BALANCED: 'balanced'>)", True),
     (ClosConfig, (1, 7, 30), {"mba_percent": 40}, None,
      "ClosConfig(id=1, mask=7, mba_percent=30)", True),
-    (ClosSet, (MACHINE, (CLOS,)), {"reserved_id": 1}, None,
-     f"ClosSet(machine={MACHINE!r}, configs=({CLOS!r},), reserved_id=0)", True),
+    (ClosSet, (PAIR, (RESERVED, CLOS)), {"reserved_id": 1}, {"reserved_id": 2},
+     f"ClosSet(machine={PAIR!r}, configs=({RESERVED!r}, {CLOS!r}), reserved_id=0)", True),
     (MigrationEvent, (1, 2, -10, True), {"conflict": True}, None,
      "MigrationEvent(clos_id=1, delta_ways=2, delta_mba=-10, flush_required=True, "
      "conflict=False)", True),
@@ -113,17 +114,15 @@ VALUE_TYPES = [
     (ResctrlLayout, (Path("/r"),), {"root_path": Path("/s")}, None,
      f"ResctrlLayout(root_path={Path('/r')!r})", True),
     (GroupReport, ("clos1", "created"), {"action": "failed"}, None,
-     "GroupReport(group='clos1', action='created', error=None)", False),
+     "GroupReport(group='clos1', action='created', error=None)", True),
     (ApplyReport, ([GROUP],), {"groups": []}, None,
      f"ApplyReport(groups=[{GROUP!r}])", False),
 ]
-MUTABLE = (GroupReport, ApplyReport)
 
 
 def _twin(cls):
     """Another class with the same fields and constructor."""
-    base = Record if cls in MUTABLE else Value
-    return type("Twin", (base,), {"__slots__": cls.__slots__, "__init__": cls.__init__})
+    return type("Twin", (Value,), {"__slots__": cls.__slots__, "__init__": cls.__init__})
 
 
 @pytest.mark.parametrize("cls, args, change, bad, text, hashable", VALUE_TYPES,
@@ -141,17 +140,13 @@ def test_value_type(cls, args, change, bad, text, hashable):
             hash(value)
 
     field = next(iter(change))
-    if cls in MUTABLE:  # the resctrl reports are filled in as apply runs
-        setattr(same, field, change[field])
-        assert same == replace(value, **change)
-    else:
-        with pytest.raises(AttributeError):
-            setattr(value, field, change[field])
-        with pytest.raises(AttributeError):
-            delattr(value, field)
-        with pytest.raises(AttributeError):
-            value.unknown_field = 1
-        assert value == same
+    with pytest.raises(AttributeError):
+        setattr(value, field, change[field])
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.unknown_field = 1
+    assert value == same
 
     changed = replace(value, **change)
     assert type(changed) is cls
@@ -172,7 +167,7 @@ def test_every_public_value_type_is_covered():
     import coco
     public = {getattr(coco, name) for name in coco.__all__}
     covered = {row[0] for row in VALUE_TYPES}
-    assert {cls for cls in public if isinstance(cls, type) and issubclass(cls, Record)} \
+    assert {cls for cls in public if isinstance(cls, type) and issubclass(cls, Value)} \
         <= covered
 
 
