@@ -311,6 +311,14 @@ class TestLibyaml:
         assert text == pyyaml_dump(profiles)
         assert_loads_back(text, profiles)
 
+    @settings(max_examples=100, deadline=None)
+    @given(profiles=st.dictionaries(st.text(min_size=1), profiles(), max_size=3))
+    def test_any_name_as_the_whole_file_dumper_writes_it(self, profiles):
+        # names of any length come out as in the whole file dumped by PyYAML
+        text = dump_profiles(profiles)
+        assert text == pyyaml_dump(profiles)
+        assert_loads_back(text, profiles)
+
     @pytest.mark.parametrize("text, message", [
         ("machine: *nope\n", "line 1: invalid YAML: found undefined alias 'nope'"),
         ("machine: @x\n", "line 1: invalid YAML: found character '@' that cannot "
