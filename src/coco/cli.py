@@ -13,12 +13,13 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from coco.errors import CocoError, InfeasibleSloError, ScenarioError
+from coco.errors import ApplyDriftError, CocoError, InfeasibleSloError, ScenarioError
 from coco.closconfig import default_partition
 from coco.params import Policy
 from coco.scenario import _choice, _distinct_policies, dump_profiles, load_scenario
 
 if TYPE_CHECKING:
+    from coco.resctrl import ApplyReport
     from coco.sim import CompareResult, SimMetrics
 
 CSV_HEADER = "policy,workload,affordable_load,retainment,violations,migrations,overhead_fraction"
@@ -165,15 +166,23 @@ def _cmd_schemata(args) -> int:
     sys.stdout.write(resctrl.serialize_clos_set(clos_set))
     if args.apply:
         layout = resctrl.ResctrlLayout.from_env(args.root)
-        report = resctrl.apply(clos_set, layout)
-        for g in report.groups:
-            line = f"{g.group}: {g.action}"
-            if g.error:
-                line += f" ({g.error})"
-            print(line, file=sys.stderr)
+        try:
+            report = resctrl.apply(clos_set, layout)
+        except ApplyDriftError as e:  # each group's line, then the one-line error
+            _print_groups(e.report)
+            raise
+        _print_groups(report)
         if not report.ok:
             return EXIT_VALIDATION
     return EXIT_OK
+
+
+def _print_groups(report: ApplyReport) -> None:
+    for g in report.groups:
+        line = f"{g.group}: {g.action}"
+        if g.error:
+            line += f" ({g.error})"
+        print(line, file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,7 +27,12 @@ class SchemataParseError(CocoError):
 
 
 class ApplyDriftError(CocoError):
-    """Read-back after apply() did not match the intended configuration."""
+    """Read-back after apply() did not match the intended configuration;
+    ``report`` holds what apply() did to each group before the read-back."""
+
+    def __init__(self, message: str, report):
+        super().__init__(message)
+        self.report = report
 
 
 class ScenarioError(CocoError):

@@ -178,7 +178,8 @@ def apply(clos_set: ClosSet, layout: ResctrlLayout) -> ApplyReport:
     """Create/update one group directory per LC CLOS; verify by read-back.
 
     Per-group failures are reported, not raised; a read-back mismatch on a
-    group that claimed success raises ApplyDriftError.  A group directory
+    group that claimed success raises ApplyDriftError, which carries the
+    report.  A group directory
     created by this call is removed again if its writes fail.
     """
     report = ApplyReport()
@@ -214,5 +215,5 @@ def apply(clos_set: ClosSet, layout: ResctrlLayout) -> ApplyReport:
         fragment = parse_schemata(schemata.read_text())
         if fragment.mask() != cfg.mask or fragment.mba_percent() != cfg.mba_percent:
             raise ApplyDriftError(
-                f"apply drift: {schemata} does not match clos {cfg.id}")
+                f"apply drift: {schemata} does not match clos {cfg.id}", report)
     return report

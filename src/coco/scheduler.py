@@ -65,10 +65,14 @@ class EpochPlan(Value):
         raise KeyError(workload)
 
 
+_BALANCED = Dominance.BALANCED
+
+
 def pair_compatible(a: WorkloadSpec, b: WorkloadSpec) -> bool:
-    """True iff the two workloads stress opposite resource axes."""
-    return ((a.dominance is Dominance.LLC_DOMINANT and b.dominance is Dominance.MB_DOMINANT)
-            or (a.dominance is Dominance.MB_DOMINANT and b.dominance is Dominance.LLC_DOMINANT))
+    """True iff the two workloads stress opposite resource axes: their
+    dominances differ and neither is balanced."""
+    x, y = a.dominance, b.dominance
+    return x is not y and x is not _BALANCED and y is not _BALANCED
 
 
 def _split_quanta(members: list[WorkloadSpec], weights: dict[str, float],
@@ -109,12 +113,14 @@ def _deal(ranked: list[WorkloadSpec], weights: dict[str, float], lc: tuple[ClosC
         counts = _split_quanta(members, weights, epoch_quanta)
         segments, i = [], 0
         while i < len(members):  # a compatible adjacent pair shares one segment
-            if pairing and i + 1 < len(members) and pair_compatible(members[i], members[i + 1]):
-                segments.append(((members[i], members[i + 1]), counts[i] + counts[i + 1]))
-                i += 2
-            else:
-                segments.append(((members[i],), counts[i]))
-                i += 1
+            if pairing and i + 1 < len(members):  # pair_compatible, inline: no call per pair
+                x, y = members[i].dominance, members[i + 1].dominance
+                if x is not y and x is not _BALANCED and y is not _BALANCED:
+                    segments.append(((members[i], members[i + 1]), counts[i] + counts[i + 1]))
+                    i += 2
+                    continue
+            segments.append(((members[i],), counts[i]))
+            i += 1
         dealt.append((lc[j].id, members, counts, segments))
     return dealt
 
@@ -189,8 +195,9 @@ def rated(dealt: list[tuple], epoch_quanta: int, views: dict[int, tuple[float, f
     epoch, [(member, base rate, warm rate)]).  The base rate is the
     full-allocation load over slowdown x ``alpha`` at the CLOS's (ways, MBA
     percent) view, and over ``penalty`` too if paired; the warm rate is the
-    base over the warmup ``factor``.  ``memo`` keeps slowdown x alpha per
-    (view, workload name).
+    base over the warmup ``factor``.  ``memo`` keeps each member's rates per
+    (view, workload name, paired penalty), and the one slowdown x alpha they
+    share per (view, workload name): a workload is looked up once per view.
     """
     for clos_id, _, _, segments in dealt:
         view = views[clos_id]
@@ -198,11 +205,15 @@ def rated(dealt: list[tuple], epoch_quanta: int, views: dict[int, tuple[float, f
             paired = penalty if len(members) == 2 else 1.0
             rates = []
             for w in members:
-                key = (view, w.name)
-                if key not in memo:
-                    memo[key] = slowdown_xy(w.profile, *view) * alpha
-                base = w.sl_full / (memo[key] * paired)
-                rates.append((w, base, base / factor))
+                key = (view, w.name, paired)
+                row = memo.get(key)
+                if row is None:
+                    scaled = memo.get(key[:2])
+                    if scaled is None:
+                        scaled = memo[key[:2]] = slowdown_xy(w.profile, *view) * alpha
+                    base = w.sl_full / (scaled * paired)
+                    row = memo[key] = (w, base, base / factor)
+                rates.append(row)
             yield clos_id, len(segments), quanta, quanta / epoch_quanta, rates
 
 
@@ -244,7 +255,8 @@ def admission_control(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
                     worst, evicted = (demand, -weights[w.name], w.name), w
         if worst[0] <= 1.0 - overhead_margin:
             break
-        ranked.remove(evicted)
+        # by position, found by identity: ``remove`` would compare values field by field
+        del ranked[next(i for i, w in enumerate(ranked) if w is evicted)]
         rejected.append(evicted)
     out = {w.name for w in rejected}
     return tuple(w for w in workloads if w.name not in out), tuple(rejected)

@@ -168,10 +168,14 @@ class TestApply:
         with pytest.raises(ApplyDriftError) as e:
             apply(default_partition(reference_machine()), ResctrlLayout(tmp_path / "api"))
         assert str(e.value) == f"apply drift: {drifted} does not match clos 2"
+        assert [(g.group, g.action) for g in e.value.report.groups] == [
+            ("clos1", "created"), ("clos2", "created"), ("clos3", "created")]
 
+        # the CLI prints each group's line before the one-line error
         root = tmp_path / "cli"
         assert main(["schemata", str(reference_path), "--apply", "--root", str(root)]) == 2
         assert capsys.readouterr().err == (
+            "clos1: created\nclos2: created\nclos3: created\n"
             f"error: apply drift: {root / 'clos2' / 'schemata'} does not match clos 2\n")
 
     def test_env_root_override(self, tmp_path, monkeypatch):

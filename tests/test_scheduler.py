@@ -2,6 +2,7 @@ import importlib.resources
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,17 +13,19 @@ from coco import scheduler
 from coco.calibration import calibrated_profile
 from coco.closconfig import default_partition
 from coco.core import (Dominance, MachineSpec, SensitivityProfile,
-                       WorkloadSpec, slowdown_xy)
+                       WorkloadSpec, replace, slowdown_xy)
 from coco.errors import EpochUnderflowError, ValidationError
+from coco.params import POLICIES
 from coco.scenario import load_scenario
 from coco.scheduler import (admission_control, pair_compatible, plan_epoch,
                             round_robin_plan)
-from coco.sim import Policy, Scenario, WarmupParams, _simulate
+from coco.sim import Policy, Scenario, WarmupParams, _reference_state, _simulate
 
 from conftest import SLO, _scaled, make_workload
 
 REFERENCE_X12 = _scaled(load_scenario(
     str(importlib.resources.files("coco") / "data" / "reference.yaml")).scenario(), 1.2)
+DATA = Path(__file__).parent / "data"
 
 
 def machine(ways=20, clos=4, step=10):
@@ -272,11 +275,14 @@ def _admission_by_plans(workloads, clos_set, epoch_quanta, *, overhead_margin,
 
 
 @st.composite
-def admission_cases(draw):
+def admission_cases(draw, max_lc=3, max_workloads=12, mba_step=10, crowded=False):
     """LLC-dominant, MB-dominant and balanced workloads offered 0-60% of
-    their full-allocation load, on 2-4 CLOSs."""
-    m = machine(ways=20, clos=draw(st.integers(2, 4)))
-    n = draw(st.integers(1, 12))
+    their full-allocation load, on 1 to ``max_lc`` LC CLOSs of a 20-way
+    machine, with an epoch of at most 60 quanta: at least one per workload,
+    or if ``crowded`` one per member of the fullest CLOS."""
+    n_lc = draw(st.integers(1, max_lc))
+    m = machine(ways=20, clos=n_lc + 1, step=mba_step)
+    n = draw(st.integers(1, max_workloads))
     ws = []
     for i in range(n):
         kind = draw(st.sampled_from(("llc", "mb", "balanced")))
@@ -287,7 +293,72 @@ def admission_cases(draw):
                                      ((cache * bw, cache), (bw, 1.0)), 1000.0)
         ws.append(WorkloadSpec(f"w{i:02d}", SLO, profile,
                                1000.0 * draw(st.floats(0.0, 0.6))))
-    return tuple(ws), default_partition(m), draw(st.integers(n, 60))
+    return tuple(ws), default_partition(m), draw(st.integers(-(-n // n_lc) if crowded else n, 60))
+
+
+@pytest.fixture(scope="module")
+def overload():
+    """The benchmark's overload scenario, seed 101: 156 workloads on 15 LC
+    CLOSs, of which admission evicts 90 over 91 rounds."""
+    return load_scenario(str(DATA / "overload-101.yaml")).scenario()
+
+
+def _admit(s):
+    return admission_control(
+        s.workloads, s.effective_clos_set(), s.epoch_quanta,
+        overhead_margin=s.overhead_margin, warmup_window=s.warmup.window,
+        warmup_factor=s.warmup.factor, pairing_penalty=s.pairing_penalty)
+
+
+def _lookups(call) -> Counter:
+    """The slowdown_xy calls ``call()`` makes through the scheduler, per
+    (profile, ways, MBA percent)."""
+    with mock.patch.object(scheduler, "slowdown_xy", wraps=scheduler.slowdown_xy) as lookup:
+        call()
+    return Counter((id(p), ways, mba) for (p, ways, mba), _ in lookup.call_args_list)
+
+
+def _assert_once_per_view(calls: Counter, workloads, ranked_at):
+    """Each workload (its own profile) is looked up at most once per view,
+    besides its one ranking lookup at ``ranked_at`` (None: not ranked)."""
+    assert len({id(w.profile) for w in workloads}) == len(workloads)
+    if ranked_at is not None:
+        for w in workloads:
+            calls[id(w.profile), ranked_at.llc_ways, ranked_at.mba_percent] -= 1
+    assert calls and all(0 <= c <= 1 for c in calls.values())
+
+
+class TestAdmissionCost:
+    """Admission repeats no per-member work across its rounds."""
+
+    def test_no_value_comparison_of_workloads(self, overload, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("WorkloadSpec.__eq__ called")
+
+        monkeypatch.setattr(WorkloadSpec, "__eq__", refuse)
+        admitted, rejected = _admit(overload)
+        assert (len(admitted), len(rejected)) == (66, 90)
+
+    # a workload dealt alone in one round and paired in a later one, at the
+    # same view, has two rates but one slowdown
+    @settings(max_examples=40, deadline=None)
+    @given(case=admission_cases(max_lc=16, max_workloads=60, mba_step=2, crowded=True),
+           window=st.sampled_from((0, 2)))
+    def test_admission_looks_each_workload_up_once_per_view(self, case, window):
+        workloads, cs, quanta = case
+        calls = _lookups(lambda: admission_control(
+            workloads, cs, quanta, overhead_margin=0.05, warmup_window=window,
+            warmup_factor=1.15, pairing_penalty=1.05))
+        _assert_once_per_view(calls, workloads, reference_of(cs))
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_simulate_looks_each_workload_up_once_per_view(self, overload, policy):
+        s = replace(overload, policy=policy)
+        cs = s.effective_clos_set()
+        ranked_at = (_reference_state(s, cs) or reference_of(cs)
+                     if POLICIES[policy].planner == "weighted" else None)
+        calls = _lookups(lambda: _simulate(s, apply_admission=False))
+        _assert_once_per_view(calls, s.workloads, ranked_at)
 
 
 TIE_CLOS_SET = default_partition(machine(clos=2))  # one LC CLOS
@@ -298,6 +369,15 @@ def _tied_pair(a_slowdown, a_sl_full, a_offered):
     """'a' and 'b' (slowdown 2, offered 300) on one CLOS, dealt 4 quanta."""
     return ((make_workload("a", a_slowdown, TIE_STATE, offered=a_offered, sl_full=a_sl_full),
              make_workload("b", 2.0, TIE_STATE, offered=300.0)), TIE_CLOS_SET, 4)
+
+
+def _assert_same_evictions(case, window, margin, penalty):
+    """Admitted and rejected, rejection order included, as the plan-based loop."""
+    workloads, cs, quanta = case
+    kwargs = dict(overhead_margin=margin, warmup_window=window,
+                  warmup_factor=1.15, pairing_penalty=penalty)
+    assert (admission_control(workloads, cs, quanta, **kwargs)
+            == _admission_by_plans(workloads, cs, quanta, **kwargs))
 
 
 class TestAdmissionOracle:
@@ -311,11 +391,16 @@ class TestAdmissionOracle:
     @given(case=admission_cases(), window=st.sampled_from((0, 2)),
            margin=st.sampled_from((0.0, 0.05)), penalty=st.sampled_from((1.0, 1.05)))
     def test_same_evictions_as_plan_based_loop(self, case, window, margin, penalty):
-        workloads, cs, quanta = case
-        kwargs = dict(overhead_margin=margin, warmup_window=window,
-                      warmup_factor=1.15, pairing_penalty=penalty)
-        assert (admission_control(workloads, cs, quanta, **kwargs)
-                == _admission_by_plans(workloads, cs, quanta, **kwargs))
+        _assert_same_evictions(case, window, margin, penalty)
+
+    # up to 16 LC CLOSs and 60 workloads, a few quanta per member: evictions
+    # land mid-list, in many stripes, and shift every later-ranked member
+    @settings(max_examples=40, deadline=None)
+    @given(case=admission_cases(max_lc=16, max_workloads=60, mba_step=2, crowded=True),
+           window=st.sampled_from((0, 2)), margin=st.sampled_from((0.0, 0.05)),
+           penalty=st.sampled_from((1.0, 1.05)))
+    def test_same_evictions_on_wide_sets(self, case, window, margin, penalty):
+        _assert_same_evictions(case, window, margin, penalty)
 
 
 class TestOneFeasibilityRule:
