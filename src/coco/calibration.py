@@ -30,6 +30,10 @@ MBA_RETAINMENT: dict[str, dict[int, float]] = {
 
 APPS = tuple(sorted(CAT_RETAINMENT))
 _LEVELS = {app: (sorted(CAT_RETAINMENT[app]), sorted(MBA_RETAINMENT[app])) for app in APPS}
+# each app's slowdown rows, composed once: 1 / (cache retainment x MBA retainment)
+_SLOWDOWNS = {app: tuple(tuple(1.0 / (CAT_RETAINMENT[app][w] * MBA_RETAINMENT[app][m])
+                               for m in mbas) for w in ways)
+              for app, (ways, mbas) in _LEVELS.items()}
 
 
 def _interp_row(row: dict[int, float], levels: list[int], x: float) -> float:
@@ -45,11 +49,7 @@ def calibrated_profile(app: str, sl_full: float = 1.0) -> SensitivityProfile:
     if app not in CAT_RETAINMENT:
         raise ValidationError(f"unknown calibration app {app!r}; have {APPS}")
     ways, mbas = map(tuple, _LEVELS[app])
-    rows = tuple(
-        tuple(1.0 / (CAT_RETAINMENT[app][w] * MBA_RETAINMENT[app][m]) for m in mbas)
-        for w in ways
-    )
-    return SensitivityProfile(ways, mbas, rows, sl_full)
+    return SensitivityProfile(ways, mbas, _SLOWDOWNS[app], sl_full)
 
 
 def calibrated_capacity_fn(app: str, full: float):

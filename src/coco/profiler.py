@@ -9,6 +9,7 @@ The latency model inverts in closed form, so no search is needed.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -65,8 +66,12 @@ def max_sustainable_load(model: GroundTruthModel, state: AllocationState,
     return model.capacity_fn(state) * _load_fraction(model, slo)
 
 
+@functools.lru_cache(maxsize=1)  # a scenario's models share its one machine
 def grid_states(machine: MachineSpec) -> tuple[AllocationState, ...]:
-    """Full profiling grid, stepped by the machine's minimum adjustment."""
+    """Full profiling grid, stepped by the machine's minimum adjustment.
+
+    Row-major: every MBA level of 1 way, then of 2 ways, and so on.
+    """
     return tuple(
         AllocationState(w, m)
         for w in range(1, machine.llc_ways + 1)
@@ -86,11 +91,12 @@ def build_profile(model: GroundTruthModel, machine: MachineSpec,
     """
     ways = tuple(range(1, machine.llc_ways + 1))
     mbas = machine.mba_levels()
+    states = iter(grid_states(machine))  # (w, m) in the loops' order
     caps: list[list[float]] = []
     for w in ways:
         row: list[float] = []
         for j, m in enumerate(mbas):
-            c = model.capacity_fn(AllocationState(w, m))
+            c = model.capacity_fn(next(states))
             if not (math.isfinite(c) and c > 0):
                 raise ValidationError(f"capacity must be finite and > 0 at ({w},{m})")
             if caps and caps[-1][j] > c:

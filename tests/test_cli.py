@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import errno
+import gc
 import importlib.resources
 import io
 import math
@@ -17,7 +18,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coco.cli import build_parser, main
+from coco.cli import build_parser, main, run
 from coco.params import Policy
 from coco.scenario import load_scenario
 from coco.sim import compare_policies
@@ -336,15 +337,20 @@ DEEP = {
 }
 
 
+def coco_process(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m coco.cli argv` in a child process, its output captured."""
+    src = str(Path(importlib.resources.files("coco")).parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "coco.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=120, **kwargs)
+
+
 @pytest.mark.parametrize("case", sorted(DEEP))
 def test_deep_input_one_line_error(case, tmp_path):
     path = tmp_path / "deep.yaml"
     path.write_text(DEEP[case] + "\n")
-    src = str(Path(importlib.resources.files("coco")).parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-m", "coco.cli", "validate", str(path)],
-                         capture_output=True, text=True, env=env, timeout=120)
+    run = coco_process("validate", str(path))
     assert run.returncode == 2  # a signal gives a negative code
     assert run.stderr == f"error: {path}: invalid YAML: nested too deeply\n"
     assert run.stdout == ""
@@ -695,3 +701,58 @@ class TestProfileCommand:
         assert (captured.out, captured.err) == ("", (
             f"error: {scenario}: workloads[0].model: unknown calibration app 'bogus'; "
             "have ('memcached', 'mongodb', 'nginx')\n"))
+
+
+class TestProcessExit:
+    """The command as a process: ``run`` ends it, with ``main``'s exit code."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate", "REFERENCE"], 0),
+        (["validate", "MISSING"], 2),
+        (["validate", "REFERENCE", "--seed", "1"], 2),  # argparse's usage exit
+        (["compare", "UNLOADED"], 3),
+    ])
+    def test_exit_code(self, argv, code, reference_copy, tmp_path):
+        unloaded = tmp_path / "unloaded.yaml"
+        unloaded.write_text(re.sub(r"offered_load: \d+", "offered_load: 0", REFERENCE_TEXT))
+        files = {"REFERENCE": reference_copy, "MISSING": str(tmp_path / "missing.yaml"),
+                 "UNLOADED": str(unloaded)}
+        done = coco_process(*(files.get(a, a) for a in argv))
+        assert done.returncode == code, done.stderr
+        assert (done.stdout != "") == (code == 0)
+        assert (done.stderr != "") == (code != 0) and "Traceback" not in done.stderr
+
+    def test_closed_stdout(self, reference_copy):
+        done = coco_process("validate", reference_copy, preexec_fn=lambda: os.close(1))
+        assert (done.returncode, done.stderr) == (0, "")
+
+    def test_piped_output_equals_in_process(self):
+        scenario = str(Path(__file__).parent / "data" / "overload-101.yaml")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["simulate", scenario, "--format", "table"]) == 0
+        done = coco_process("simulate", scenario, "--format", "table")
+        assert (done.returncode, done.stdout, done.stderr) == (0, out.getvalue(), "")
+
+    def test_main_leaves_the_collector_alone(self, reference_copy, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(["validate", reference_copy]) == 0
+        with pytest.raises(SystemExit):
+            main(["validate", reference_copy, "--seed", "1"])
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("extra, code", [([], 0), (["--seed", "1"], 2)])
+    def test_run_exits_with_main_and_freezes(self, extra, code, reference_copy,
+                                             monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["coco", "validate", reference_copy, *extra])
+        try:
+            with pytest.raises(SystemExit) as e:
+                run()
+            assert e.value.code == code
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()  # give this process's objects back to the collector
+
+    def test_console_script_is_run(self):
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        assert 'coco = "coco.cli:run"' in pyproject.read_text().splitlines()
