@@ -30,10 +30,13 @@ MBA_RETAINMENT: dict[str, dict[int, float]] = {
 
 APPS = tuple(sorted(CAT_RETAINMENT))
 _LEVELS = {app: (sorted(CAT_RETAINMENT[app]), sorted(MBA_RETAINMENT[app])) for app in APPS}
-# each app's slowdown rows, composed once: 1 / (cache retainment x MBA retainment)
-_SLOWDOWNS = {app: tuple(tuple(1.0 / (CAT_RETAINMENT[app][w] * MBA_RETAINMENT[app][m])
-                               for m in mbas) for w in ways)
-              for app, (ways, mbas) in _LEVELS.items()}
+# each app's one profile, checked once and shared by every workload that names
+# it: slowdown 1 / (cache retainment x MBA retainment)
+_PROFILES = {app: SensitivityProfile(
+                 tuple(ways), tuple(mbas),
+                 tuple(tuple(1.0 / (CAT_RETAINMENT[app][w] * MBA_RETAINMENT[app][m])
+                             for m in mbas) for w in ways))
+             for app, (ways, mbas) in _LEVELS.items()}
 
 
 def _interp_row(row: dict[int, float], levels: list[int], x: float) -> float:
@@ -44,12 +47,11 @@ def _interp_row(row: dict[int, float], levels: list[int], x: float) -> float:
     return row[levels[i]] * (1 - f) + row[levels[i + 1]] * f
 
 
-def calibrated_profile(app: str, sl_full: float = 1.0) -> SensitivityProfile:
-    """Sensitivity profile for a reference app on the 20-way machine."""
-    if app not in CAT_RETAINMENT:
+def calibrated_profile(app: str) -> SensitivityProfile:
+    """The one sensitivity profile of a reference app on the 20-way machine."""
+    if app not in _PROFILES:
         raise ValidationError(f"unknown calibration app {app!r}; have {APPS}")
-    ways, mbas = map(tuple, _LEVELS[app])
-    return SensitivityProfile(ways, mbas, _SLOWDOWNS[app], sl_full)
+    return _PROFILES[app]
 
 
 def calibrated_capacity_fn(app: str, full: float):

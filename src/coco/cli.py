@@ -121,7 +121,7 @@ def _cmd_validate(args) -> int:
 def _cmd_profile(args) -> int:
     loaded = load_scenario(args.scenario)
     # model workloads were profiled when the scenario loaded
-    profiles = {lw.spec.name: lw.spec.profile
+    profiles = {lw.spec.name: (lw.spec.profile, lw.spec.sl_full)
                 for lw in loaded.workloads if lw.model is not None}
     if not profiles:
         raise ScenarioError(f"{loaded.path}: no workload carries a model to profile")

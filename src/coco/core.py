@@ -27,7 +27,7 @@ DOMINANCE_THETA = 1.5
 # workload is profiled over every way, so the bound also bounds load time.
 MAX_LLC_WAYS = 64
 
-# A profile's full-allocation sustainable load when none is given.
+# A workload's full-allocation sustainable load when none is given.
 DEFAULT_SL_FULL = 1.0
 
 _set = object.__setattr__  # how a Value's __init__ stores its fields
@@ -174,13 +174,15 @@ class SensitivityProfile(Value):
 
     ``way_levels`` and ``mba_levels`` are strictly ascending; the last level
     of each axis is the full allocation, where slowdown is exactly 1.
-    ``slowdowns[i][j]`` belongs to (way_levels[i], mba_levels[j]).
+    ``slowdowns[i][j]`` belongs to (way_levels[i], mba_levels[j]).  A grid
+    is checked once and shared by every workload profiled from one source;
+    each workload's own full-allocation load is ``WorkloadSpec.sl_full``.
     """
 
-    __slots__ = ("way_levels", "mba_levels", "slowdowns", "sl_full")
+    __slots__ = ("way_levels", "mba_levels", "slowdowns")
 
     def __init__(self, way_levels: tuple[int, ...], mba_levels: tuple[int, ...],
-                 slowdowns: tuple[tuple[float, ...], ...], sl_full: float = DEFAULT_SL_FULL):
+                 slowdowns: tuple[tuple[float, ...], ...]):
         ways, mbas, grid = way_levels, mba_levels, slowdowns
         if not ways or not mbas:
             raise ValidationError("profile grid must be nonempty")
@@ -192,8 +194,6 @@ class SensitivityProfile(Value):
             raise ValidationError("mba_levels must be strictly ascending and end at 100")
         if len(grid) != len(ways) or any(len(row) != len(mbas) for row in grid):
             raise ValidationError("slowdown grid shape does not match axis levels")
-        if not (math.isfinite(sl_full) and sl_full > 0):
-            raise ValidationError("sl_full must be finite and > 0")
         if abs(grid[-1][-1] - 1.0) > SLOWDOWN_SLACK:
             raise ValidationError("slowdown at full allocation must be 1.0")
         for i, row in enumerate(grid):
@@ -209,7 +209,6 @@ class SensitivityProfile(Value):
         _set(self, "way_levels", way_levels)
         _set(self, "mba_levels", mba_levels)
         _set(self, "slowdowns", slowdowns)
-        _set(self, "sl_full", sl_full)
 
     @property
     def full_state(self) -> AllocationState:
@@ -224,8 +223,7 @@ class SensitivityProfile(Value):
         }
 
     @classmethod
-    def from_grid(cls, mapping: dict[AllocationState, float],
-                  sl_full: float = DEFAULT_SL_FULL) -> "SensitivityProfile":
+    def from_grid(cls, mapping: dict[AllocationState, float]) -> "SensitivityProfile":
         """Build from a complete rectangular state -> slowdown mapping."""
         ways = tuple(sorted({s.llc_ways for s in mapping}))
         mbas = tuple(sorted({s.mba_percent for s in mapping}))
@@ -234,7 +232,7 @@ class SensitivityProfile(Value):
         rows = tuple(
             tuple(mapping[AllocationState(w, m)] for m in mbas) for w in ways
         )
-        return cls(ways, mbas, rows, sl_full)
+        return cls(ways, mbas, rows)
 
 
 def _cell(levels: tuple[int, ...], x: float) -> tuple[int, float]:
@@ -313,16 +311,25 @@ def dominance_of(profile: SensitivityProfile) -> Dominance:
     return Dominance.BALANCED
 
 
+def _sl_full(sl_full: float) -> float:
+    """``sl_full``, checked as a full-allocation sustainable load."""
+    if not (math.isfinite(sl_full) and sl_full > 0):
+        raise ValidationError("sl_full must be finite and > 0")
+    return sl_full
+
+
 class WorkloadSpec(Value):
     """A latency-critical workload: SLO, sensitivity profile, offered load.
 
     ``dominance`` defaults to the profile's own (``dominance_of``).
+    ``sl_full`` is the load it sustains within its SLO at full allocation.
     """
 
-    __slots__ = ("name", "slo", "profile", "offered_load", "dominance")
+    __slots__ = ("name", "slo", "profile", "offered_load", "dominance", "sl_full")
 
     def __init__(self, name: str, slo: SloSpec, profile: SensitivityProfile,
-                 offered_load: float = 0.0, dominance: Dominance | None = None):
+                 offered_load: float = 0.0, dominance: Dominance | None = None,
+                 sl_full: float = DEFAULT_SL_FULL):
         if not name:
             raise ValidationError("workload name must be nonempty")
         if not (math.isfinite(offered_load) and offered_load >= 0):
@@ -332,7 +339,4 @@ class WorkloadSpec(Value):
         _set(self, "profile", profile)
         _set(self, "offered_load", offered_load)
         _set(self, "dominance", dominance_of(profile) if dominance is None else dominance)
-
-    @property
-    def sl_full(self) -> float:
-        return self.profile.sl_full
+        _set(self, "sl_full", _sl_full(sl_full))

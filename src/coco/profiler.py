@@ -80,8 +80,9 @@ def grid_states(machine: MachineSpec) -> tuple[AllocationState, ...]:
 
 
 def build_profile(model: GroundTruthModel, machine: MachineSpec,
-                  slo: SloSpec) -> SensitivityProfile:
-    """Profile a model into a SensitivityProfile over the machine grid.
+                  slo: SloSpec) -> tuple[SensitivityProfile, float]:
+    """Profile a model over the machine grid: its SensitivityProfile and its
+    SLO-sustaining load at full allocation, ``sl_full``.
 
     Calls ``capacity_fn`` once per grid state and checks each capacity is
     finite, > 0 and non-decreasing along both axes.  The SLO factor of the
@@ -110,4 +111,4 @@ def build_profile(model: GroundTruthModel, machine: MachineSpec,
     if sl_full <= 0:
         raise InfeasibleSloError("zero sustainable load at full allocation")
     rows = tuple(tuple(full / c for c in row) for row in caps)
-    return SensitivityProfile(ways, mbas, rows, sl_full)
+    return SensitivityProfile(ways, mbas, rows), sl_full

@@ -8,7 +8,8 @@ from the section, whose error is prefixed with the section's path.  A
 workload carries either a ready sensitivity profile (inline grid, named
 calibration row, or a profile file emitted by the `profile` subcommand) or a
 ground-truth model, which is profiled at load time so the simulator always
-sees a profile.
+sees a profile.  Each source gives one checked grid and the workload's
+``sl_full``; the workloads of one calibration share its grid.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import yaml
 from coco import calibration
 from coco.closconfig import ClosConfig, ClosSet
 from coco.core import (DEFAULT_SL_FULL, Dominance, MachineSpec, SensitivityProfile,
-                       SloSpec, Value, WorkloadSpec, _set, bilinear)
+                       SloSpec, Value, WorkloadSpec, _set, _sl_full, bilinear)
 from coco.errors import CocoError, InfeasibleSloError, ScenarioError
 from coco.params import Policy, Scenario, WarmupParams
 from coco.profiler import GroundTruthModel, build_profile
@@ -140,6 +141,17 @@ def _one_of(fields: dict, where: str, keys: tuple[str, ...]) -> str:
     return present[0]
 
 
+def _source(fields: dict, where: str, sources: dict[str, tuple[str, ...]]) -> str:
+    """The one source key of ``fields``, which maps each source to the other
+    keys it reads; a key that only another source reads is refused."""
+    source = _one_of(fields, where, tuple(sources))
+    for key in fields:
+        if key != source and key not in sources[source]:
+            owner = next(s for s, keys in sources.items() if key in keys)
+            raise ScenarioError(f"{where}: {key} is read only with {owner}, not with {source}")
+    return source
+
+
 def _section(table: dict, required=(), make=None):
     """Parser of a nested mapping: its fields, or `make(**fields)`."""
     def parse(obj, where):
@@ -242,7 +254,7 @@ def _capacity_grid(obj, where: str):
 
 def _capacity(obj, where: str):
     c = _fields(obj, where, _CAPACITY)
-    if _one_of(c, where, ("calibration", "grid")) == "grid":
+    if _source(c, where, _CAPACITY_SOURCES) == "grid":
         return c["grid"]
     return _build(calibration.calibrated_capacity_fn, where,
                   c["calibration"], c.get("full", 1.0))
@@ -256,13 +268,17 @@ def _model(obj, where: str) -> GroundTruthModel:
 
 _GRID_PROFILE = {"way_levels": _list(_integer), "mba_levels": _list(_integer),
                  "slowdowns": _rows, "sl_full": _number}
+# an inline grid or a profile-file entry: its checked grid and its own sl_full
 _grid_profile = _section(_GRID_PROFILE, ("way_levels", "mba_levels", "slowdowns"),
-                         SensitivityProfile)
+                         lambda sl_full=DEFAULT_SL_FULL, **grid: (SensitivityProfile(**grid),
+                                                                  _sl_full(sl_full)))
 _CAPACITY_GRID = {"way_levels": _axis, "mba_levels": _axis, "values": _rows}
 _CAPACITY = {"calibration": _string, "full": _number, "grid": _capacity_grid}
+_CAPACITY_SOURCES = {"calibration": ("full",), "grid": ()}
 _MODEL = {"base_latency_ms": _number, "tail_inflation": _number, "capacity": _capacity}
 _PROFILE = {"calibration": _string, "sl_full": _number, "grid": _grid_profile,
             "file": _string, "workload": _string}
+_PROFILE_SOURCES = {"calibration": ("sl_full",), "grid": (), "file": ("workload",)}
 _SLO = {"percentile": _number, "latency_bound_ms": _number}
 _WORKLOAD = {"name": _string,
              "slo": _section(_SLO, ("percentile", "latency_bound_ms"), SloSpec),
@@ -311,27 +327,29 @@ def _load_yaml(path: Path) -> dict:
     return doc
 
 
-def _workload(w: dict, where: str, machine: MachineSpec,
-              base_dir: Path) -> LoadedWorkload:
+def _workload(w: dict, where: str, machine: MachineSpec, base_dir: Path,
+              files: dict) -> LoadedWorkload:
     source = _one_of(w, where, ("profile", "model"))
     p, model = w.pop("profile", None), w.pop("model", None)
     if source == "model":
-        profile = _build(build_profile, f"{where}.model", model, machine, w["slo"])
+        profile, sl_full = _build(build_profile, f"{where}.model", model, machine, w["slo"])
     else:
         at = f"{where}.profile"
-        source = _one_of(p, at, ("calibration", "grid", "file"))
+        source = _source(p, at, _PROFILE_SOURCES)
         if source == "grid":
-            profile = p["grid"]
+            profile, sl_full = p["grid"]
         elif source == "file":
-            profile = load_profile_file(base_dir / p["file"], p.get("workload", w["name"]))
+            profile, sl_full = _profile_entry(base_dir / p["file"],
+                                              p.get("workload", w["name"]), files)
         else:
-            profile = _build(calibration.calibrated_profile, at, p["calibration"],
-                             p.get("sl_full", DEFAULT_SL_FULL))
+            profile = _build(calibration.calibrated_profile, at, p["calibration"])
+            sl_full = _build(_sl_full, at, p.get("sl_full", DEFAULT_SL_FULL))
     if profile.way_levels[-1] != machine.llc_ways:
         raise ScenarioError(
             f"{where}: profile full allocation ({profile.way_levels[-1]} ways) "
             f"does not match machine ({machine.llc_ways} ways)")
-    return LoadedWorkload(_build(WorkloadSpec, where, profile=profile, **w), model)
+    return LoadedWorkload(_build(WorkloadSpec, where, profile=profile, sl_full=sl_full, **w),
+                          model)
 
 
 def _clos_set(cs: dict, where: str, machine: MachineSpec) -> ClosSet:
@@ -356,8 +374,8 @@ def load_scenario(path: str | Path) -> LoadedScenario:
     path = Path(path)
     doc = _fields(_load_yaml(path), str(path), _SCENARIO, ("machine", "workloads"),
                   sep=": ")
-    machine = doc["machine"]
-    workloads = tuple(_workload(w, f"{path}: workloads[{i}]", machine, path.parent)
+    machine, files = doc["machine"], {}
+    workloads = tuple(_workload(w, f"{path}: workloads[{i}]", machine, path.parent, files)
                       for i, w in enumerate(doc["workloads"]))
     clos_set = None
     if "clos_set" in doc:
@@ -374,14 +392,14 @@ def _yaml_float(x) -> str:
     return text if "." in text or "e" not in text else text.replace("e", ".0e", 1)
 
 
-def dump_profiles(workload_profiles: dict[str, SensitivityProfile]) -> str:
-    """Profile file content for the given workload -> profile mapping, in PyYAML's
+def dump_profiles(workload_profiles: dict[str, tuple[SensitivityProfile, float]]) -> str:
+    """Profile file content for a workload -> (profile, sl_full) mapping, in PyYAML's
     block layout byte for byte: only names and ``sl_full`` pass through PyYAML, by
     its pure-Python dumper, as libyaml folds long escaped names at other points."""
     parts = ["profiles:\n" if workload_profiles else "profiles: []\n"]
     for name in sorted(workload_profiles):
-        p = workload_profiles[name]
-        parts += [yaml.dump([{"workload": name, "sl_full": float(p.sl_full)}],
+        p, sl_full = workload_profiles[name]
+        parts += [yaml.dump([{"workload": name, "sl_full": float(sl_full)}],
                             Dumper=yaml.SafeDumper, sort_keys=False),
                   "  way_levels:\n", *(f"  - {w}\n" for w in p.way_levels),
                   "  mba_levels:\n", *(f"  - {m}\n" for m in p.mba_levels), "  slowdowns:\n"]
@@ -389,11 +407,26 @@ def dump_profiles(workload_profiles: dict[str, SensitivityProfile]) -> str:
     return "".join(parts)
 
 
+def _profile_entry(path: Path, workload: str,
+                   files: dict) -> tuple[SensitivityProfile, float]:
+    """The profile file's entry for ``workload``: its grid and its sl_full.
+    ``files`` keeps each file's entries by path and each entry read by (path,
+    workload), so one load parses a file once and an entry's workloads share
+    its grid."""
+    if path not in files:
+        files[path] = _fields(_load_yaml(path), str(path), _PROFILE_FILE, ("profiles",),
+                              sep=": ")["profiles"]
+    if (path, workload) not in files:
+        for i, e in enumerate(files[path]):
+            if e.get("workload") == workload:
+                grid = {k: v for k, v in e.items() if k != "workload"}
+                files[path, workload] = _grid_profile(grid, f"{path}: profiles[{i}]")
+                break
+        else:
+            raise ScenarioError(f"{path}: no profile for workload {workload!r}")
+    return files[path, workload]
+
+
 def load_profile_file(path: str | Path, workload: str) -> SensitivityProfile:
-    path = Path(path)
-    doc = _fields(_load_yaml(path), str(path), _PROFILE_FILE, ("profiles",), sep=": ")
-    for i, e in enumerate(doc["profiles"]):
-        if e.get("workload") == workload:
-            grid = {k: v for k, v in e.items() if k != "workload"}
-            return _grid_profile(grid, f"{path}: profiles[{i}]")
-    raise ScenarioError(f"{path}: no profile for workload {workload!r}")
+    """The grid of the profile file's entry for ``workload``."""
+    return _profile_entry(Path(path), workload, {})[0]

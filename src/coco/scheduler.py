@@ -148,15 +148,18 @@ def _ranked(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
             ) -> tuple[tuple, list, dict[str, float]]:
     """The LC CLOSs, the workloads by descending weight (ties by name), and the
     weights: each workload's slowdown at the reference state, normalized.
-    ``equal`` takes every slowdown as 1, so the rank is name order."""
+    ``equal`` takes every slowdown as 1, so the rank is name order.  Each
+    grid is looked up once, however many workloads share it."""
     if len({w.name for w in workloads}) != len(workloads):
         raise ValidationError("workload names must be unique")
     lc = clos_set.lc_configs()
     if not lc:
         raise ValidationError("clos set has no latency-critical CLOS")
     ref = reference_state or min(lc, key=lambda c: (c.width, c.id)).state()
-    slowdowns = [1.0 if equal else slowdown_xy(w.profile, ref.llc_ways, ref.mba_percent)
-                 for w in workloads]
+    grids = {id(w.profile): w.profile for w in workloads}
+    at = {key: 1.0 if equal else slowdown_xy(p, ref.llc_ways, ref.mba_percent)
+          for key, p in grids.items()}
+    slowdowns = [at[id(w.profile)] for w in workloads]
     weights = dict(zip([w.name for w in workloads], weights_of(slowdowns)))
     return lc, sorted(workloads, key=lambda w: (-weights[w.name], w.name)), weights
 
@@ -196,8 +199,10 @@ def rated(dealt: list[tuple], epoch_quanta: int, views: dict[int, tuple[float, f
     full-allocation load over slowdown x ``alpha`` at the CLOS's (ways, MBA
     percent) view, and over ``penalty`` too if paired; the warm rate is the
     base over the warmup ``factor``.  ``memo`` keeps each member's rates per
-    (view, workload name, paired penalty), and the one slowdown x alpha they
-    share per (view, workload name): a workload is looked up once per view.
+    (view, workload name, paired penalty), and the slowdown x alpha per
+    (view, id of the profile): a grid is looked up once per view, however
+    many workloads share it.  Identity, not value: hashing a grid costs more
+    than the lookup it would save.
     """
     for clos_id, _, _, segments in dealt:
         view = views[clos_id]
@@ -208,9 +213,10 @@ def rated(dealt: list[tuple], epoch_quanta: int, views: dict[int, tuple[float, f
                 key = (view, w.name, paired)
                 row = memo.get(key)
                 if row is None:
-                    scaled = memo.get(key[:2])
+                    grid = (view, id(w.profile))
+                    scaled = memo.get(grid)
                     if scaled is None:
-                        scaled = memo[key[:2]] = slowdown_xy(w.profile, *view) * alpha
+                        scaled = memo[grid] = slowdown_xy(w.profile, *view) * alpha
                     base = w.sl_full / (scaled * paired)
                     row = memo[key] = (w, base, base / factor)
                 rates.append(row)

@@ -27,23 +27,22 @@ def reference_path():
     return str(importlib.resources.files("coco") / "data" / "reference.yaml")
 
 
-def step_profile(state: AllocationState, value: float, llc_ways: int,
-                 sl_full: float = 1.0) -> SensitivityProfile:
+def step_profile(state: AllocationState, value: float, llc_ways: int) -> SensitivityProfile:
     """Profile whose slowdown is exactly ``value`` at and below ``state``."""
     ways = (state.llc_ways, llc_ways) if state.llc_ways < llc_ways else (llc_ways,)
     mbas = (state.mba_percent, 100) if state.mba_percent < 100 else (100,)
     rows = tuple(
         tuple(1.0 if (w == llc_ways and m == 100) else value for m in mbas)
         for w in ways)
-    return SensitivityProfile(ways, mbas, rows, sl_full)
+    return SensitivityProfile(ways, mbas, rows)
 
 
 def make_workload(name: str, slowdown: float, reference: AllocationState,
                   llc_ways: int = 20, offered: float = 0.0,
                   sl_full: float = 1000.0) -> WorkloadSpec:
     """Workload with an exact slowdown at the scheduler's reference state."""
-    profile = step_profile(reference, slowdown, llc_ways, sl_full)
-    return WorkloadSpec(name, SLO, profile, offered)
+    profile = step_profile(reference, slowdown, llc_ways)
+    return WorkloadSpec(name, SLO, profile, offered, sl_full=sl_full)
 
 
 def _scaled(scenario: Scenario, multiplier: float) -> Scenario:
@@ -80,8 +79,7 @@ def monotone_profiles(draw, max_ways: int = 24):
         b[j] = b[j + 1] + b_steps[j]
     rows = tuple(tuple((1 + a[i]) * (1 + b[j]) for j in range(n_m))
                  for i in range(n_w))
-    sl_full = draw(st.floats(1.0, 1e6, allow_nan=False, allow_infinity=False))
-    return SensitivityProfile(ways, mbas, rows, sl_full)
+    return SensitivityProfile(ways, mbas, rows)
 
 
 @st.composite

@@ -92,7 +92,7 @@ def test_criterion_2_profiler_oracle_equivalence():
             tail_inflation=rng.uniform(1.0, 3.0),
             capacity_fn=random_monotone_capacity(rng, machine),
         )
-        profile = build_profile(model, machine, SLO)
+        profile, _ = build_profile(model, machine, SLO)
         full_cap = model.capacity_fn(AllocationState(6, 100))
         for state in grid_states(machine):
             i = profile.way_levels.index(state.llc_ways)
@@ -219,8 +219,8 @@ def test_criterion_8_single_workload_pinning():
         ClosConfig(1, 0b111, 50),
     ), reserved_id=0)
     workload = WorkloadSpec("memcached-solo", SloSpec(0.99, 1.5),
-                            calibrated_profile("memcached", sl_full=120000.0),
-                            offered_load=60000.0)
+                            calibrated_profile("memcached"),
+                            offered_load=60000.0, sl_full=120000.0)
     scenario = Scenario(machine=machine, workloads=(workload,),
                         policy=Policy.CAT_ONLY, clos_set=clos_set)
     result = max_affordable_load(scenario)

@@ -54,6 +54,7 @@ GRID_WORKLOAD = """\
 """
 
 REFERENCE_POLICIES = "policies: [coco, coco-conflicting, cat-only, mba-only, rr, none]"
+SMALL_GRID = "{way_levels: [1, 20], mba_levels: [10, 100], slowdowns: [[2.0, 1.5], [1.2, 1.0]]}"
 MEMCACHED_PROFILE = "    profile: {calibration: memcached, sl_full: 120000}\n"
 HUGE_SLOWDOWNS = """\
     profile:
@@ -114,6 +115,22 @@ MALFORMED = {
                         + MEMCACHED_PROFILE.replace("120000", "1.0e-300")),
     # six workloads on three LC CLOSs: two to a CLOS, a quantum each
     "epoch-underflow": ("epoch_quanta: 20", "epoch_quanta: 1"),
+    # a key that only another source reads, which the chosen source would drop
+    "grid-beside-sl_full": (MEMCACHED_PROFILE,
+                            "    profile: {grid: %s, sl_full: 120000}\n" % SMALL_GRID),
+    "file-beside-sl_full": (MEMCACHED_PROFILE,
+                            "    profile: {file: profiles.yaml, sl_full: 120000}\n"),
+    "calibration-beside-workload": (MEMCACHED_PROFILE, MEMCACHED_PROFILE.replace(
+        "}", ", workload: memcached-a}")),
+    "capacity-grid-beside-full": (MEMCACHED_PROFILE, """\
+    model:
+      base_latency_ms: 0.15
+      tail_inflation: 2.0
+      capacity:
+        grid: {way_levels: [1, 20], mba_levels: [10, 100],
+               values: [[60000.0, 80000.0], [100000.0, 150000.0]]}
+        full: 999999
+"""),
     # every load 0 but one subnormal load, whose demand underflows: m* = 1 / peak
     # demand was inf, and inf x 0 the affordable load nan for the others
     "demand-underflow": (REFERENCE_WORKLOADS,
@@ -247,6 +264,25 @@ class TestValidate:
         path.write_text(path.read_text().replace(old, new))
         assert main(["validate", reference_copy]) == 2
         assert capsys.readouterr().err == f"error: {reference_copy}: {message}\n"
+
+    @pytest.mark.parametrize("case, message", [
+        ("grid-beside-sl_full", "profile: sl_full is read only with calibration, not with grid"),
+        ("file-beside-sl_full", "profile: sl_full is read only with calibration, not with file"),
+        ("calibration-beside-workload",
+         "profile: workload is read only with file, not with calibration"),
+        ("capacity-grid-beside-full",
+         "model.capacity: full is read only with calibration, not with grid")])
+    def test_key_the_source_does_not_read_is_named(self, case, message, reference_copy,
+                                                   capsys):
+        old, new = MALFORMED[case]
+        path = Path(reference_copy)
+        path.write_text(path.read_text().replace(old, new))
+        # the file source's own entries, so the stray key is the only fault
+        (path.parent / "profiles.yaml").write_text("profiles:\n" + "".join(
+            f"- {{workload: {name}, sl_full: 120000, {SMALL_GRID[1:-1]}}}\n"
+            for name in ("memcached-a", "memcached-b")))
+        assert main(["validate", reference_copy]) == 2
+        assert capsys.readouterr().err == f"error: {reference_copy}: workloads[0].{message}\n"
 
     @pytest.mark.parametrize("lines, keys", [
         (MALFORMED["machine-cores"][1], "['cores']"),
@@ -661,7 +697,7 @@ class TestUnwritableOutput:
 
 
 class TestProfileCommand:
-    def test_profile_then_ingest(self, tmp_path):
+    def test_profile_then_ingest(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(MODEL_SCENARIO)
         profiles = tmp_path / "profiles.yaml"
@@ -676,6 +712,28 @@ class TestProfileCommand:
         scenario2 = tmp_path / "scenario2.yaml"
         scenario2.write_text(ingest)
         assert main(["validate", str(scenario2)]) == 0
+        # the file carries the model's sl_full beside its grid: every outcome is the same
+        for command in ("simulate", "compare"):
+            outputs = []
+            for path in (scenario, scenario2):
+                capsys.readouterr()
+                assert main([command, str(path), "--format", "csv"]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1], command
+
+    def test_profile_file_sl_full_out_of_range(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(MODEL_SCENARIO)
+        profiles = tmp_path / "profiles.yaml"
+        assert main(["profile", str(scenario), "-o", str(profiles)]) == 0
+        text = profiles.read_text()
+        profiles.write_text(re.sub(r"sl_full: .*", "sl_full: 0.0", text))
+        scenario.write_text(MODEL_SCENARIO.replace(
+            MODEL_SCENARIO[MODEL_SCENARIO.index("    model:"):MODEL_SCENARIO.index("policies:")],
+            "    profile: {file: profiles.yaml}\n"))
+        assert main(["validate", str(scenario)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {profiles}: profiles[0]: sl_full must be finite and > 0\n")
 
     def test_no_models_rejected(self, reference_copy, tmp_path, capsys):
         out = tmp_path / "p.yaml"

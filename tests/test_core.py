@@ -56,7 +56,7 @@ class TestProfileValidation:
 
     def test_grid_round_trip(self):
         p = calibrated_profile("memcached")
-        assert SensitivityProfile.from_grid(p.grid(), p.sl_full) == p
+        assert SensitivityProfile.from_grid(p.grid()) == p
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -65,9 +65,9 @@ class TestNonFiniteRejected:
         with pytest.raises(ValidationError):
             SloSpec(0.99, bad)
 
-    def test_profile_sl_full(self, bad):
+    def test_workload_sl_full(self, bad):
         with pytest.raises(ValidationError):
-            SensitivityProfile((1, 2), (100,), ((1.5,), (1.0,)), sl_full=bad)
+            WorkloadSpec("w", SloSpec(0.99, 1.0), calibrated_profile("nginx"), sl_full=bad)
 
     def test_profile_slowdown_cell(self, bad):
         with pytest.raises(ValidationError):

@@ -83,14 +83,14 @@ class TestBuildProfile:
     def test_flat_model_all_ones(self):
         machine = MachineSpec(llc_ways=4, clos_count=2, mba_step=25)
         model = GroundTruthModel(1.0, 1.0, constant_capacity(800.0))
-        profile = build_profile(model, machine, SLO)
+        profile, _ = build_profile(model, machine, SLO)
         assert all(s == pytest.approx(1.0, abs=1e-3)
                    for row in profile.slowdowns for s in row)
 
     def test_memcached_calibrated_row(self):
         machine = reference_machine()
         model = GroundTruthModel(1.0, 2.0, calibrated_capacity_fn("memcached", 5000.0))
-        profile = build_profile(model, machine, SLO)
+        profile, _ = build_profile(model, machine, SLO)
         for ways, expected in ((9, 0.881), (6, 0.838), (3, 0.80)):
             i = profile.way_levels.index(ways)
             retainment = 1.0 / profile.slowdowns[i][-1]
@@ -100,8 +100,9 @@ class TestBuildProfile:
         rng = random.Random(21)
         machine = MachineSpec(llc_ways=5, clos_count=2, mba_step=25)
         model = GroundTruthModel(1.5, 1.2, random_monotone_capacity(rng, machine))
-        profile = build_profile(model, machine, SLO)
+        profile, sl_full = build_profile(model, machine, SLO)
         full_cap = model.capacity_fn(AllocationState(5, 100))
+        assert sl_full == max_sustainable_load(model, AllocationState(5, 100), SLO)
         for state in grid_states(machine):
             i = profile.way_levels.index(state.llc_ways)
             j = profile.mba_levels.index(state.mba_percent)
@@ -163,7 +164,7 @@ class TestBuildProfile:
         rng = random.Random(seed)
         machine = MachineSpec(llc_ways=4, clos_count=2, mba_step=50)
         model = GroundTruthModel(1.0, 1.0, random_monotone_capacity(rng, machine))
-        profile = build_profile(model, machine, SLO)  # constructor validates
+        profile, _ = build_profile(model, machine, SLO)  # constructor validates
         assert profile.slowdowns[-1][-1] == 1.0
 
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coco import scenario
-from coco.calibration import calibrated_capacity_fn
+from coco.calibration import calibrated_capacity_fn, calibrated_profile
 from coco.core import Dominance, MachineSpec, SensitivityProfile, SloSpec
 from coco.errors import ScenarioError
 from coco.profiler import GroundTruthModel, build_profile
@@ -25,13 +25,14 @@ workloads:
 
 
 def pyyaml_dump(profiles, dumper=yaml.SafeDumper) -> str:
-    """A profile file as PyYAML writes it, by default its pure-Python dumper."""
+    """A profile file as PyYAML writes it, by default its pure-Python dumper;
+    ``profiles`` maps each name to (profile, sl_full)."""
     entries = [{"workload": name,
-                "sl_full": float(p.sl_full),
+                "sl_full": float(sl_full),
                 "way_levels": list(p.way_levels),
                 "mba_levels": list(p.mba_levels),
                 "slowdowns": [[float(x) for x in row] for row in p.slowdowns]}
-               for name, p in sorted(profiles.items())]
+               for name, (p, sl_full) in sorted(profiles.items())]
     return yaml.dump({"profiles": entries}, Dumper=dumper, sort_keys=False)
 
 
@@ -46,8 +47,8 @@ SLOWDOWNS = st.sampled_from([1, 2, 7, 1.5, 1e16, 1e22, 1.0000001, 3e300]) | st.f
 
 @st.composite
 def profiles(draw):
-    """A valid profile: each cell the larger of its row's and its column's
-    descending value, so the grid is monotone and 1 at the full corner."""
+    """A valid profile and sl_full: each cell the larger of its row's and its
+    column's descending value, so the grid is monotone and 1 at the full corner."""
     ways = sorted(draw(st.sets(st.integers(1, 10**6), min_size=1, max_size=4)))
     mbas = sorted(draw(st.sets(st.integers(1, 99), max_size=3))) + [100]
     row = sorted(draw(st.lists(SLOWDOWNS, min_size=len(ways) - 1, max_size=len(ways) - 1)),
@@ -57,17 +58,18 @@ def profiles(draw):
     grid = tuple(tuple(max(a, b) for b in col) for a in row)
     sl_full = draw(st.sampled_from([1, 1e16, 1e-5, 5e-324, 120000.0, 1.7e308])
                    | st.floats(1e-300, 1e300))
-    return SensitivityProfile(tuple(ways), tuple(mbas), grid, sl_full)
+    return SensitivityProfile(tuple(ways), tuple(mbas), grid), sl_full
 
 
-FLAT = SensitivityProfile((1, 20), (50, 100), ((1.0, 1.0), (1.0, 1.0)))
+FLAT = SensitivityProfile((1, 20), (50, 100), ((1.0, 1.0), (1.0, 1.0))), 1.0
 
 
 def assert_loads_back(text, profiles):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "profiles.yaml"
         path.write_text(text)
-        for name, profile in profiles.items():
+        for name, (profile, sl_full) in profiles.items():
+            assert scenario._profile_entry(path, name, {}) == (profile, sl_full)
             assert load_profile_file(path, name) == profile
 
 
@@ -223,16 +225,63 @@ class TestLoadScenario:
             load_scenario(write(tmp_path, text))
 
 
+class TestOneGridPerSource:
+    """A profile source's grid is checked once and shared by its workloads."""
+
+    @pytest.mark.parametrize("name, models", [("overload-101", 6), ("fleet-101", 0)])
+    def test_one_check_per_grid(self, name, models, monkeypatch):
+        path = Path(__file__).parent / "data" / f"{name}.yaml"
+        checks = []
+        check = SensitivityProfile.__init__
+
+        def counted(self, *args):
+            checks.append(args)
+            check(self, *args)
+
+        monkeypatch.setattr(SensitivityProfile, "__init__", counted)
+        loaded = load_scenario(path)
+        # the calibrations' grids were built once, when coco.calibration loaded
+        assert len(checks) == models == sum(w.model is not None for w in loaded.workloads)
+        doc = yaml.safe_load(path.read_text())["workloads"]
+        for w, entry in zip(loaded.workloads, doc):
+            if "profile" in entry:
+                assert w.spec.profile is calibrated_profile(entry["profile"]["calibration"])
+                assert w.spec.sl_full == entry["profile"]["sl_full"]
+        assert len({id(w.spec.profile) for w in loaded.workloads}) == models + 3
+
+    def test_one_parse_per_profile_file(self, tmp_path, machine20, monkeypatch):
+        model = GroundTruthModel(1.0, 2.0, calibrated_capacity_fn("nginx", 1000.0))
+        (tmp_path / "profiles.yaml").write_text(dump_profiles(
+            {"web": build_profile(model, machine20, SloSpec(0.99, 20.0)),
+             "db": (FLAT[0], 5.0)}))
+        text = MINIMAL.replace("profile: {calibration: nginx, sl_full: 1000.0}",
+                               "profile: {file: profiles.yaml}") + "".join(
+            f"  - {{name: {name}, slo: {{percentile: 0.99, latency_bound_ms: 20.0}}, "
+            f"profile: {{file: profiles.yaml, workload: {entry}}}}}\n"
+            for name, entry in (("web-2", "web"), ("db", "db"), ("db-2", "db")))
+        parsed = []
+        load_yaml = scenario._load_yaml
+        monkeypatch.setattr(scenario, "_load_yaml", lambda path: parsed.append(path)
+                            or load_yaml(path))
+        specs = [w.spec for w in load_scenario(write(tmp_path, text)).workloads]
+        assert [s.name for s in specs] == ["web", "web-2", "db", "db-2"]
+        assert len(parsed) == 2  # the scenario, then the profile file once
+        web, web2, db, db2 = specs
+        assert web.profile is web2.profile and db.profile is db2.profile
+        assert web.profile is not db.profile and (db.sl_full, db2.sl_full) == (5.0, 5.0)
+
+
 class TestProfileFiles:
     def test_round_trip(self, tmp_path, machine20):
         from coco.calibration import calibrated_capacity_fn
         from coco.core import SloSpec
         from coco.profiler import GroundTruthModel
         model = GroundTruthModel(1.0, 2.0, calibrated_capacity_fn("nginx", 1000.0))
-        profile = build_profile(model, machine20, SloSpec(0.99, 20.0))
+        profile, sl_full = build_profile(model, machine20, SloSpec(0.99, 20.0))
         path = tmp_path / "profiles.yaml"
-        path.write_text(dump_profiles({"web": profile}))
+        path.write_text(dump_profiles({"web": (profile, sl_full)}))
         assert load_profile_file(path, "web") == profile
+        assert scenario._profile_entry(path, "web", {}) == (profile, sl_full)
 
     def test_missing_workload(self, tmp_path):
         path = tmp_path / "profiles.yaml"
@@ -245,12 +294,12 @@ class TestProfileFiles:
         from coco.core import SloSpec
         from coco.profiler import GroundTruthModel
         model = GroundTruthModel(1.0, 2.0, calibrated_capacity_fn("nginx", 1000.0))
-        profile = build_profile(model, machine20, SloSpec(0.99, 20.0))
-        (tmp_path / "profiles.yaml").write_text(dump_profiles({"web": profile}))
+        profile, sl_full = build_profile(model, machine20, SloSpec(0.99, 20.0))
+        (tmp_path / "profiles.yaml").write_text(dump_profiles({"web": (profile, sl_full)}))
         text = MINIMAL.replace("profile: {calibration: nginx, sl_full: 1000.0}",
                                "profile: {file: profiles.yaml}")
-        loaded = load_scenario(write(tmp_path, text))
-        assert loaded.workloads[0].spec.profile == profile
+        spec = load_scenario(write(tmp_path, text)).workloads[0].spec
+        assert (spec.profile, spec.sl_full) == (profile, sl_full)
 
 
 class TestLibyaml:
@@ -259,9 +308,9 @@ class TestLibyaml:
     def test_pure_python_fallback_gives_equal_results(self, tmp_path, machine20,
                                                        reference_path, monkeypatch):
         model = GroundTruthModel(1.0, 2.0, calibrated_capacity_fn("nginx", 1000.0))
-        profile = build_profile(model, machine20, SloSpec(0.99, 20.0))
+        built = build_profile(model, machine20, SloSpec(0.99, 20.0))
         profiles = tmp_path / "profiles.yaml"
-        profiles.write_text(dump_profiles({"web": profile, "db": profile}))
+        profiles.write_text(dump_profiles({"web": built, "db": built}))
         path = write(tmp_path, MINIMAL.replace(
             "profile: {calibration: nginx, sl_full: 1000.0}",
             "profile: {file: profiles.yaml}"))

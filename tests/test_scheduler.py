@@ -38,13 +38,13 @@ def reference_of(clos_set):
 
 
 def llc_dominant_workload(name, offered=0.0):
-    p = SensitivityProfile((3, 20), (20, 100), ((4.0, 3.0), (1.5, 1.0)), 1000.0)
-    return WorkloadSpec(name, SLO, p, offered)
+    p = SensitivityProfile((3, 20), (20, 100), ((4.0, 3.0), (1.5, 1.0)))
+    return WorkloadSpec(name, SLO, p, offered, sl_full=1000.0)
 
 
 def mb_dominant_workload(name, offered=0.0):
-    p = SensitivityProfile((3, 20), (20, 100), ((3.2, 1.1), (3.0, 1.0)), 1000.0)
-    return WorkloadSpec(name, SLO, p, offered)
+    p = SensitivityProfile((3, 20), (20, 100), ((3.2, 1.1), (3.0, 1.0)))
+    return WorkloadSpec(name, SLO, p, offered, sl_full=1000.0)
 
 
 class TestPlanEpoch:
@@ -279,7 +279,8 @@ def admission_cases(draw, max_lc=3, max_workloads=12, mba_step=10, crowded=False
     """LLC-dominant, MB-dominant and balanced workloads offered 0-60% of
     their full-allocation load, on 1 to ``max_lc`` LC CLOSs of a 20-way
     machine, with an epoch of at most 60 quanta: at least one per workload,
-    or if ``crowded`` one per member of the fullest CLOS."""
+    or if ``crowded`` one per member of the fullest CLOS.  A workload may
+    share an earlier one's grid, as the workloads of one calibration do."""
     n_lc = draw(st.integers(1, max_lc))
     m = machine(ways=20, clos=n_lc + 1, step=mba_step)
     n = draw(st.integers(1, max_workloads))
@@ -289,10 +290,11 @@ def admission_cases(draw, max_lc=3, max_workloads=12, mba_step=10, crowded=False
         hi = draw(st.floats(1.6, 4.0))
         lo = draw(st.floats(1.0, hi / 1.5))
         cache, bw = {"llc": (hi, lo), "mb": (lo, hi), "balanced": (hi, hi)}[kind]
-        profile = SensitivityProfile((2, 20), (10, 100),
-                                     ((cache * bw, cache), (bw, 1.0)), 1000.0)
+        profile = SensitivityProfile((2, 20), (10, 100), ((cache * bw, cache), (bw, 1.0)))
+        if ws and draw(st.booleans()):
+            profile = draw(st.sampled_from(ws)).profile
         ws.append(WorkloadSpec(f"w{i:02d}", SLO, profile,
-                               1000.0 * draw(st.floats(0.0, 0.6))))
+                               1000.0 * draw(st.floats(0.0, 0.6)), sl_full=1000.0))
     return tuple(ws), default_partition(m), draw(st.integers(-(-n // n_lc) if crowded else n, 60))
 
 
@@ -319,12 +321,14 @@ def _lookups(call) -> Counter:
 
 
 def _assert_once_per_view(calls: Counter, workloads, ranked_at):
-    """Each workload (its own profile) is looked up at most once per view,
-    besides its one ranking lookup at ``ranked_at`` (None: not ranked)."""
-    assert len({id(w.profile) for w in workloads}) == len(workloads)
+    """Each grid, however many workloads share it, is looked up at most once
+    per view, besides its one ranking lookup at ``ranked_at`` (None: not
+    ranked)."""
+    grids = {id(w.profile) for w in workloads}
+    assert {grid for grid, _, _ in calls} <= grids
     if ranked_at is not None:
-        for w in workloads:
-            calls[id(w.profile), ranked_at.llc_ways, ranked_at.mba_percent] -= 1
+        for grid in grids:
+            calls[grid, ranked_at.llc_ways, ranked_at.mba_percent] -= 1
     assert calls and all(0 <= c <= 1 for c in calls.values())
 
 

@@ -50,8 +50,8 @@ def single_lc_set(machine, width, lc_mba=50):
 
 def memcached_workload(offered=60000.0):
     return WorkloadSpec("memcached-solo", SloSpec(0.99, 1.5),
-                        calibrated_profile("memcached", sl_full=120000.0),
-                        offered_load=offered)
+                        calibrated_profile("memcached"),
+                        offered_load=offered, sl_full=120000.0)
 
 
 @st.composite
@@ -175,8 +175,8 @@ class TestNonFiniteRejected:
 
     def test_slowdown_total_overflows(self, reference):
         # each rate is finite and normal, but the weights' total is not
-        huge = SensitivityProfile((1, 20), (10, 100), ((1e308, 1e308), (1e308, 1.0)), 1e10)
-        workloads = [replace(w, profile=huge) if w.name.startswith("memcached")
+        huge = SensitivityProfile((1, 20), (10, 100), ((1e308, 1e308), (1e308, 1.0)))
+        workloads = [replace(w, profile=huge, sl_full=1e10) if w.name.startswith("memcached")
                      else w for w in reference.scenario().workloads]
         with pytest.raises(ValidationError, match="slowdowns overflow their total"):
             replace(reference.scenario(), workloads=tuple(workloads),
@@ -310,8 +310,8 @@ class TestPolicies:
         # the conflicting config starves that CLOS of bandwidth
         machine = reference_machine()
         w = WorkloadSpec("mongo-solo", SloSpec(0.99, 15.0),
-                         calibrated_profile("mongodb", sl_full=30000.0),
-                         offered_load=15000.0)
+                         calibrated_profile("mongodb"),
+                         offered_load=15000.0, sl_full=30000.0)
         base = Scenario(machine=machine, workloads=(w,), policy=Policy.COCO)
         good = max_affordable_load(base)
         bad = max_affordable_load(

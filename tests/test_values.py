@@ -27,7 +27,7 @@ def capacity(state):
 
 
 SLO = SloSpec(0.99, 5.0)
-PROFILE = SensitivityProfile((1, 20), (50, 100), ((2.0, 1.5), (1.2, 1.0)), 10.0)
+PROFILE = SensitivityProfile((1, 20), (50, 100), ((2.0, 1.5), (1.2, 1.0)))
 MACHINE = MachineSpec(20, 4, 10)
 PAIR = MachineSpec(20, 2, 10)
 CLOS = ClosConfig(1, 7, 30)
@@ -51,13 +51,13 @@ VALUE_TYPES = [
      "MachineSpec(llc_ways=20, clos_count=4, mba_step=10)", True),
     (SloSpec, (0.99, 5.0), {"latency_bound_ms": 2.0}, {"percentile": 1.0},
      "SloSpec(percentile=0.99, latency_bound_ms=5.0)", True),
-    (SensitivityProfile, ((1, 20), (50, 100), ((2.0, 1.5), (1.2, 1.0)), 10.0),
-     {"sl_full": 20.0}, {"sl_full": 0.0},
+    (SensitivityProfile, ((1, 20), (50, 100), ((2.0, 1.5), (1.2, 1.0))),
+     {"slowdowns": ((3.0, 1.5), (1.2, 1.0))}, {"slowdowns": ((2.0, 1.5), (1.2, 2.0))},
      "SensitivityProfile(way_levels=(1, 20), mba_levels=(50, 100), "
-     "slowdowns=((2.0, 1.5), (1.2, 1.0)), sl_full=10.0)", True),
-    (WorkloadSpec, ("w", SLO, PROFILE, 5.0), {"offered_load": 6.0}, {"name": ""},
+     "slowdowns=((2.0, 1.5), (1.2, 1.0)))", True),
+    (WorkloadSpec, ("w", SLO, PROFILE, 5.0, None, 10.0), {"sl_full": 20.0}, {"sl_full": 0.0},
      f"WorkloadSpec(name='w', slo={SLO!r}, profile={PROFILE!r}, offered_load=5.0, "
-     "dominance=<Dominance.BALANCED: 'balanced'>)", True),
+     "dominance=<Dominance.BALANCED: 'balanced'>, sl_full=10.0)", True),
     (ClosConfig, (1, 7, 30), {"mba_percent": 40}, None,
      "ClosConfig(id=1, mask=7, mba_percent=30)", True),
     (ClosSet, (PAIR, (RESERVED, CLOS)), {"reserved_id": 1}, {"reserved_id": 2},
