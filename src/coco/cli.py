@@ -40,7 +40,7 @@ def _write_output(path: str | None, content: str) -> None:
         return
     tmp = Path(path + ".tmp")
     try:
-        tmp.write_text(content)
+        tmp.write_text(content, encoding="utf-8")
         os.replace(tmp, path)
     except OSError as e:
         if tmp.is_file():  # written, or half-written, before the failure

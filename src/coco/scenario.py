@@ -75,6 +75,61 @@ else:
             yaml.resolver.Resolver.__init__(self)
 
 
+_PLAIN_TAGS = {f"tag:yaml.org,2002:{t}" for t in ("str", "int", "float", "bool", "null")}
+
+
+def _plain_yaml(text: str):
+    """The one document of ``text`` built straight from libyaml's events, or
+    None to leave it to ``yaml.load``: on an explicit tag, an anchor or an
+    alias, a scalar resolving to another tag (a ``<<`` merge, a timestamp), a
+    collection as a key, a key equal to an earlier one of its mapping once
+    built, nesting over 100 levels, other than one document, or any error.
+    Each plain scalar is typed and built by PyYAML's resolver and safe
+    constructor, once per text."""
+    if _Loader is _SafeLoader:  # no libyaml: PyYAML's parser is the cost
+        return None
+    loader, scalars = _Loader(text), {}
+    next_event = loader.get_event
+
+    def build(event, depth):
+        kind = type(event)
+        if kind is yaml.AliasEvent or event.anchor or event.tag or depth > 100:
+            raise ValueError  # declined
+        if kind is yaml.ScalarEvent:
+            value = event.value
+            if not event.implicit[0]:  # quoted: a string
+                return value
+            if value not in scalars:
+                tag = loader.resolve(yaml.ScalarNode, value, event.implicit)
+                if tag not in _PLAIN_TAGS:
+                    raise ValueError
+                scalars[value] = loader.yaml_constructors[tag](loader,
+                                                               yaml.ScalarNode(tag, value))
+            return scalars[value]
+        end = yaml.SequenceEndEvent if kind is yaml.SequenceStartEvent else yaml.MappingEndEvent
+        items, event = [], next_event()
+        while type(event) is not end:
+            items.append(build(event, depth + 1))
+            event = next_event()
+        if end is yaml.SequenceEndEvent:
+            return items
+        mapping = dict(zip(items[::2], items[1::2]))  # TypeError on a collection key
+        if 2 * len(mapping) != len(items):  # a key equal to an earlier one
+            raise ValueError
+        return mapping
+
+    try:
+        next_event()  # the stream's start
+        if type(next_event()) is yaml.DocumentStartEvent:
+            doc = build(next_event(), 0)
+            if (type(next_event()) is yaml.DocumentEndEvent
+                    and type(next_event()) is yaml.StreamEndEvent):
+                return doc
+    except (yaml.YAMLError, ValueError, TypeError):
+        pass
+    return None
+
+
 class LoadedWorkload(Value):
     __slots__ = ("spec", "model")
 
@@ -303,16 +358,18 @@ _PROFILE_FILE = {"profiles": _list(partial(_mapping, keys={"workload", *_GRID_PR
 
 def _load_yaml(path: Path) -> dict:
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(f"{path}: {e}") from None
+    doc = _plain_yaml(text)
     try:
-        try:
-            doc = yaml.load(text, Loader=_Loader)
-        except yaml.YAMLError:
-            # libyaml words its errors differently and drops detail (the
-            # offending character): PyYAML's own parser decides every error
-            doc = yaml.load(text, Loader=_SafeLoader)
+        if doc is None:
+            try:
+                doc = yaml.load(text, Loader=_Loader)
+            except yaml.YAMLError:
+                # libyaml words its errors differently and drops detail (the
+                # offending character): PyYAML's own parser decides every error
+                doc = yaml.load(text, Loader=_SafeLoader)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         line = f", line {mark.line + 1}" if mark else ""

@@ -373,13 +373,14 @@ DEEP = {
 }
 
 
-def coco_process(*argv: str, **kwargs) -> subprocess.CompletedProcess:
-    """`python -m coco.cli argv` in a child process, its output captured."""
+def coco_process(*argv: str, flags=(), env=(), **kwargs) -> subprocess.CompletedProcess:
+    """`python flags -m coco.cli argv` in a child process, its output captured;
+    ``env`` adds to this process's environment."""
     src = str(Path(importlib.resources.files("coco")).parent)
-    env = {**os.environ,
+    env = {**os.environ, **dict(env),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "coco.cli", *argv], capture_output=True,
-                          text=True, env=env, timeout=120, **kwargs)
+    return subprocess.run([sys.executable, *flags, "-m", "coco.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120, **kwargs)
 
 
 @pytest.mark.parametrize("case", sorted(DEEP))
@@ -791,6 +792,21 @@ class TestProcessExit:
             assert main(["simulate", scenario, "--format", "table"]) == 0
         done = coco_process("simulate", scenario, "--format", "table")
         assert (done.returncode, done.stdout, done.stderr) == (0, out.getvalue(), "")
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path, capsys):
+        # in the C locale without UTF-8 mode the locale's encoding is ASCII
+        path, out = tmp_path / "scenario.yaml", tmp_path / "out.csv"
+        path.write_text(REFERENCE_TEXT.replace("memcached-a", "memcached-\u00e9"),
+                        encoding="utf-8")
+        c_locale = {"flags": ("-X", "utf8=0"), "env": {"LC_ALL": "C"}}
+        done = coco_process("validate", str(path), **c_locale)
+        assert (done.returncode, done.stderr) == (0, "")
+        done = coco_process("simulate", str(path), "-o", str(out), **c_locale)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        assert main(["simulate", str(path)]) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
+        assert "memcached-\u00e9" in out.read_text(encoding="utf-8")
+        assert sorted(tmp_path.iterdir()) == [out, path]  # no .tmp left
 
     def test_main_leaves_the_collector_alone(self, reference_copy, capsys):
         frozen = gc.get_freeze_count()

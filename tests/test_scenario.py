@@ -1,5 +1,7 @@
+import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
@@ -62,6 +64,104 @@ def profiles(draw):
 
 
 FLAT = SensitivityProfile((1, 20), (50, 100), ((1.0, 1.0), (1.0, 1.0))), 1.0
+
+
+# the second workload merges the first one's keys and overrides two
+MERGED = MINIMAL.replace("  - name: web\n", "  - &web\n    name: web\n") + """\
+  - <<: *web
+    name: web-2
+    offered_load: 250.0
+"""
+
+
+def overload_profiles():
+    """The overload benchmark's models: three applications on a 20 x 50 grid."""
+    machine = MachineSpec(llc_ways=20, clos_count=16, mba_step=2)
+    profiles = {}
+    for app, slo_ms, full in (("memcached", 1.5, 152353.6), ("nginx", 20.0, 61234.5),
+                              ("mongodb", 15.0, 41745.2)):
+        model = GroundTruthModel(slo_ms / 10, 2.0, calibrated_capacity_fn(app, full))
+        profiles[f"model-{app}"] = build_profile(model, machine, SloSpec(0.99, slo_ms))
+    return profiles
+
+
+# implicitly typed scalars of every kind PyYAML resolves, strings that look
+# like them, texts equal once built (1, 0x1, 1.0, true), and plain texts a
+# flow collection cannot hold
+SCALAR_TEXTS = ["0x1f", "0o17", "0b_", "1:30", "1:30.5", "+1_000", "-0", "1", "0x1", "1.0",
+                "-0.0", "3.", ".inf", "-.Inf", ".nan", ".NaN", "1e400", "1.0e+400", "yes", "No",
+                "on", "true", "~", "null", "", "2001-12-14", "2001-12-14 21:59:43.10 -5", "=",
+                "<<", "web", "a b", "caf\u00e9", "x: y", "- z", "#c", "a,b"]
+PROPERTIES = ["&a", "&b", "!!str", "!!int", "!!float", "!!map", "!!seq", "!", "!local",
+              "!!binary", "!!timestamp"]
+
+
+def yaml_text(node, indent=0, flow=False) -> str:
+    """``node`` as YAML: inline, or block lines each after a newline."""
+    kind, *rest = node
+    if kind == "scalar":
+        text, style = rest
+        return {"": text, "'": "'" + text.replace("'", "''") + "'", '"': json.dumps(text)}[style]
+    if kind == "alias":
+        return "*" + rest[0]
+    if kind == "property":  # an anchor or a tag
+        return rest[0] + " " + yaml_text(rest[1], indent, flow)
+    items, flow = rest[0], flow or rest[1] or not rest[0]
+    if kind == "seq":
+        if flow:
+            return "[" + ", ".join(yaml_text(x, flow=True) for x in items) + "]"
+        return "".join(f"\n{' ' * indent}- {yaml_text(x, indent + 2)}" for x in items)
+    pairs = [(yaml_text(k, flow=True), yaml_text(v, indent + 2, flow)) for k, v in items]
+    if flow:
+        return "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
+    return "".join(f"\n{' ' * indent}{k}: {v}" for k, v in pairs)
+
+
+@st.composite
+def yaml_documents(draw):
+    """A YAML text of nested block and flow collections; in half of them, also
+    anchors, aliases, ``<<`` merges, tags, a second document or deep nesting."""
+    extras = draw(st.booleans())
+    scalars = st.tuples(st.just("scalar"), st.sampled_from(SCALAR_TEXTS),
+                        st.sampled_from(["", "'", '"']))
+    keys = scalars | st.tuples(st.just("scalar"), st.from_regex(r"[a-z][a-z0-9_]{0,6}",
+                                                                fullmatch=True), st.just(""))
+    aliases = st.tuples(st.just("alias"), st.sampled_from(["a", "b"]))
+    merge = st.tuples(st.just(("scalar", "<<", "")), aliases)
+
+    def collections(children):
+        entries = st.tuples(keys | children, children) | (merge if extras else st.nothing())
+        nodes = (st.tuples(st.just("seq"), st.lists(children, max_size=4), st.booleans())
+                 | st.tuples(st.just("map"), st.lists(entries, max_size=4), st.booleans()))
+        if extras:
+            nodes |= st.tuples(st.just("property"), st.sampled_from(PROPERTIES), children)
+        return nodes
+
+    values = st.recursive(scalars | aliases if extras else scalars, collections, max_leaves=12)
+    text = yaml_text(("map", draw(st.lists(st.tuples(keys, values), min_size=1, max_size=5)),
+                      False)).lstrip("\n") + "\n"
+    if extras:
+        depth = draw(st.sampled_from([0, 100, 101, 600]))
+        text += f"deep: {'[' * depth}{']' * depth}\n" if depth else ""
+        text += draw(st.sampled_from(["", "...\n", "---\nb: 1\n", "--- 1\n"]))
+    return text
+
+
+def load_outcome(path: Path) -> str:
+    """``_load_yaml``'s value or error, as text: NaN equals NaN."""
+    try:
+        return repr(scenario._load_yaml(path))
+    except ScenarioError as e:
+        return f"ScenarioError: {e}"
+
+
+def assert_same_as_yaml_load(path: Path) -> str:
+    """``_load_yaml``'s outcome, which must not change when ``_plain_yaml``
+    declines every document."""
+    built = load_outcome(path)
+    with mock.patch.object(scenario, "_plain_yaml", lambda text: None):
+        assert load_outcome(path) == built
+    return built
 
 
 def assert_loads_back(text, profiles):
@@ -330,23 +430,12 @@ class TestLibyaml:
             yaml.load("m: {a: 1, b: 2, a: 3}\n", Loader=getattr(scenario, loader))
 
     def test_merge_keys_still_override(self, tmp_path):
-        text = MINIMAL.replace("  - name: web\n", "  - &web\n    name: web\n") + """\
-  - <<: *web
-    name: web-2
-    offered_load: 250.0
-"""
-        web, web2 = (w.spec for w in load_scenario(write(tmp_path, text)).workloads)
+        web, web2 = (w.spec for w in load_scenario(write(tmp_path, MERGED)).workloads)
         assert (web2.name, web2.offered_load) == ("web-2", 250.0)
         assert (web2.slo, web2.profile) == (web.slo, web.profile)
 
     def test_dump_equals_pure_python_dump(self):
-        # the overload benchmark's models: three applications on a 20 x 50 grid
-        machine = MachineSpec(llc_ways=20, clos_count=16, mba_step=2)
-        profiles = {}
-        for app, slo_ms, full in (("memcached", 1.5, 152353.6), ("nginx", 20.0, 61234.5),
-                                  ("mongodb", 15.0, 41745.2)):
-            model = GroundTruthModel(slo_ms / 10, 2.0, calibrated_capacity_fn(app, full))
-            profiles[f"model-{app}"] = build_profile(model, machine, SloSpec(0.99, slo_ms))
+        profiles = overload_profiles()
         assert dump_profiles(profiles) == pyyaml_dump(profiles)
 
     @settings(max_examples=300, deadline=None)
@@ -380,3 +469,76 @@ class TestLibyaml:
         with pytest.raises(ScenarioError) as e:
             load_scenario(path)
         assert str(e.value) == f"{path}, {message}"
+
+
+class TestPlainYaml:
+    """Plain documents are built from libyaml's events, and give what PyYAML's
+    composer and safe constructor give; every other document goes to them."""
+
+    @settings(max_examples=300, deadline=None)
+    # each reason to decline, then texts that are built: 100 levels deep, a
+    # tab inside {…} (which only libyaml accepts), keys that no dict takes
+    # for equal
+    @example(text="a: !!str 1\n")
+    @example(text="a: ! 1\n")
+    @example(text="a: !!int x\n")
+    @example(text="a: &x 1\n")
+    @example(text="a: &x 1\nb: *x\n")
+    @example(text="a: &x {c: 1}\nb: {<<: *x, d: 2}\n")
+    @example(text="a: 2001-12-14\n")
+    @example(text="a: =\n")
+    @example(text="=: 1\n")
+    @example(text="[a]: 1\n")
+    @example(text="? - x\n: y\n")
+    @example(text="a: 1\na: 2\n")
+    @example(text="a: 1\n'a': 2\n")
+    @example(text="1: a\n0x1: b\n")
+    @example(text="1: a\n1.0: b\n")
+    @example(text="1: a\ntrue: b\n")
+    @example(text=".nan: 1\n.NaN: 2\n")
+    @example(text="a: " + "[" * 101 + "]" * 101 + "\n")
+    @example(text="a: 1\n---\nb: 2\n")
+    @example(text="")
+    @example(text="a: [1\n")
+    @example(text="a: 0b_\n")
+    @example(text="a: " + "[" * 100 + "]" * 100 + "\n")
+    @example(text="a: {b: 1,\tc: 2}\n")
+    @example(text="1: a\n'1': b\n.nan: c\n")
+    @given(text=yaml_documents())
+    def test_same_value_or_error_as_yaml_load(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.yaml"
+            path.write_text(text, encoding="utf-8")
+            assert_same_as_yaml_load(path)
+
+    # outside hypothesis, which raises the recursion limit while a test runs:
+    # past about 490 levels PyYAML's composer, and so every load, gives up
+    @pytest.mark.parametrize("depth", [100, 101, 300, 600, 900])
+    def test_same_nesting_limit_as_yaml_load(self, depth, tmp_path):
+        built = assert_same_as_yaml_load(write(tmp_path, f"a: {'[' * depth}{']' * depth}\n"))
+        assert built.endswith("invalid YAML: nested too deeply") == (depth >= 600)
+
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        """The values ``_plain_yaml`` returns from now on, None where it declines."""
+        returned, plain_yaml = [], scenario._plain_yaml
+        monkeypatch.setattr(scenario, "_plain_yaml",
+                            lambda text: returned.append(plain_yaml(text)) or returned[-1])
+        return returned
+
+    @pytest.mark.parametrize("name", ["reference", "swap-binds", "pairs", "fleet-101",
+                                      "overload-101", "profiles"])
+    def test_shipped_files_are_built(self, name, reference_path, tmp_path, monkeypatch):
+        path = Path(__file__).parent / "data" / f"{name}.yaml"
+        if name == "reference":
+            path = Path(reference_path)
+        elif name == "profiles":
+            path = write(tmp_path, dump_profiles(overload_profiles()), "profiles.yaml")
+        returned = self.spy(monkeypatch)
+        doc = scenario._load_yaml(path)
+        assert len(returned) == 1 and returned[0] is doc and isinstance(doc, dict)
+
+    def test_merge_keys_decline(self, tmp_path, monkeypatch):
+        returned = self.spy(monkeypatch)
+        load_scenario(write(tmp_path, MERGED))
+        assert returned == [None]
