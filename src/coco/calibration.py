@@ -61,13 +61,13 @@ def calibrated_capacity_fn(app: str, full: float):
     composed retainment, so a profiler run against this function reproduces
     the measured row.
     """
+    if app not in CAT_RETAINMENT:
+        raise ValidationError(f"unknown calibration app {app!r}; have {APPS}")
     if full <= 0:
         raise ValidationError("full must be > 0")
     cat, mba = {}, {}  # each axis level's interpolated retainment, composed per state
 
     def capacity(state: AllocationState) -> float:
-        if app not in CAT_RETAINMENT:
-            raise ValidationError(f"unknown calibration app {app!r}; have {APPS}")
         w, m = state.llc_ways, state.mba_percent
         if w not in cat:
             cat[w] = _interp_row(CAT_RETAINMENT[app], _LEVELS[app][0], w)

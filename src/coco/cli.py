@@ -35,8 +35,14 @@ def _fmt(x: float) -> str:
 
 
 def _write_output(path: str | None, content: str) -> None:
+    """The report as UTF-8, on stdout as in an ``-o`` file, whatever the locale."""
     if path is None:
-        sys.stdout.write(content)
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:  # a text-only stream (a StringIO) has no encoding to get wrong
+            sys.stdout.write(content)
+        else:
+            sys.stdout.flush()
+            out.write(content.encode("utf-8"))
         return
     tmp = Path(path + ".tmp")
     try:

@@ -126,7 +126,7 @@ class ReconfigPlan(Value):
 def _largest_remainder(quotas: list[float], total: int, minimum: int) -> list[int]:
     """Round quotas to integers summing to ``total``, each >= ``minimum``.
 
-    Not shared with ``scheduler._split_quanta``, whose ties go by weight and
+    Not shared with ``scheduler._split_quanta``, whose ties go by slowdown and
     name, not lowest index: either rule in both places changes outputs.
     """
     base = [int(q) for q in quotas]

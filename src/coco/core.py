@@ -2,7 +2,8 @@
 
 Slowdown is the ratio of the SLO-sustaining load at full allocation to the
 SLO-sustaining load at a restricted allocation state; load retainment is its
-reciprocal.  Scheduling weights are slowdowns normalized to sum to one.
+reciprocal.  The scheduler ranks and splits by slowdown; the weights an epoch
+plan reports are its workloads' slowdowns normalized to sum to one.
 """
 
 from __future__ import annotations
@@ -108,17 +109,6 @@ class MachineSpec(Value):
 
     def mba_levels(self) -> tuple[int, ...]:
         return tuple(range(self.mba_step, 101, self.mba_step))
-
-    def validate_state(self, state: "AllocationState") -> None:
-        if not 1 <= state.llc_ways <= self.llc_ways:
-            raise ValidationError(
-                f"llc_ways {state.llc_ways} outside [1, {self.llc_ways}]")
-        if not self.mba_step <= state.mba_percent <= 100:
-            raise ValidationError(
-                f"mba_percent {state.mba_percent} outside [{self.mba_step}, 100]")
-        if state.mba_percent % self.mba_step != 0:
-            raise ValidationError(
-                f"mba_percent {state.mba_percent} not a multiple of {self.mba_step}")
 
 
 class AllocationState(Value):
@@ -285,7 +275,7 @@ def retainment_at(profile: SensitivityProfile, state: AllocationState) -> float:
 
 
 def weights_of(slowdowns: list[float]) -> list[float]:
-    """Scheduling weights: each slowdown normalized by the total."""
+    """An epoch plan's weights: each slowdown normalized by the total."""
     if not slowdowns:
         raise ValidationError("weights_of requires a nonempty slowdown list")
     for s in slowdowns:

@@ -120,7 +120,7 @@ class Scenario(Value):
         for w, rate in zip(workloads, smallest_rates):
             if rate < sys.float_info.min:
                 raise ValidationError(f"workload {w.name!r}: its smallest rate underflows to 0")
-        if not math.isfinite(sum(largest)):  # the weights divide by the slowdowns' total
+        if not math.isfinite(sum(largest)):  # a CLOS's split divides by its members' total
             raise ValidationError("the workloads' largest slowdowns overflow their total")
         if not math.isfinite(duration * epoch_quanta * 2
                              * sum(max(w.sl_full, w.offered_load) for w in workloads)):

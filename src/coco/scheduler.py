@@ -1,11 +1,14 @@
 """MQ-WRR scheduling: per-CLOS queues, slowdown-weighted slices, admission.
 
-Each latency-critical CLOS owns one queue.  Workloads are weighted by their
+Each latency-critical CLOS owns one queue.  Workloads are ranked by their
 slowdown at a common reference state (the smallest LC CLOS), dealt onto
-CLOSs so the highest-weight workloads land on the widest partitions, and
-time slices within a CLOS follow the weights with largest-remainder rounding
+CLOSs so the most-slowed workloads land on the widest partitions, and time
+slices within a CLOS follow those slowdowns with largest-remainder rounding
 and a one-quantum starvation floor.  Adjacent queue members that stress
-opposite resource axes may share a working set concurrently.
+opposite resource axes may share a working set concurrently.  The raw
+slowdown is the only key: a subset ranks as the full set does, less the
+missing members, and a CLOS's split depends on its members alone.  A plan
+reports the slowdowns normalized over its workloads as its weights.
 """
 
 from __future__ import annotations
@@ -75,9 +78,10 @@ def pair_compatible(a: WorkloadSpec, b: WorkloadSpec) -> bool:
     return x is not y and x is not _BALANCED and y is not _BALANCED
 
 
-def _split_quanta(members: list[WorkloadSpec], weights: dict[str, float],
+def _split_quanta(members: list[WorkloadSpec], slowdowns: dict[str, float],
                   epoch_quanta: int) -> list[int]:
-    """Largest-remainder split of an epoch, one-quantum floor per member.
+    """Largest-remainder split of an epoch by the members' slowdowns, with a
+    one-quantum floor per member.
 
     Not ``closconfig._largest_remainder``, whose ties go to the lowest index:
     with them, simulate and compare change on the fleet and overload scenarios.
@@ -85,7 +89,7 @@ def _split_quanta(members: list[WorkloadSpec], weights: dict[str, float],
     if epoch_quanta < len(members):
         raise EpochUnderflowError(
             f"epoch underflow: {epoch_quanta} quanta for {len(members)} workloads")
-    ws = [weights[m.name] for m in members]
+    ws = [slowdowns[m.name] for m in members]
     total_w = sum(ws)
     quotas = [epoch_quanta * w / total_w for w in ws]
     counts = [int(q) for q in quotas]
@@ -95,7 +99,7 @@ def _split_quanta(members: list[WorkloadSpec], weights: dict[str, float],
         counts[order[k % len(counts)]] += 1
     for i in range(len(counts)):
         while counts[i] < 1:
-            # take from the largest share; among ties, the lightest weight
+            # take from the largest share; among ties, the least slowed
             donor = max(range(len(counts)),
                         key=lambda j: (counts[j], -ws[j], members[j].name))
             counts[donor] -= 1
@@ -103,14 +107,14 @@ def _split_quanta(members: list[WorkloadSpec], weights: dict[str, float],
     return counts
 
 
-def _deal(ranked: list[WorkloadSpec], weights: dict[str, float], lc: tuple[ClosConfig, ...],
+def _deal(ranked: list[WorkloadSpec], slowdowns: dict[str, float], lc: tuple[ClosConfig, ...],
           epoch_quanta: int, pairing: bool) -> list[tuple]:
     """Deal ranked workloads onto the LC CLOSs in turn, then split and pair each
     CLOS's epoch: per CLOS, (CLOS id, members, quanta, segments as (members, quanta))."""
     dealt = []
     for j in range(min(len(ranked), len(lc))):
         members = ranked[j::len(lc)]
-        counts = _split_quanta(members, weights, epoch_quanta)
+        counts = _split_quanta(members, slowdowns, epoch_quanta)
         segments, i = [], 0
         while i < len(members):  # a compatible adjacent pair shares one segment
             if pairing and i + 1 < len(members):  # pair_compatible, inline: no call per pair
@@ -131,8 +135,9 @@ def _rotated(dealt: list[tuple], lc: tuple[ClosConfig, ...], offset: int) -> lis
     return [(lc[(j + offset) % len(lc)].id, *rest) for j, (_, *rest) in enumerate(dealt)]
 
 
-def _build_plan(weights: dict[str, float], dealt: list[tuple]) -> EpochPlan:
-    """The epoch plan of a deal: names in place of specs, plus slices and queues."""
+def _build_plan(slowdowns: dict[str, float], dealt: list[tuple]) -> EpochPlan:
+    """The epoch plan of a deal: names in place of specs, plus slices and
+    queues, and as weights the slowdowns normalized over the plan's workloads."""
     schedule = {clos_id: tuple(Segment(tuple(m.name for m in seg), q) for seg, q in segments)
                 for clos_id, _, _, segments in dealt}
     slices = tuple(TimeSlice(m.name, clos_id, c) for clos_id, members, counts, _ in dealt
@@ -140,14 +145,15 @@ def _build_plan(weights: dict[str, float], dealt: list[tuple]) -> EpochPlan:
     queues = tuple(QueueState(clos_id, frozenset(first.members),
                               tuple(n for seg in rest for n in seg.members))
                    for clos_id, (first, *rest) in schedule.items())
+    weights = dict(zip(slowdowns, weights_of(list(slowdowns.values()))))
     return EpochPlan(queues, slices, weights, schedule)
 
 
 def _ranked(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
             reference_state: AllocationState | None = None, *, equal: bool = False
             ) -> tuple[tuple, list, dict[str, float]]:
-    """The LC CLOSs, the workloads by descending weight (ties by name), and the
-    weights: each workload's slowdown at the reference state, normalized.
+    """The LC CLOSs, the workloads by descending slowdown (ties by name), and
+    each workload's slowdown at the reference state, by name in input order.
     ``equal`` takes every slowdown as 1, so the rank is name order.  Each
     grid is looked up once, however many workloads share it."""
     if len({w.name for w in workloads}) != len(workloads):
@@ -159,25 +165,24 @@ def _ranked(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
     grids = {id(w.profile): w.profile for w in workloads}
     at = {key: 1.0 if equal else slowdown_xy(p, ref.llc_ways, ref.mba_percent)
           for key, p in grids.items()}
-    slowdowns = [at[id(w.profile)] for w in workloads]
-    weights = dict(zip([w.name for w in workloads], weights_of(slowdowns)))
-    return lc, sorted(workloads, key=lambda w: (-weights[w.name], w.name)), weights
+    slowdowns = {w.name: at[id(w.profile)] for w in workloads}
+    return lc, sorted(workloads, key=lambda w: (-slowdowns[w.name], w.name)), slowdowns
 
 
 def plan_epoch(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
                epoch_quanta: int, *,
                reference_state: AllocationState | None = None,
                pairing: bool = True) -> EpochPlan:
-    """Weighted epoch plan: weight-sorted deal onto width-sorted CLOSs.
+    """Weighted epoch plan: slowdown-sorted deal onto width-sorted CLOSs.
 
-    Weights come from each workload's slowdown at the reference state
-    (default: the smallest LC CLOS's allocation), so they are comparable
-    across workloads regardless of where each one lands.
+    The slowdowns are each workload's at the reference state (default: the
+    smallest LC CLOS's allocation), so they are comparable across workloads
+    regardless of where each one lands.
     """
     if not workloads:
         raise ValidationError("plan_epoch requires at least one workload")
-    lc, ranked, weights = _ranked(workloads, clos_set, reference_state)
-    return _build_plan(weights, _deal(ranked, weights, lc, epoch_quanta, pairing))
+    lc, ranked, slowdowns = _ranked(workloads, clos_set, reference_state)
+    return _build_plan(slowdowns, _deal(ranked, slowdowns, lc, epoch_quanta, pairing))
 
 
 def round_robin_plan(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
@@ -186,9 +191,9 @@ def round_robin_plan(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
     CLOS each epoch, no pairing."""
     if not workloads:
         raise ValidationError("round_robin_plan requires at least one workload")
-    lc, ranked, weights = _ranked(workloads, clos_set, equal=True)
-    dealt = _deal(ranked, weights, lc, epoch_quanta, pairing=False)
-    return _build_plan(weights, _rotated(dealt, lc, epoch))
+    lc, ranked, slowdowns = _ranked(workloads, clos_set, equal=True)
+    dealt = _deal(ranked, slowdowns, lc, epoch_quanta, pairing=False)
+    return _build_plan(slowdowns, _rotated(dealt, lc, epoch))
 
 
 def rated(dealt: list[tuple], epoch_quanta: int, views: dict[int, tuple[float, float]],
@@ -244,21 +249,21 @@ def admission_control(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
     """
     if not workloads:
         return (), ()
-    lc, ranked, weights = _ranked(workloads, clos_set)
+    lc, ranked, slowdowns = _ranked(workloads, clos_set)
     fit = len(lc) * epoch_quanta
     ranked, rejected = ranked[:fit], ranked[fit:][::-1]
     views = {cfg.id: (cfg.width, cfg.mba_percent) for cfg in lc}
     memo: dict = {}
     while ranked:
-        worst = (-1.0, 0.0, "")  # (demand, -weight, name) of the largest demand
+        worst = (-1.0, 0.0, "")  # (demand, -slowdown, name) of the largest demand
         for _, n_segments, _, share, rates in rated(
-                _deal(ranked, weights, lc, epoch_quanta, True), epoch_quanta, views, memo,
+                _deal(ranked, slowdowns, lc, epoch_quanta, True), epoch_quanta, views, memo,
                 penalty=pairing_penalty, factor=warmup_factor):
             warm = warmup_window > 0 and n_segments > 1
             for w, base, warmed in rates:
                 demand = w.offered_load / share / (warmed if warm else base)
-                if demand >= worst[0] and (demand, -weights[w.name], w.name) > worst:
-                    worst, evicted = (demand, -weights[w.name], w.name), w
+                if demand >= worst[0] and (demand, -slowdowns[w.name], w.name) > worst:
+                    worst, evicted = (demand, -slowdowns[w.name], w.name), w
         if worst[0] <= 1.0 - overhead_margin:
             break
         # by position, found by identity: ``remove`` would compare values field by field

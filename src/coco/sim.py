@@ -183,9 +183,9 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
         plans = [([(_VIRTUAL_CLOS, workloads, [epoch_quanta], [(workloads, epoch_quanta)])],
                   {_VIRTUAL_CLOS: (max(1, machine.llc_ways // n), mba)})]
     else:  # rr ranks as if equally slowed and rotates by one LC CLOS per epoch
-        lc, ranked, weights = _ranked(workloads, clos_set, _reference_state(scenario, clos_set),
-                                      equal=spec.planner == "rr")
-        dealt = _deal(ranked, weights, lc, epoch_quanta, spec.planner == "weighted")
+        lc, ranked, slowdowns = _ranked(workloads, clos_set, _reference_state(scenario, clos_set),
+                                        equal=spec.planner == "rr")
+        dealt = _deal(ranked, slowdowns, lc, epoch_quanta, spec.planner == "weighted")
         deals = ([_rotated(dealt, lc, k) for k in range(min(len(lc), duration))]
                  if spec.planner == "rr" else [dealt])
         plans = [(deal, _views(scenario, clos_set, deal)) for deal in deals]

@@ -373,14 +373,15 @@ DEEP = {
 }
 
 
-def coco_process(*argv: str, flags=(), env=(), **kwargs) -> subprocess.CompletedProcess:
-    """`python flags -m coco.cli argv` in a child process, its output captured;
-    ``env`` adds to this process's environment."""
+def coco_process(*argv: str, flags=(), env=(), text=True,
+                 **kwargs) -> subprocess.CompletedProcess:
+    """`python flags -m coco.cli argv` in a child process, its output captured
+    (as bytes if not ``text``); ``env`` adds to this process's environment."""
     src = str(Path(importlib.resources.files("coco")).parent)
     env = {**os.environ, **dict(env),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *flags, "-m", "coco.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120, **kwargs)
+                          capture_output=True, text=text, env=env, timeout=120, **kwargs)
 
 
 @pytest.mark.parametrize("case", sorted(DEEP))
@@ -751,14 +752,14 @@ class TestProfileCommand:
 
     @pytest.mark.parametrize("command", ["validate", "simulate", "compare", "profile"])
     def test_unknown_calibration_app(self, command, tmp_path, capsys):
-        # the capacity function refuses the name when the model is profiled
+        # the capacity function refuses the name where it is built, before profiling
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(MODEL_SCENARIO.replace("capacity: {calibration: nginx, full: 1000.0}",
                                                    "capacity: {calibration: bogus}"))
         assert main([command, str(scenario)]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", (
-            f"error: {scenario}: workloads[0].model: unknown calibration app 'bogus'; "
+            f"error: {scenario}: workloads[0].model.capacity: unknown calibration app 'bogus'; "
             "have ('memcached', 'mongodb', 'nginx')\n"))
 
 
@@ -807,6 +808,22 @@ class TestProcessExit:
         assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
         assert "memcached-\u00e9" in out.read_text(encoding="utf-8")
         assert sorted(tmp_path.iterdir()) == [out, path]  # no .tmp left
+
+    @pytest.mark.parametrize("command", [["simulate", "--format", "csv"], ["compare"]])
+    def test_stdout_is_utf8_whatever_the_locale(self, command, tmp_path):
+        # the report on stdout is the -o file's bytes, not an encoding error
+        path, out = tmp_path / "r\u00e9f.yaml", tmp_path / "out"
+        path.write_text(REFERENCE_TEXT.replace("memcached-a", "memcached-\u00e9"),
+                        encoding="utf-8")
+        c_locale = {"flags": ("-X", "utf8=0"), "env": {"LC_ALL": "C"}, "text": False}
+        done = coco_process(*command, str(path), **c_locale)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert coco_process(*command, str(path), "-o", str(out), **c_locale).returncode == 0
+        assert done.stdout == out.read_bytes()
+        assert "memcached-\u00e9".encode("utf-8") in done.stdout
+        # a path in the locale's bytes still prints as given
+        done = coco_process("validate", str(path), **c_locale)
+        assert done.stdout.startswith(os.fsencode(path) + b": ok (")
 
     def test_main_leaves_the_collector_alone(self, reference_copy, capsys):
         frozen = gc.get_freeze_count()

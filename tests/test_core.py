@@ -28,14 +28,6 @@ class TestMachineSpec:
         with pytest.raises(ValidationError):
             MachineSpec(**kwargs)
 
-    def test_state_bounds(self):
-        m = MachineSpec(llc_ways=20, clos_count=4, mba_step=10)
-        m.validate_state(AllocationState(3, 100))
-        with pytest.raises(ValidationError):
-            m.validate_state(AllocationState(21, 100))
-        with pytest.raises(ValidationError):
-            m.validate_state(AllocationState(3, 15))
-
 
 class TestProfileValidation:
     def test_corner_must_be_one(self):

@@ -19,7 +19,7 @@ from coco.params import POLICIES
 from coco.scenario import load_scenario
 from coco.scheduler import (admission_control, pair_compatible, plan_epoch,
                             round_robin_plan)
-from coco.sim import Policy, Scenario, WarmupParams, _reference_state, _simulate
+from coco.sim import Policy, Scenario, WarmupParams, _reference_state, _simulate, run_scenario
 
 from conftest import SLO, _scaled, make_workload
 
@@ -35,6 +35,12 @@ def machine(ways=20, clos=4, step=10):
 def reference_of(clos_set):
     smallest = min(clos_set.lc_configs(), key=lambda c: (c.width, c.id))
     return smallest.state()
+
+
+def reference_slowdowns(workloads, clos_set):
+    """Each workload's slowdown at the reference state: the scheduler's rank key."""
+    ref = reference_of(clos_set)
+    return {w.name: slowdown_xy(w.profile, ref.llc_ways, ref.mba_percent) for w in workloads}
 
 
 def llc_dominant_workload(name, offered=0.0):
@@ -246,10 +252,11 @@ class TestAdmissionControl:
 def _admission_by_plans(workloads, clos_set, epoch_quanta, *, overhead_margin,
                         warmup_window, warmup_factor, pairing_penalty):
     """Reference admission loop: one full ``plan_epoch`` per round, scored
-    from its schedule."""
+    from its schedule; ties go to the later-ranked."""
     candidates = list(workloads)
     rejected = []
     by_name = {w.name: w for w in candidates}
+    slowdowns = reference_slowdowns(workloads, clos_set)
     while candidates:
         plan = plan_epoch(candidates, clos_set, epoch_quanta)
         demands = []
@@ -265,7 +272,7 @@ def _admission_by_plans(workloads, clos_set, epoch_quanta, *, overhead_margin,
                     base = w.sl_full / (slowdown * penalty)
                     warm_rate = base / warmup_factor
                     demands.append((w.offered_load / share / (warm_rate if warm else base),
-                                    -plan.weights[name], name))
+                                    -slowdowns[name], name))
         demand, _, name = max(demands)
         if demand <= 1.0 - overhead_margin:
             break
@@ -384,7 +391,39 @@ def _assert_same_evictions(case, window, margin, penalty):
             == _admission_by_plans(workloads, cs, quanta, **kwargs))
 
 
+ULP_CLOS_SET = default_partition(machine(clos=3))  # two LC CLOSs
+# 'a' and 'b' are one ulp apart: normalised over all four their weights tie,
+# and over the three left once 'x' is evicted they do not
+ULP_CASE = (tuple(make_workload(name, slowdown, reference_of(ULP_CLOS_SET), offered=offered)
+                  for name, slowdown, offered in (
+                      ("a", 1.7, 120.0), ("b", 1.7000000000000002, 380.0),
+                      ("c", 2.0, 10.0), ("x", 1.3, 5000.0))),
+            ULP_CLOS_SET, 5)
+
+
 class TestAdmissionOracle:
+    def test_one_ulp_apart_rank_as_without_the_evicted(self):
+        workloads, cs, quanta = ULP_CASE
+        kwargs = dict(overhead_margin=0.05, warmup_window=0, warmup_factor=1.0,
+                      pairing_penalty=1.0)
+        admitted, rejected = admission_control(workloads, cs, quanta, **kwargs)
+        assert (admitted, rejected) == _admission_by_plans(workloads, cs, quanta, **kwargs)
+        assert [w.name for w in rejected] == ["x"]
+        s = Scenario(machine=cs.machine, workloads=workloads, policy=Policy.COCO, clos_set=cs,
+                     epoch_quanta=quanta, warmup=WarmupParams(0, 1.0), pairing_penalty=1.0)
+        assert run_scenario(s).per_workload["b"].slo_violations == 0  # 'b' is servable
+
+    @settings(max_examples=200, deadline=None)
+    @example(case=ULP_CASE, dropped={3})
+    @given(case=admission_cases(), dropped=st.sets(st.integers(0, 11)))
+    def test_a_subset_ranks_as_the_full_set_less_the_dropped(self, case, dropped):
+        workloads, cs, _ = case
+        subset = [w for i, w in enumerate(workloads) if i not in dropped]
+        assume(subset)
+        kept = {w.name for w in subset}
+        _, ranked, _ = scheduler._ranked(workloads, cs)
+        assert scheduler._ranked(subset, cs)[1] == [w for w in ranked if w.name in kept]
+
     @settings(max_examples=200, deadline=None)
     # equal demands, 2.4 and 1.2: the lighter 'b' goes first (weights 3/4 and
     # 1/4 give exact shares), and between twins the last name, 'b'
@@ -433,9 +472,9 @@ class TestOneFeasibilityRule:
         if max(t.peak_demand for t in tallies.values()) <= 1.0 - margin:
             assert rejected == ()
         else:
-            weights = plan_epoch(workloads, cs, quanta).weights
+            slowdowns = reference_slowdowns(workloads, cs)
             worst = max(workloads, key=lambda w: (tallies[w.name].peak_demand,
-                                                  -weights[w.name], w.name))
+                                                  -slowdowns[w.name], w.name))
             assert rejected and rejected[0].name == worst.name
 
 

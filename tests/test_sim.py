@@ -515,6 +515,14 @@ class TestPlanThenWalk:
             assert deals.call_count == 1, duration
             assert rates.call_count == min(n_lc, duration), duration
 
+    def test_simulation_never_normalises(self):
+        # the scheduler ranks and splits by slowdown; only a reported plan has weights
+        s = load_scenario(str(Path(__file__).parent / "data" / "overload-101.yaml")).scenario()
+        with mock.patch("coco.scheduler.weights_of", side_effect=AssertionError) as weights:
+            run_scenario(s)
+            compare_policies(s, list(Policy))
+        assert weights.call_count == 0
+
     def test_epoch_loop_only_tallies(self):
         # every deal, rating and planner test happens before the epoch loop
         tree = ast.parse(textwrap.dedent(inspect.getsource(sim._simulate)))
