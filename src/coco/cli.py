@@ -34,15 +34,44 @@ def _fmt(x: float) -> str:
     return format(x, ".10g")
 
 
-def _write_output(path: str | None, content: str) -> None:
-    """The report as UTF-8, on stdout as in an ``-o`` file, whatever the locale."""
-    if path is None:
-        out = getattr(sys.stdout, "buffer", None)
-        if out is None:  # a text-only stream (a StringIO) has no encoding to get wrong
-            sys.stdout.write(content)
+def _write_stdout(content: str, *, utf8: bool = True) -> None:
+    """Every write to stdout: a report as UTF-8, the bytes of its ``-o`` file,
+    whatever the locale; a line for the terminal (``utf8=False``) in the
+    stream's own encoding, so a path prints as given.
+
+    A process started with stdout closed has no ``sys.stdout``: it writes
+    nothing, as ``print`` does.  A failed write or flush (a full device, a
+    closed pipe) is a one-line error, and what is still buffered goes to
+    the null device, so the interpreter's flush at exit cannot fail again.
+    """
+    out = sys.stdout
+    if out is None:
+        return
+    try:
+        binary = getattr(out, "buffer", None) if utf8 else None
+        if binary is None:  # a text-only stream (a StringIO) has no encoding to get wrong
+            out.write(content)
+            out.flush()
         else:
-            sys.stdout.flush()
-            out.write(content.encode("utf-8"))
+            out.flush()
+            binary.write(content.encode("utf-8"))
+            binary.flush()
+    except OSError as e:
+        try:
+            fd = out.fileno()
+        except (OSError, ValueError):  # no descriptor: nothing to flush at exit
+            fd = None
+        if fd is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise CocoError(f"<stdout>: {e.strerror or e}") from None
+
+
+def _write_output(path: str | None, content: str) -> None:
+    """The report, atomically into ``path``, or on stdout if ``path`` is None."""
+    if path is None:
+        _write_stdout(content)
         return
     tmp = Path(path + ".tmp")
     try:
@@ -119,8 +148,9 @@ def _compare_report(result: CompareResult, order: list[str], fmt: str) -> str:
 
 def _cmd_validate(args) -> int:
     loaded = load_scenario(args.scenario)
-    print(f"{loaded.path}: ok ({len(loaded.workloads)} workloads, "
-          f"{loaded.machine.clos_count} CLOSs, {loaded.machine.llc_ways} ways)")
+    _write_stdout(f"{loaded.path}: ok ({len(loaded.workloads)} workloads, "
+                  f"{loaded.machine.clos_count} CLOSs, {loaded.machine.llc_ways} ways)\n",
+                  utf8=False)
     return EXIT_OK
 
 
@@ -170,7 +200,7 @@ def _cmd_schemata(args) -> int:
 
     loaded = load_scenario(args.scenario)
     clos_set = loaded.clos_set or default_partition(loaded.machine)
-    sys.stdout.write(resctrl.serialize_clos_set(clos_set))
+    _write_stdout(resctrl.serialize_clos_set(clos_set))
     if args.apply:
         layout = resctrl.ResctrlLayout.from_env(args.root)
         try:

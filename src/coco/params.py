@@ -79,14 +79,13 @@ class Scenario(Value):
 
     __slots__ = ("machine", "workloads", "policy", "epoch_quanta", "quantum_ms", "duration",
                  "warmup", "seed", "clos_set", "interference_alpha", "pairing_penalty",
-                 "load_jitter", "overhead_margin")
+                 "load_jitter")
 
     def __init__(self, machine: MachineSpec, workloads: tuple[WorkloadSpec, ...],
                  policy: Policy, epoch_quanta: int = 20, quantum_ms: float = 100.0,
                  duration: int = 10, warmup: WarmupParams = WarmupParams(), seed: int = 0,
                  clos_set: ClosSet | None = None, interference_alpha: float = 1.0,
-                 pairing_penalty: float = 1.05, load_jitter: float = 0.0,
-                 overhead_margin: float = 0.05):
+                 pairing_penalty: float = 1.05, load_jitter: float = 0.0):
         if not workloads:
             raise ValidationError("scenario needs at least one workload")
         names = [w.name for w in workloads]
@@ -110,8 +109,6 @@ class Scenario(Value):
             raise ValidationError("pairing_penalty must be finite and >= 1")
         if not 0 <= load_jitter < 1:
             raise ValidationError("load_jitter must be in [0, 1)")
-        if not 0 <= overhead_margin < 1:
-            raise ValidationError("overhead_margin must be in [0, 1)")
         # the grid is monotone, so its first cell is its largest slowdown
         largest = [w.profile.slowdowns[0][0] for w in workloads]
         inflation = interference_alpha * pairing_penalty * warmup.factor
@@ -151,7 +148,6 @@ class Scenario(Value):
         _set(self, "interference_alpha", interference_alpha)
         _set(self, "pairing_penalty", pairing_penalty)
         _set(self, "load_jitter", load_jitter)
-        _set(self, "overhead_margin", overhead_margin)
 
     def effective_clos_set(self) -> ClosSet | None:
         """The CLOS set the policy schedules on; None if it partitions nothing."""

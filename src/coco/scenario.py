@@ -344,7 +344,7 @@ _SIM = {"policy": _choice(Policy), "epoch_quanta": _integer, "quantum_ms": _numb
         "duration": _integer, "seed": _integer,
         "warmup": _section({"window": _integer, "factor": _number}, make=WarmupParams),
         "interference_alpha": _number, "pairing_penalty": _number,
-        "load_jitter": _number, "overhead_margin": _number}
+        "load_jitter": _number}
 _CLOS = {"id": _integer, "width": _integer, "mask": _mask, "mba_percent": _integer}
 _CLOS_SET = {"reserved_id": _integer, "configs": _list(_section(_CLOS, ("mba_percent",)))}
 _SCENARIO = {"machine": _section(_MACHINE, ("llc_ways", "clos_count", "mba_step"),

@@ -230,7 +230,7 @@ def rated(dealt: list[tuple], epoch_quanta: int, views: dict[int, tuple[float, f
 
 def admission_control(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
                       epoch_quanta: int, *,
-                      overhead_margin: float = 0.0,
+                      load_jitter: float = 0.0,
                       warmup_window: int = 0, warmup_factor: float = 1.0,
                       pairing_penalty: float = 1.0,
                       ) -> tuple[tuple[WorkloadSpec, ...], tuple[WorkloadSpec, ...]]:
@@ -243,9 +243,11 @@ def admission_control(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
     simulator's peak demand, offered / share / rate, per segment (a pair
     shares its combined window), with the rates ``rated`` gives both.  The
     deal repeats every epoch, so on a CLOS with more than one segment each
-    opens with a switch, at the warm rate.  While the largest demand exceeds
-    1 - overhead_margin its workload is evicted (ties: the later-ranked).
-    The admitted keep their input order.
+    opens with a switch, at the warm rate.  Each epoch's load is at most
+    offered x (1 + load_jitter), and demand scales with load, so while the
+    largest demand at that bound exceeds 1 its workload is evicted (ties:
+    the later-ranked).  No admitted workload then violates its SLO, however
+    the jitter falls.  The admitted keep their input order.
     """
     if not workloads:
         return (), ()
@@ -264,7 +266,7 @@ def admission_control(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
                 demand = w.offered_load / share / (warmed if warm else base)
                 if demand >= worst[0] and (demand, -slowdowns[w.name], w.name) > worst:
                     worst, evicted = (demand, -slowdowns[w.name], w.name), w
-        if worst[0] <= 1.0 - overhead_margin:
+        if worst[0] * (1.0 + load_jitter) <= 1.0:
             break
         # by position, found by identity: ``remove`` would compare values field by field
         del ranked[next(i for i, w in enumerate(ranked) if w is evicted)]

@@ -159,7 +159,7 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
     if apply_admission and spec.admission:
         workloads, rejected = admission_control(
             workloads, clos_set, scenario.epoch_quanta,
-            overhead_margin=scenario.overhead_margin,
+            load_jitter=scenario.load_jitter,
             warmup_window=scenario.warmup.window, warmup_factor=scenario.warmup.factor,
             pairing_penalty=scenario.pairing_penalty)
         for w in rejected:

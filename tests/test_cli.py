@@ -297,6 +297,16 @@ class TestValidate:
             assert (captured.out, captured.err) == (
                 "", f"error: {reference_copy}: machine: unknown keys {keys}\n"), command
 
+    def test_removed_overhead_margin_rejected(self, reference_copy, capsys):
+        # admission rates the jittered load's bound: sim has no margin to set
+        path = Path(reference_copy)
+        path.write_text(path.read_text() + "  overhead_margin: 0.05\n")
+        for command in ("validate", "simulate", "compare"):
+            assert main([command, reference_copy]) == 2, command
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", f"error: {reference_copy}: sim: unknown keys ['overhead_margin']\n"), command
+
     def test_absent_policies_compare_all_six(self, reference_copy, capsys):
         path = Path(reference_copy)
         path.write_text(path.read_text().replace(REFERENCE_POLICIES, ""))
@@ -373,15 +383,17 @@ DEEP = {
 }
 
 
-def coco_process(*argv: str, flags=(), env=(), text=True,
+def coco_process(*argv: str, flags=(), env=(), text=True, stdout=subprocess.PIPE,
                  **kwargs) -> subprocess.CompletedProcess:
-    """`python flags -m coco.cli argv` in a child process, its output captured
-    (as bytes if not ``text``); ``env`` adds to this process's environment."""
+    """`python flags -m coco.cli argv` in a child process, its stderr and (unless
+    ``stdout`` names another file) its stdout captured, as bytes if not
+    ``text``; ``env`` adds to this process's environment."""
     src = str(Path(importlib.resources.files("coco")).parent)
     env = {**os.environ, **dict(env),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *flags, "-m", "coco.cli", *argv],
-                          capture_output=True, text=text, env=env, timeout=120, **kwargs)
+                          stdout=stdout, stderr=subprocess.PIPE, text=text, env=env,
+                          timeout=120, **kwargs)
 
 
 @pytest.mark.parametrize("case", sorted(DEEP))
@@ -466,7 +478,6 @@ OUT_OF_RANGE = {
     "pairing_penalty": (("sim", "pairing_penalty"), 0.5,
                         "pairing_penalty must be finite and >= 1"),
     "load_jitter": (("sim", "load_jitter"), 1, "load_jitter must be in [0, 1)"),
-    "overhead_margin": (("sim", "overhead_margin"), 1, "overhead_margin must be in [0, 1)"),
     "offered_load": (("workloads", 0, "offered_load"), -1,
                      "workloads[0]: offered_load must be finite and >= 0"),
     "grid-sl_full": (("workloads", 0, "profile", "grid", "sl_full"), 0,
@@ -763,6 +774,10 @@ class TestProfileCommand:
             "have ('memcached', 'mongodb', 'nginx')\n"))
 
 
+# every command that writes to stdout; MODEL_SCENARIO runs each to exit 0
+STDOUT_COMMANDS = ("validate", "profile", "simulate", "compare", "schemata")
+
+
 class TestProcessExit:
     """The command as a process: ``run`` ends it, with ``main``'s exit code."""
 
@@ -782,9 +797,25 @@ class TestProcessExit:
         assert (done.stdout != "") == (code == 0)
         assert (done.stderr != "") == (code != 0) and "Traceback" not in done.stderr
 
-    def test_closed_stdout(self, reference_copy):
-        done = coco_process("validate", reference_copy, preexec_fn=lambda: os.close(1))
-        assert (done.returncode, done.stderr) == (0, "")
+    def test_closed_stdout(self, tmp_path):
+        # started without stdout, each command writes nothing and exits 0, as print does
+        scenario = tmp_path / "model.yaml"
+        scenario.write_text(MODEL_SCENARIO)
+        for command in STDOUT_COMMANDS:
+            done = coco_process(command, str(scenario), preexec_fn=lambda: os.close(1))
+            assert (done.returncode, done.stderr) == (0, ""), command
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", STDOUT_COMMANDS)
+    def test_full_stdout_one_line_error(self, command, tmp_path):
+        # one line and exit 2: no traceback, and no failed flush at exit
+        # ("Exception ignored ...", exit 120) after it
+        scenario = tmp_path / "model.yaml"
+        scenario.write_text(MODEL_SCENARIO)
+        with open("/dev/full", "w") as full:
+            done = coco_process(command, str(scenario), stdout=full)
+        assert (done.returncode, done.stderr) == (
+            2, f"error: <stdout>: {os.strerror(errno.ENOSPC)}\n")
 
     def test_piped_output_equals_in_process(self):
         scenario = str(Path(__file__).parent / "data" / "overload-101.yaml")

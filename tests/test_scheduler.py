@@ -183,11 +183,11 @@ class TestAdmissionControl:
         # slowdown 2 at the CLOS state -> SL_S = 500; each offered 0.6 * SL_S
         ws = [make_workload(n, 2.0, state, llc_ways=8, offered=300.0,
                             sl_full=1000.0) for n in ("a", "b")]
-        admitted, rejected = admission_control(ws, cs, 10, overhead_margin=0.05)
+        admitted, rejected = admission_control(ws, cs, 10, load_jitter=0.05)
         assert len(admitted) == 1 and len(rejected) == 1
         survivor = admitted[0]
-        # survivor holds the whole epoch: 500 * 0.95 >= 300
-        assert survivor.offered_load <= 0.95 * survivor.sl_full / 2.0
+        # survivor holds the whole epoch: 300 x 1.05 <= 500
+        assert survivor.offered_load * (1 + 0.05) <= survivor.sl_full / 2.0
 
     def test_empty_input(self):
         cs = default_partition(machine())
@@ -236,7 +236,7 @@ class TestAdmissionControl:
             str(importlib.resources.files("coco") / "data" / "reference.yaml")).scenario()
         _, rejected = admission_control(
             s.workloads, s.effective_clos_set(), 1,
-            overhead_margin=s.overhead_margin, warmup_window=s.warmup.window,
+            load_jitter=s.load_jitter, warmup_window=s.warmup.window,
             warmup_factor=s.warmup.factor, pairing_penalty=s.pairing_penalty)
         assert sorted(w.name for w in rejected) == ["memcached-a", "memcached-b", "nginx-b"]
 
@@ -244,15 +244,16 @@ class TestAdmissionControl:
         s = REFERENCE_X12
         _, rejected = admission_control(
             s.workloads, s.effective_clos_set(), s.epoch_quanta,
-            overhead_margin=s.overhead_margin, warmup_window=s.warmup.window,
+            load_jitter=s.load_jitter, warmup_window=s.warmup.window,
             warmup_factor=s.warmup.factor, pairing_penalty=s.pairing_penalty)
         assert [w.name for w in rejected] == ["memcached-a", "memcached-b"]
 
 
-def _admission_by_plans(workloads, clos_set, epoch_quanta, *, overhead_margin,
+def _admission_by_plans(workloads, clos_set, epoch_quanta, *, load_jitter,
                         warmup_window, warmup_factor, pairing_penalty):
     """Reference admission loop: one full ``plan_epoch`` per round, scored
-    from its schedule; ties go to the later-ranked."""
+    from its schedule at the jittered load's bound; ties go to the
+    later-ranked."""
     candidates = list(workloads)
     rejected = []
     by_name = {w.name: w for w in candidates}
@@ -274,7 +275,7 @@ def _admission_by_plans(workloads, clos_set, epoch_quanta, *, overhead_margin,
                     demands.append((w.offered_load / share / (warm_rate if warm else base),
                                     -slowdowns[name], name))
         demand, _, name = max(demands)
-        if demand <= 1.0 - overhead_margin:
+        if demand * (1 + load_jitter) <= 1.0:
             break
         candidates.remove(by_name[name])
         rejected.append(by_name[name])
@@ -315,7 +316,7 @@ def overload():
 def _admit(s):
     return admission_control(
         s.workloads, s.effective_clos_set(), s.epoch_quanta,
-        overhead_margin=s.overhead_margin, warmup_window=s.warmup.window,
+        load_jitter=s.load_jitter, warmup_window=s.warmup.window,
         warmup_factor=s.warmup.factor, pairing_penalty=s.pairing_penalty)
 
 
@@ -358,7 +359,7 @@ class TestAdmissionCost:
     def test_admission_looks_each_workload_up_once_per_view(self, case, window):
         workloads, cs, quanta = case
         calls = _lookups(lambda: admission_control(
-            workloads, cs, quanta, overhead_margin=0.05, warmup_window=window,
+            workloads, cs, quanta, load_jitter=0.05, warmup_window=window,
             warmup_factor=1.15, pairing_penalty=1.05))
         _assert_once_per_view(calls, workloads, reference_of(cs))
 
@@ -372,6 +373,8 @@ class TestAdmissionCost:
         _assert_once_per_view(calls, s.workloads, ranked_at)
 
 
+# admission's load_jitter: none, a small bound and one that moves the stopping point far
+JITTERS = (0.0, 0.05, 0.2)
 TIE_CLOS_SET = default_partition(machine(clos=2))  # one LC CLOS
 TIE_STATE = reference_of(TIE_CLOS_SET)
 
@@ -382,10 +385,10 @@ def _tied_pair(a_slowdown, a_sl_full, a_offered):
              make_workload("b", 2.0, TIE_STATE, offered=300.0)), TIE_CLOS_SET, 4)
 
 
-def _assert_same_evictions(case, window, margin, penalty):
+def _assert_same_evictions(case, window, jitter, penalty):
     """Admitted and rejected, rejection order included, as the plan-based loop."""
     workloads, cs, quanta = case
-    kwargs = dict(overhead_margin=margin, warmup_window=window,
+    kwargs = dict(load_jitter=jitter, warmup_window=window,
                   warmup_factor=1.15, pairing_penalty=penalty)
     assert (admission_control(workloads, cs, quanta, **kwargs)
             == _admission_by_plans(workloads, cs, quanta, **kwargs))
@@ -404,7 +407,7 @@ ULP_CASE = (tuple(make_workload(name, slowdown, reference_of(ULP_CLOS_SET), offe
 class TestAdmissionOracle:
     def test_one_ulp_apart_rank_as_without_the_evicted(self):
         workloads, cs, quanta = ULP_CASE
-        kwargs = dict(overhead_margin=0.05, warmup_window=0, warmup_factor=1.0,
+        kwargs = dict(load_jitter=0.05, warmup_window=0, warmup_factor=1.0,
                       pairing_penalty=1.0)
         admitted, rejected = admission_control(workloads, cs, quanta, **kwargs)
         assert (admitted, rejected) == _admission_by_plans(workloads, cs, quanta, **kwargs)
@@ -427,49 +430,49 @@ class TestAdmissionOracle:
     @settings(max_examples=200, deadline=None)
     # equal demands, 2.4 and 1.2: the lighter 'b' goes first (weights 3/4 and
     # 1/4 give exact shares), and between twins the last name, 'b'
-    @example(case=_tied_pair(6.0, 3000.0, 900.0), window=0, margin=0.05, penalty=1.0)
-    @example(case=_tied_pair(2.0, 1000.0, 300.0), window=0, margin=0.05, penalty=1.0)
+    @example(case=_tied_pair(6.0, 3000.0, 900.0), window=0, jitter=0.05, penalty=1.0)
+    @example(case=_tied_pair(2.0, 1000.0, 300.0), window=0, jitter=0.05, penalty=1.0)
     @example(case=(REFERENCE_X12.workloads, REFERENCE_X12.effective_clos_set(),
-                   REFERENCE_X12.epoch_quanta), window=2, margin=0.05, penalty=1.05)
+                   REFERENCE_X12.epoch_quanta), window=2, jitter=0.05, penalty=1.05)
     @given(case=admission_cases(), window=st.sampled_from((0, 2)),
-           margin=st.sampled_from((0.0, 0.05)), penalty=st.sampled_from((1.0, 1.05)))
-    def test_same_evictions_as_plan_based_loop(self, case, window, margin, penalty):
-        _assert_same_evictions(case, window, margin, penalty)
+           jitter=st.sampled_from(JITTERS), penalty=st.sampled_from((1.0, 1.05)))
+    def test_same_evictions_as_plan_based_loop(self, case, window, jitter, penalty):
+        _assert_same_evictions(case, window, jitter, penalty)
 
     # up to 16 LC CLOSs and 60 workloads, a few quanta per member: evictions
     # land mid-list, in many stripes, and shift every later-ranked member
     @settings(max_examples=40, deadline=None)
     @given(case=admission_cases(max_lc=16, max_workloads=60, mba_step=2, crowded=True),
-           window=st.sampled_from((0, 2)), margin=st.sampled_from((0.0, 0.05)),
+           window=st.sampled_from((0, 2)), jitter=st.sampled_from(JITTERS),
            penalty=st.sampled_from((1.0, 1.05)))
-    def test_same_evictions_on_wide_sets(self, case, window, margin, penalty):
-        _assert_same_evictions(case, window, margin, penalty)
+    def test_same_evictions_on_wide_sets(self, case, window, jitter, penalty):
+        _assert_same_evictions(case, window, jitter, penalty)
 
 
 class TestOneFeasibilityRule:
     """Admission and the simulator judge feasibility alike: admission evicts
     the workload with the largest peak demand of a 2-epoch, jitter-free run
-    of every candidate without admission, or nothing if that peak fits."""
+    of every candidate without admission, or nothing if that peak, scaled to
+    the jittered load's bound, fits."""
 
     @settings(max_examples=100, deadline=None)
     @example(case=(REFERENCE_X12.workloads, REFERENCE_X12.effective_clos_set(),
-                   REFERENCE_X12.epoch_quanta), window=2, margin=0.05, penalty=1.05)
+                   REFERENCE_X12.epoch_quanta), window=2, jitter=0.05, penalty=1.05)
     @given(case=admission_cases(), window=st.sampled_from((0, 2)),
-           margin=st.sampled_from((0.0, 0.05)), penalty=st.sampled_from((1.0, 1.05)))
-    def test_first_eviction_is_the_simulated_peak(self, case, window, margin, penalty):
+           jitter=st.sampled_from(JITTERS), penalty=st.sampled_from((1.0, 1.05)))
+    def test_first_eviction_is_the_simulated_peak(self, case, window, jitter, penalty):
         workloads, cs, quanta = case
         # Scenario refuses a positive load whose peak demand underflows (load jitter is 0)
         assume(all(w.offered_load == 0 or w.offered_load / w.sl_full >= sys.float_info.min
                    for w in workloads))
         s = Scenario(machine=cs.machine, workloads=workloads, policy=Policy.COCO,
                      clos_set=cs, epoch_quanta=quanta, duration=2, load_jitter=0.0,
-                     warmup=WarmupParams(window, 1.15), pairing_penalty=penalty,
-                     overhead_margin=margin)
+                     warmup=WarmupParams(window, 1.15), pairing_penalty=penalty)
         tallies, _, _ = _simulate(s, apply_admission=False)
         _, rejected = admission_control(
-            workloads, cs, quanta, overhead_margin=margin, warmup_window=window,
+            workloads, cs, quanta, load_jitter=jitter, warmup_window=window,
             warmup_factor=1.15, pairing_penalty=penalty)
-        if max(t.peak_demand for t in tallies.values()) <= 1.0 - margin:
+        if max(t.peak_demand for t in tallies.values()) * (1 + jitter) <= 1.0:
             assert rejected == ()
         else:
             slowdowns = reference_slowdowns(workloads, cs)

@@ -87,8 +87,7 @@ VALUE_TYPES = [
      f"Scenario(machine={MACHINE!r}, workloads=({WORKLOAD!r},), "
      "policy=<Policy.COCO: 'coco'>, epoch_quanta=20, quantum_ms=100.0, duration=10, "
      "warmup=WarmupParams(window=2, factor=1.15), seed=0, clos_set=None, "
-     "interference_alpha=1.0, pairing_penalty=1.05, load_jitter=0.0, "
-     "overhead_margin=0.05)", True),
+     "interference_alpha=1.0, pairing_penalty=1.05, load_jitter=0.0)", True),
     (WorkloadMetrics, (5.0, 0.5, 0, 20), {"slo_violations": 1}, None,
      "WorkloadMetrics(affordable_load=5.0, retainment=0.5, slo_violations=0, "
      "quanta_received=20)", True),
