@@ -222,8 +222,19 @@ def _print_groups(report: ApplyReport) -> None:
         print(line, file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with its help on stdout through ``_write_stdout``: argparse
+    itself drops a failed write, and exits 0 with the help lost."""
+
+    def print_help(self, file=None):
+        if file is None:
+            _write_stdout(self.format_help(), utf8=False)
+        else:
+            super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coco",
         description="Time-shared CLOS partitioning: profiling, scheduling, simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -266,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InfeasibleSloError as e:
         print(f"error: {e}", file=sys.stderr)

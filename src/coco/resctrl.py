@@ -194,12 +194,16 @@ def apply(clos_set: ClosSet, layout: ResctrlLayout) -> ApplyReport:
             if not gdir.exists():
                 gdir.mkdir(parents=True)
                 created_here = True
-            for name in GROUP_FILES[1:]:
-                f = gdir / name
-                if not f.exists():
-                    f.touch()
+            for name in GROUP_FILES[1:]:  # created if missing, in ``Path.touch``'s mode
+                try:
+                    os.close(os.open(gdir / name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                except FileExistsError:
+                    pass
             schemata = gdir / "schemata"
-            existing = schemata.read_text() if schemata.exists() else None
+            try:
+                existing = schemata.read_text()
+            except FileNotFoundError:
+                existing = None
             if existing == desired:
                 report.groups.append(GroupReport(gdir.name, "unchanged"))
             else:

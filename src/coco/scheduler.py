@@ -13,6 +13,8 @@ reports the slowdowns normalized over its workloads as its weights.
 
 from __future__ import annotations
 
+from itertools import count
+from operator import truediv
 from typing import Sequence
 
 from coco.closconfig import ClosConfig, ClosSet
@@ -68,64 +70,71 @@ class EpochPlan(Value):
         raise KeyError(workload)
 
 
-_BALANCED = Dominance.BALANCED
+_BALANCED = Dominance.BALANCED.value
 
 
 def pair_compatible(a: WorkloadSpec, b: WorkloadSpec) -> bool:
     """True iff the two workloads stress opposite resource axes: their
     dominances differ and neither is balanced."""
-    x, y = a.dominance, b.dominance
-    return x is not y and x is not _BALANCED and y is not _BALANCED
+    x, y = a.dominance.value, b.dominance.value
+    return x != y and _BALANCED not in (x, y)
 
 
-def _split_quanta(members: list[WorkloadSpec], slowdowns: dict[str, float],
-                  epoch_quanta: int) -> list[int]:
-    """Largest-remainder split of an epoch by the members' slowdowns, with a
-    one-quantum floor per member.
+def _split_quanta(ws: tuple[float, ...], epoch_quanta: int) -> list[int]:
+    """Largest-remainder split of an epoch by a stripe's slowdowns, with a
+    one-quantum floor per member.  Ties go to the later position: the later
+    name, as every stripe is in rank order.
 
     Not ``closconfig._largest_remainder``, whose ties go to the lowest index:
     with them, simulate and compare change on the fleet and overload scenarios.
     """
-    if epoch_quanta < len(members):
+    if epoch_quanta < len(ws):
         raise EpochUnderflowError(
-            f"epoch underflow: {epoch_quanta} quanta for {len(members)} workloads")
-    ws = [slowdowns[m.name] for m in members]
+            f"epoch underflow: {epoch_quanta} quanta for {len(ws)} workloads")
     total_w = sum(ws)
     quotas = [epoch_quanta * w / total_w for w in ws]
-    counts = [int(q) for q in quotas]
-    order = sorted(range(len(members)),
-                   key=lambda i: (quotas[i] - counts[i], ws[i], members[i].name), reverse=True)
+    counts = list(map(int, quotas))
+    order = sorted(range(len(ws)), key=lambda i: (quotas[i] - counts[i], ws[i], i), reverse=True)
     for k in range(epoch_quanta - sum(counts)):
         counts[order[k % len(counts)]] += 1
-    for i in range(len(counts)):
-        while counts[i] < 1:
-            # take from the largest share; among ties, the least slowed
-            donor = max(range(len(counts)),
-                        key=lambda j: (counts[j], -ws[j], members[j].name))
-            counts[donor] -= 1
-            counts[i] += 1
+    while 0 in counts:
+        # take from the largest share; among ties, the least slowed
+        donor = max(range(len(counts)), key=lambda j: (counts[j], -ws[j], j))
+        counts[donor] -= 1
+        counts[counts.index(0)] += 1
     return counts
+
+
+def _stripe(plans: dict, pattern: tuple, epoch_quanta: int) -> tuple:
+    """One CLOS's stripe of a deal, planned once per (slowdown, dominance value)
+    pattern in ``plans``: by position, its split, its segment's quanta and share
+    of the epoch, and the paired positions.  From the first, each member shares a
+    segment with the next if they are ``pair_compatible``; None pairs with none."""
+    plan = plans.get(pattern)
+    if plan is None:
+        slowdowns, d = zip(*pattern)
+        counts = _split_quanta(slowdowns, epoch_quanta)
+        window, paired = counts[:], []
+        for i in range(1, len(counts)):
+            if _BALANCED != d[i - 1] != d[i] != _BALANCED and paired[-1:] != [i - 1]:
+                window[i - 1] = window[i] = counts[i - 1] + counts[i]
+                paired += (i - 1, i)
+        plan = plans[pattern] = counts, window, [q / epoch_quanta for q in window], paired
+    return plan
 
 
 def _deal(ranked: list[WorkloadSpec], slowdowns: dict[str, float], lc: tuple[ClosConfig, ...],
           epoch_quanta: int, pairing: bool) -> list[tuple]:
     """Deal ranked workloads onto the LC CLOSs in turn, then split and pair each
     CLOS's epoch: per CLOS, (CLOS id, members, quanta, segments as (members, quanta))."""
-    dealt = []
-    for j in range(min(len(ranked), len(lc))):
-        members = ranked[j::len(lc)]
-        counts = _split_quanta(members, slowdowns, epoch_quanta)
-        segments, i = [], 0
-        while i < len(members):  # a compatible adjacent pair shares one segment
-            if pairing and i + 1 < len(members):  # pair_compatible, inline: no call per pair
-                x, y = members[i].dominance, members[i + 1].dominance
-                if x is not y and x is not _BALANCED and y is not _BALANCED:
-                    segments.append(((members[i], members[i + 1]), counts[i] + counts[i + 1]))
-                    i += 2
-                    continue
-            segments.append(((members[i],), counts[i]))
-            i += 1
-        dealt.append((lc[j].id, members, counts, segments))
+    dealt, plans, n = [], {}, len(lc)
+    pattern = [(slowdowns[m.name], m.dominance._value_ if pairing else None) for m in ranked]
+    for j in range(min(len(ranked), n)):
+        members = ranked[j::n]
+        counts, window, _, paired = _stripe(plans, tuple(pattern[j::n]), epoch_quanta)
+        dealt.append((lc[j].id, members, counts, [
+            (tuple(members[i:i + 1 + (i in paired)]), window[i])
+            for i in range(len(members)) if i not in paired[1::2]]))
     return dealt
 
 
@@ -150,12 +159,13 @@ def _build_plan(slowdowns: dict[str, float], dealt: list[tuple]) -> EpochPlan:
 
 
 def _ranked(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
-            reference_state: AllocationState | None = None, *, equal: bool = False
-            ) -> tuple[tuple, list, dict[str, float]]:
+            reference_state: AllocationState | None = None, *, equal: bool = False,
+            memo: dict | None = None) -> tuple[tuple, list, dict[str, float]]:
     """The LC CLOSs, the workloads by descending slowdown (ties by name), and
     each workload's slowdown at the reference state, by name in input order.
     ``equal`` takes every slowdown as 1, so the rank is name order.  Each
-    grid is looked up once, however many workloads share it."""
+    grid is looked up once, however many workloads share it, and kept in
+    ``memo``, if given, as ``_base_rate`` keeps it at alpha 1."""
     if len({w.name for w in workloads}) != len(workloads):
         raise ValidationError("workload names must be unique")
     lc = clos_set.lc_configs()
@@ -165,6 +175,9 @@ def _ranked(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
     grids = {id(w.profile): w.profile for w in workloads}
     at = {key: 1.0 if equal else slowdown_xy(p, ref.llc_ways, ref.mba_percent)
           for key, p in grids.items()}
+    if memo is not None:
+        view = (ref.llc_ways, ref.mba_percent)
+        memo.update({(view, key): slowdown for key, slowdown in at.items()})
     slowdowns = {w.name: at[id(w.profile)] for w in workloads}
     return lc, sorted(workloads, key=lambda w: (-slowdowns[w.name], w.name)), slowdowns
 
@@ -196,35 +209,31 @@ def round_robin_plan(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
     return _build_plan(slowdowns, _rotated(dealt, lc, epoch))
 
 
+def _base_rate(w: WorkloadSpec, view: tuple, memo: dict, alpha: float, paired: float) -> float:
+    """The one rate formula: full-allocation load over slowdown x ``alpha`` at the
+    view, and over ``paired``.  ``memo`` keeps slowdown x alpha per (view, id of the
+    grid): identity, as hashing a grid costs more than the lookup it would save."""
+    grid = (view, id(w.profile))
+    scaled = memo.get(grid)
+    if scaled is None:
+        scaled = memo[grid] = slowdown_xy(w.profile, *view) * alpha
+    return w.sl_full / (scaled * paired)
+
+
 def rated(dealt: list[tuple], epoch_quanta: int, views: dict[int, tuple[float, float]],
           memo: dict, *, alpha: float = 1.0, penalty: float = 1.0, factor: float = 1.0):
-    """Each segment of a deal with its members' rates, for admission and the
-    simulator alike: (CLOS id, segments on that CLOS, quanta, share of the
-    epoch, [(member, base rate, warm rate)]).  The base rate is the
-    full-allocation load over slowdown x ``alpha`` at the CLOS's (ways, MBA
-    percent) view, and over ``penalty`` too if paired; the warm rate is the
-    base over the warmup ``factor``.  ``memo`` keeps each member's rates per
-    (view, workload name, paired penalty), and the slowdown x alpha per
-    (view, id of the profile): a grid is looked up once per view, however
-    many workloads share it.  Identity, not value: hashing a grid costs more
-    than the lookup it would save.
+    """Each segment of a deal with its members' rates, for the simulator:
+    (CLOS id, segments on that CLOS, quanta, share of the epoch, [(member,
+    base rate, warm rate)]).  The base rate is ``_base_rate``'s at the CLOS's
+    view, over ``penalty`` if paired; the warm rate is the base over the
+    warmup ``factor``.  ``memo`` is ``_base_rate``'s.
     """
     for clos_id, _, _, segments in dealt:
         view = views[clos_id]
         for members, quanta in segments:
             paired = penalty if len(members) == 2 else 1.0
-            rates = []
-            for w in members:
-                key = (view, w.name, paired)
-                row = memo.get(key)
-                if row is None:
-                    grid = (view, id(w.profile))
-                    scaled = memo.get(grid)
-                    if scaled is None:
-                        scaled = memo[grid] = slowdown_xy(w.profile, *view) * alpha
-                    base = w.sl_full / (scaled * paired)
-                    row = memo[key] = (w, base, base / factor)
-                rates.append(row)
+            rates = [(w, base, base / factor) for w in members
+                     for base in [_base_rate(w, view, memo, alpha, paired)]]
             yield clos_id, len(segments), quanta, quanta / epoch_quanta, rates
 
 
@@ -239,9 +248,10 @@ def admission_control(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
     The workloads are ranked once, as ``plan_epoch`` ranks them.  Those
     ranked past LC CLOSs x ``epoch_quanta`` would overfill a CLOS's epoch:
     they are evicted, last-ranked first.  Then each round deals the
-    remaining ranked list as ``plan_epoch`` does.  Demand is the
-    simulator's peak demand, offered / share / rate, per segment (a pair
-    shares its combined window), with the rates ``rated`` gives both.  The
+    remaining ranked list as ``plan_epoch`` does, planning each stripe
+    pattern once.  Demand is the simulator's peak demand, offered / share /
+    rate, per segment (a pair shares its combined window), at ``rated``'s
+    rates, from per-view rows.  The
     deal repeats every epoch, so on a CLOS with more than one segment each
     opens with a switch, at the warm rate.  Each epoch's load is at most
     offered x (1 + load_jitter), and demand scales with load, so while the
@@ -251,25 +261,40 @@ def admission_control(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
     """
     if not workloads:
         return (), ()
-    lc, ranked, slowdowns = _ranked(workloads, clos_set)
-    fit = len(lc) * epoch_quanta
+    memo, plans, rows = {}, {}, {}
+    lc, ranked, slowdowns = _ranked(workloads, clos_set, memo=memo)
+    fit, n_lc = len(lc) * epoch_quanta, len(lc)
     ranked, rejected = ranked[:fit], ranked[fit:][::-1]
-    views = {cfg.id: (cfg.width, cfg.mba_percent) for cfg in lc}
-    memo: dict = {}
+    # in step with ranked: pattern (``_value_`` is ``.value`` without the property call),
+    # offered load, and per (view, warmup factor) a row of rates, each computed on first use
+    pattern = [(slowdowns[w.name], w.dominance._value_) for w in ranked]
+    offered, views = [w.offered_load for w in ranked], [(c.width, c.mba_percent) for c in lc]
+    warm = warmup_factor if warmup_window > 0 else 1.0
+    shares, rates = offered[:], offered[:]  # by position, set stripe by stripe
     while ranked:
-        worst = (-1.0, 0.0, "")  # (demand, -slowdown, name) of the largest demand
-        for _, n_segments, _, share, rates in rated(
-                _deal(ranked, slowdowns, lc, epoch_quanta, True), epoch_quanta, views, memo,
-                penalty=pairing_penalty, factor=warmup_factor):
-            warm = warmup_window > 0 and n_segments > 1
-            for w, base, warmed in rates:
-                demand = w.offered_load / share / (warmed if warm else base)
-                if demand >= worst[0] and (demand, -slowdowns[w.name], w.name) > worst:
-                    worst, evicted = (demand, -slowdowns[w.name], w.name), w
-        if worst[0] * (1.0 + load_jitter) <= 1.0:
+        for j in range(min(len(ranked), n_lc)):
+            counts, _, shares[j::n_lc], paired = _stripe(
+                plans, tuple(pattern[j::n_lc]), epoch_quanta)
+            factor = warm if len(counts) - len(paired) // 2 > 1 else 1.0  # 2+ segments
+            key = (views[j], factor)
+            row = rows.get(key) or rows.setdefault(key, [None] * len(ranked))
+            got = row[j::n_lc]
+            for p in range(len(got)) if None in got else ():
+                if got[p] is None:
+                    k = j + p * n_lc
+                    got[p] = row[k] = _base_rate(ranked[k], views[j], memo, 1.0, 1.0) / factor
+            for p in paired:
+                w = ranked[j + p * n_lc]
+                got[p] = _base_rate(w, views[j], memo, 1.0, pairing_penalty) / factor
+            rates[j::n_lc] = got
+        # (demand, position) of the largest demand; ties go to the later-ranked
+        demand, k = max(zip(map(truediv, map(truediv, offered, shares), rates), count()))
+        if demand * (1.0 + load_jitter) <= 1.0:
             break
-        # by position, found by identity: ``remove`` would compare values field by field
-        del ranked[next(i for i, w in enumerate(ranked) if w is evicted)]
-        rejected.append(evicted)
+        rejected.append(ranked[k])
+        del ranked[k], pattern[k], offered[k], shares[k], rates[k]
+        for row in rows.values():
+            del row[k]
     out = {w.name for w in rejected}
-    return tuple(w for w in workloads if w.name not in out), tuple(rejected)
+    admitted = tuple(w for w in workloads if w.name not in out) if out else tuple(workloads)
+    return admitted, tuple(rejected)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import errno
@@ -18,6 +19,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coco import cli
 from coco.cli import build_parser, main, run
 from coco.params import Policy
 from coco.scenario import load_scenario
@@ -816,6 +818,26 @@ class TestProcessExit:
             done = coco_process(command, str(scenario), stdout=full)
         assert (done.returncode, done.stderr) == (
             2, f"error: <stdout>: {os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [["--help"], ["validate", "-h"]])
+    def test_help_to_full_stdout_one_line_error(self, argv):
+        # argparse alone drops the failed write and exits 0
+        with open("/dev/full", "w") as full:
+            done = coco_process(*argv, stdout=full)
+        assert (done.returncode, done.stderr) == (
+            2, f"error: <stdout>: {os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["validate", "-h"]])
+    def test_help_exits_0_as_argparse_prints_it(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(cli._Parser, "print_help", argparse.ArgumentParser.print_help)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0 and out.getvalue().startswith("usage: coco")
+        done = coco_process(*argv, env={"COLUMNS": "80"})
+        assert (done.returncode, done.stdout, done.stderr) == (0, out.getvalue(), "")
 
     def test_piped_output_equals_in_process(self):
         scenario = str(Path(__file__).parent / "data" / "overload-101.yaml")

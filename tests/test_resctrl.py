@@ -1,5 +1,6 @@
 import os
 import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,36 @@ class TestApply:
         second = apply(cs, layout)
         assert second.ok and second.rewrites == 0
         assert all(g.action == "unchanged" for g in second.groups)
+
+    def test_existing_groups_unchanged_or_updated(self, tmp_path):
+        # a group left as written is unchanged; one whose schemata differs is
+        # rewritten; one without schemata, tasks or cpus gets them; files
+        # already there keep their contents
+        cs = default_partition(reference_machine())
+        apply(cs, ResctrlLayout(tmp_path))
+        (tmp_path / "clos1" / "tasks").write_text("4242\n")
+        (tmp_path / "clos2" / "schemata").write_text(serialize_schemata(cs.by_id(1)))
+        shutil.rmtree(tmp_path / "clos3")
+        (tmp_path / "clos3").mkdir()
+        report = apply(cs, ResctrlLayout(tmp_path))
+        assert report.ok and report.rewrites == 2
+        assert [(g.group, g.action) for g in report.groups] == [
+            ("clos1", "unchanged"), ("clos2", "updated"), ("clos3", "updated")]
+        assert (tmp_path / "clos1" / "tasks").read_text() == "4242\n"
+        for cfg in cs.lc_configs():
+            gdir = tmp_path / f"clos{cfg.id}"
+            assert sorted(p.name for p in gdir.iterdir()) == ["cpus", "schemata", "tasks"]
+            assert (gdir / "schemata").read_text() == serialize_schemata(cfg)
+
+    def test_file_in_place_of_a_group_fails_that_group(self, tmp_path):
+        cs = default_partition(reference_machine())
+        (tmp_path / "clos2").write_text("not a group\n")
+        report = apply(cs, ResctrlLayout(tmp_path))
+        assert [(g.group, g.action, g.error) for g in report.groups] == [
+            ("clos1", "created", None),
+            ("clos2", "failed", f"[Errno 20] Not a directory: '{tmp_path / 'clos2' / 'tasks'}'"),
+            ("clos3", "created", None)]
+        assert (tmp_path / "clos2").read_text() == "not a group\n"  # left in place
 
     def test_unwritable_root_reports_failures(self, tmp_path):
         cs = default_partition(reference_machine())

@@ -3,6 +3,7 @@ import random
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -167,6 +168,61 @@ class TestRoundRobin:
             assert w_slices == r_slices
 
 
+def _split_by_names(members, slowdowns, epoch_quanta):
+    """The split as it was when ties went by name, not position: the oracle
+    for ``_split_quanta`` on a stripe in rank order."""
+    if epoch_quanta < len(members):
+        raise EpochUnderflowError(
+            f"epoch underflow: {epoch_quanta} quanta for {len(members)} workloads")
+    ws = [slowdowns[m.name] for m in members]
+    total_w = sum(ws)
+    quotas = [epoch_quanta * w / total_w for w in ws]
+    counts = [int(q) for q in quotas]
+    order = sorted(range(len(members)),
+                   key=lambda i: (quotas[i] - counts[i], ws[i], members[i].name), reverse=True)
+    for k in range(epoch_quanta - sum(counts)):
+        counts[order[k % len(counts)]] += 1
+    for i in range(len(counts)):
+        while counts[i] < 1:
+            # take from the largest share; among ties, the least slowed
+            donor = max(range(len(counts)),
+                        key=lambda j: (counts[j], -ws[j], members[j].name))
+            counts[donor] -= 1
+            counts[i] += 1
+    return counts
+
+
+@st.composite
+def ranked_stripes(draw):
+    """A stripe in rank order, (-slowdown, name), with repeated slowdowns and
+    distinct names, and an epoch of at least one quantum per member: small
+    epochs and far-apart slowdowns leave some member below the floor."""
+    n = draw(st.integers(1, 12))
+    slowdowns = draw(st.lists(st.sampled_from((1.0, 1.25, 2.0, 3.5, 9.0, 40.0))
+                              | st.floats(1.0, 50.0), min_size=n, max_size=n))
+    names = draw(st.lists(st.text("abcdef", min_size=1, max_size=3), min_size=n, max_size=n,
+                          unique=True))
+    stripe = sorted(zip(slowdowns, names), key=lambda m: (-m[0], m[1]))
+    return stripe, draw(st.integers(n, 3 * n + 20))
+
+
+class TestSplitQuanta:
+    # the floor path: [2, 0, 0] before the floor, then the first gives twice
+    @example(case=([(40.0, "a"), (1.0, "b"), (1.0, "c")], 3))
+    # equal remainders and slowdowns: the last name gains the extra quantum
+    @example(case=([(2.0, "a"), (2.0, "b"), (2.0, "c")], 4))
+    # the floor's donors tie on count and slowdown: the later name gives first
+    @example(case=([(9.0, "a"), (9.0, "b"), (1.0, "c"), (1.0, "d"), (1.0, "e")], 5))
+    @settings(max_examples=300, deadline=None)
+    @given(case=ranked_stripes())
+    def test_position_ties_split_as_name_ties(self, case):
+        stripe, quanta = case
+        members = [SimpleNamespace(name=name) for _, name in stripe]
+        slowdowns = {name: slowdown for slowdown, name in stripe}
+        assert (scheduler._split_quanta(tuple(slowdown for slowdown, _ in stripe), quanta)
+                == _split_by_names(members, slowdowns, quanta))
+
+
 class TestAdmissionControl:
     def test_light_load_admits_all(self):
         cs = default_partition(machine())
@@ -210,23 +266,27 @@ class TestAdmissionControl:
         assert admitted == (ws[0], ws[2], ws[4], ws[5])
 
     def test_one_deal_per_round(self, monkeypatch):
-        # one deal per round: the rounds are len(rejected) + 1; one ranking
+        # one deal per round: each round deals every workload still in, one
+        # stripe per LC CLOS, so the rounds are len(rejected) + 1; one ranking
         cs = default_partition(machine())
         ref = reference_of(cs)
         ws = [make_workload(f"w{i}", 1.0 + i, ref, offered=100.0 + 60.0 * i,
                             sl_full=1000.0) for i in range(8)]
-        calls = []
+        stripes = []
 
-        def counting_deal(*args, **kwargs):
-            calls.append(args[0])
-            return deal(*args, **kwargs)
+        def counting_stripe(plans, pattern, epoch_quanta):
+            stripes.append(len(pattern))
+            return stripe(plans, pattern, epoch_quanta)
 
-        deal = scheduler._deal
-        monkeypatch.setattr(scheduler, "_deal", counting_deal)
+        stripe = scheduler._stripe
+        monkeypatch.setattr(scheduler, "_stripe", counting_stripe)
         with mock.patch("coco.scheduler._ranked", wraps=scheduler._ranked) as ranks:
             admitted, rejected = admission_control(ws, cs, 40)
         assert len(rejected) >= 2 and admitted
-        assert len(calls) == len(rejected) + 1
+        n_lc = len(cs.lc_configs())
+        assert stripes == [len(range(j, left, n_lc))
+                           for left in range(len(ws), len(admitted) - 1, -1)
+                           for j in range(min(left, n_lc))]
         assert ranks.call_count == 1  # one ranking serves every round
 
     def test_reference_one_quantum_evicts_the_last_ranked(self):
@@ -351,6 +411,21 @@ class TestAdmissionCost:
         admitted, rejected = _admit(overload)
         assert (len(admitted), len(rejected)) == (66, 90)
 
+    def test_one_plan_per_stripe_pattern(self, overload):
+        # 91 rounds deal 1,365 stripes, of 40 (slowdown, dominance) patterns:
+        # each is planned once, and the evictions are the plan-based loop's
+        with (mock.patch.object(scheduler, "_stripe", wraps=scheduler._stripe) as stripes,
+              mock.patch.object(scheduler, "_split_quanta",
+                                wraps=scheduler._split_quanta) as splits):
+            admitted, rejected = _admit(overload)
+        patterns = {pattern for (_, pattern, _), _ in stripes.call_args_list}
+        assert (stripes.call_count, len(patterns), splits.call_count) == (1365, 40, 40)
+        assert len(rejected) == 90
+        assert (admitted, rejected) == _admission_by_plans(
+            overload.workloads, overload.effective_clos_set(), overload.epoch_quanta,
+            load_jitter=overload.load_jitter, warmup_window=overload.warmup.window,
+            warmup_factor=overload.warmup.factor, pairing_penalty=overload.pairing_penalty)
+
     # a workload dealt alone in one round and paired in a later one, at the
     # same view, has two rates but one slowdown
     @settings(max_examples=40, deadline=None)
@@ -438,6 +513,16 @@ class TestAdmissionOracle:
            jitter=st.sampled_from(JITTERS), penalty=st.sampled_from((1.0, 1.05)))
     def test_same_evictions_as_plan_based_loop(self, case, window, jitter, penalty):
         _assert_same_evictions(case, window, jitter, penalty)
+
+    # pairs.yaml deals two pairs in its first round, with a warmup window; at
+    # 1.5x load admission evicts one workload, at 3x two (at jitter 0.05)
+    @pytest.mark.parametrize("scale", (1.0, 1.5, 3.0))
+    @pytest.mark.parametrize("jitter", JITTERS)
+    def test_pairs_yaml_as_plan_based_loop(self, scale, jitter):
+        s = _scaled(load_scenario(str(DATA / "pairs.yaml")).scenario(), scale)
+        assert s.warmup == WarmupParams(2, 1.15)
+        _assert_same_evictions((s.workloads, s.effective_clos_set(), s.epoch_quanta),
+                               s.warmup.window, jitter, s.pairing_penalty)
 
     # up to 16 LC CLOSs and 60 workloads, a few quanta per member: evictions
     # land mid-list, in many stripes, and shift every later-ranked member
