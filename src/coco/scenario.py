@@ -15,10 +15,9 @@ sees a profile.  Each source gives one checked grid and the workload's
 from __future__ import annotations
 
 import math
+import re
 from functools import partial
 from pathlib import Path
-
-import yaml
 
 from coco import calibration
 from coco.closconfig import ClosConfig, ClosSet
@@ -28,106 +27,134 @@ from coco.errors import CocoError, InfeasibleSloError, ScenarioError
 from coco.params import Policy, Scenario, WarmupParams
 from coco.profiler import GroundTruthModel, build_profile
 
+# YAML 1.1's bool and null words, which PyYAML reads as True, False and None
+_WORDS = {**dict.fromkeys(("yes", "Yes", "YES", "true", "True", "TRUE", "on", "On", "ON"), True),
+          **dict.fromkeys(("no", "No", "NO", "false", "False", "FALSE", "off", "Off", "OFF"),
+                          False),
+          **dict.fromkeys(("null", "Null", "NULL"), None)}
+_KEY = r"[A-Za-z_][A-Za-z0-9_]{0,1023}"  # PyYAML reads no key over 1,024 characters
+# a plain token of a type read here: a word (a string, or a bool or null
+# word), a decimal integer, or a float with a dot
+_SCALAR = (r"(?:(?P<word>[A-Za-z_][A-Za-z0-9_.+-]*)|(?P<int>[-+]?(?:0|[1-9][0-9]*))"
+           r"|(?P<float>[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?))")
+# what follows `key:` or `-` on its line: nothing, a token, or a one-line flow
+# collection of tokens; then spaces, or a comment after a space
+_REST = (rf"(?: +(?:{_SCALAR}|\[(?P<items>[^][{{}}#]*)\]|\{{(?P<pairs>[^][{{}}#]*)\}}))?"
+         r"(?: +#.*| *)")
+_ENTRY = re.compile(_REST)  # a sequence entry's line after its `-`
+_KEYED = re.compile(rf"(?P<key>{_KEY}):{_REST}")  # a mapping entry's line
+_FLOW_ITEM = re.compile(rf" *{_SCALAR} *")
+_FLOW_PAIR = re.compile(rf" *(?P<key>{_KEY}): +{_SCALAR} *")
+_CONTENT = re.compile(r"^( *)([^ #\n].*)", re.MULTILINE)  # a line that is not blank or a comment
+_NOT_PLAIN = re.compile(r"[^\n -~]")  # a tab, \r, another control or a non-ASCII character
+_DASH = ("-", "- ")  # a line's first two characters where it is a sequence entry
 
-class _Composer(yaml.composer.Composer):
-    """PyYAML's composer, rejecting a key repeated in one mapping.
 
-    It checks the keys as written, before `<<` merges apply, so a merged
-    key may still be overridden.  Both loaders below compose through it.
-    """
+def _scalar(match: re.Match):
+    """The value of the token ``match`` ends with, as PyYAML's resolver types it."""
+    kind = match.lastgroup
+    if kind == "word":
+        return _WORDS.get(match["word"], match["word"])
+    if kind == "int":
+        return int(match["int"])  # ValueError past int's digit limit
+    return float(match["float"])
 
-    def compose_mapping_node(self, anchor):
-        node = super().compose_mapping_node(anchor)
-        seen = set()
-        for key, _ in node.value:
-            if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
-                if (key.tag, key.value) in seen:
-                    raise yaml.composer.ComposerError(
-                        "while composing a mapping", node.start_mark,
-                        f"duplicate key {key.value!r}", key.start_mark)
-                seen.add((key.tag, key.value))
+
+def _flow(items: str | None, pairs: str | None, depth: int):
+    """The one-line flow sequence (``items``) or mapping (``pairs``) at ``depth``."""
+    if depth >= 100:
+        raise ValueError("nested too deeply")
+    if items is not None:
+        if not items.strip(" "):
+            return []
+        tokens = [_FLOW_ITEM.fullmatch(item) for item in items.split(",")]
+        if None in tokens:
+            raise ValueError(items)
+        return list(map(_scalar, tokens))
+    node = {}
+    for pair in pairs.split(",") if pairs.strip(" ") else ():
+        match = _FLOW_PAIR.fullmatch(pair)
+        if match is None or match["key"] in _WORDS or match["key"] in node:
+            raise ValueError(pair)
+        node[match["key"]] = _scalar(match)
+    return node
+
+
+class _Reader:
+    """Block YAML read one content line at a time: each collection reads the
+    lines at its own indent.  A line no collection reads (a scalar's second
+    line, a line at a stray indent) ends them all, and the reader with it."""
+
+    def __init__(self, text: str):
+        lines = _CONTENT.findall(text)
+        self.indents = [len(spaces) for spaces, _ in lines] + [-1]  # -1: the end
+        self.lines = [line for _, line in lines] + [""]
+        self.pos = 0
+
+    def node(self, depth: int):
+        """The block sequence or mapping that starts at the current line."""
+        if depth >= 100:  # its entries would lie deeper than 100 levels
+            raise ValueError("nested too deeply")
+        read = self.sequence if self.lines[self.pos][:2] in _DASH else self.mapping
+        return read(self.indents[self.pos], depth)
+
+    def mapping(self, indent: int, depth: int) -> dict:
+        node, indents, lines = {}, self.indents, self.lines
+        while indents[self.pos] == indent:
+            entry = _KEYED.fullmatch(lines[self.pos])
+            if entry is None or entry["key"] in _WORDS or entry["key"] in node:
+                raise ValueError(lines[self.pos])
+            self.pos += 1
+            node[entry["key"]] = self.value(entry, indent, depth + 1, True)
         return node
 
+    def sequence(self, indent: int, depth: int) -> list:
+        node, indents, lines = [], self.indents, self.lines
+        while indents[self.pos] == indent and lines[self.pos][:2] in _DASH:
+            line = lines[self.pos]
+            entry = _ENTRY.fullmatch(line, 1)
+            if entry is None:  # `- - x` or `- key: x`: a collection from here, at its column
+                inner = line[1:].lstrip(" ")
+                indents[self.pos] += len(line) - len(inner)
+                lines[self.pos] = inner
+                node.append(self.node(depth + 1))
+            else:
+                self.pos += 1
+                node.append(self.value(entry, indent, depth + 1, False))
+        return node
 
-class _SafeLoader(_Composer, yaml.SafeLoader):
-    """`yaml.SafeLoader` that rejects duplicate keys."""
-
-
-try:
-    from yaml.cyaml import CParser
-except ImportError:  # PyYAML built without libyaml
-    _Loader = _SafeLoader
-else:
-    class _Loader(_Composer, CParser, yaml.constructor.SafeConstructor,
-                  yaml.resolver.Resolver):
-        """`_SafeLoader` with libyaml's scanner and parser, about 5x faster.
-
-        PyYAML's own composer builds the node tree, so a deeply nested
-        document ends in `RecursionError`, as with the pure-Python loader.
-        `yaml.CSafeLoader` composes in C without a depth limit and dies with
-        SIGSEGV on a document nested tens of thousands of levels deep.
-        """
-
-        def __init__(self, stream):
-            CParser.__init__(self, stream)
-            yaml.composer.Composer.__init__(self)
-            yaml.constructor.SafeConstructor.__init__(self)
-            yaml.resolver.Resolver.__init__(self)
-
-
-_PLAIN_TAGS = {f"tag:yaml.org,2002:{t}" for t in ("str", "int", "float", "bool", "null")}
+    def value(self, entry: re.Match, indent: int, depth: int, indentless: bool):
+        """The value of ``entry``, a line at ``indent``: on the line, on the
+        more indented lines below, or null.  After `key:` (``indentless``), a
+        sequence may also start at the key's own indent."""
+        if entry.lastgroup in ("word", "int", "float"):
+            return _scalar(entry)
+        if entry.lastgroup in ("items", "pairs"):
+            return _flow(entry["items"], entry["pairs"], depth)
+        below = self.indents[self.pos]
+        if below > indent or (indentless and below == indent
+                              and self.lines[self.pos][:2] in _DASH):
+            return self.node(depth)
+        return None
 
 
 def _plain_yaml(text: str):
-    """The one document of ``text`` built straight from libyaml's events, or
-    None to leave it to ``yaml.load``: on an explicit tag, an anchor or an
-    alias, a scalar resolving to another tag (a ``<<`` merge, a timestamp), a
-    collection as a key, a key equal to an earlier one of its mapping once
-    built, nesting over 100 levels, other than one document, or any error.
-    Each plain scalar is typed and built by PyYAML's resolver and safe
-    constructor, once per text."""
-    if _Loader is _SafeLoader:  # no libyaml: PyYAML's parser is the cost
+    """The document of ``text`` if it is plain block YAML, else None to leave
+    it to PyYAML.  Plain is a mapping of identifier keys (no bool or null
+    word, none repeated) whose values are block collections, one-line flow
+    collections of tokens, tokens typed as PyYAML types them (null, bool,
+    string, decimal int, float with a dot), or nothing; with comments and
+    blank lines.  Declined: any other scalar or syntax, a scalar continued on
+    a second line, a tab or a character that is not printable ASCII, and
+    nesting deeper than 100 levels."""
+    if _NOT_PLAIN.search(text):
         return None
-    loader, scalars = _Loader(text), {}
-    next_event = loader.get_event
-
-    def build(event, depth):
-        kind = type(event)
-        if kind is yaml.AliasEvent or event.anchor or event.tag or depth > 100:
-            raise ValueError  # declined
-        if kind is yaml.ScalarEvent:
-            value = event.value
-            if not event.implicit[0]:  # quoted: a string
-                return value
-            if value not in scalars:
-                tag = loader.resolve(yaml.ScalarNode, value, event.implicit)
-                if tag not in _PLAIN_TAGS:
-                    raise ValueError
-                scalars[value] = loader.yaml_constructors[tag](loader,
-                                                               yaml.ScalarNode(tag, value))
-            return scalars[value]
-        end = yaml.SequenceEndEvent if kind is yaml.SequenceStartEvent else yaml.MappingEndEvent
-        items, event = [], next_event()
-        while type(event) is not end:
-            items.append(build(event, depth + 1))
-            event = next_event()
-        if end is yaml.SequenceEndEvent:
-            return items
-        mapping = dict(zip(items[::2], items[1::2]))  # TypeError on a collection key
-        if 2 * len(mapping) != len(items):  # a key equal to an earlier one
-            raise ValueError
-        return mapping
-
+    reader = _Reader(text)
     try:
-        next_event()  # the stream's start
-        if type(next_event()) is yaml.DocumentStartEvent:
-            doc = build(next_event(), 0)
-            if (type(next_event()) is yaml.DocumentEndEvent
-                    and type(next_event()) is yaml.StreamEndEvent):
-                return doc
-    except (yaml.YAMLError, ValueError, TypeError):
-        pass
-    return None
+        doc = reader.mapping(reader.indents[0], 0)
+    except ValueError:
+        return None
+    return doc if reader.indents[reader.pos] < 0 else None
 
 
 class LoadedWorkload(Value):
@@ -362,23 +389,9 @@ def _load_yaml(path: Path) -> dict:
     except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(f"{path}: {e}") from None
     doc = _plain_yaml(text)
-    try:
-        if doc is None:
-            try:
-                doc = yaml.load(text, Loader=_Loader)
-            except yaml.YAMLError:
-                # libyaml words its errors differently and drops detail (the
-                # offending character): PyYAML's own parser decides every error
-                doc = yaml.load(text, Loader=_SafeLoader)
-    except yaml.YAMLError as e:
-        mark = getattr(e, "problem_mark", None)
-        line = f", line {mark.line + 1}" if mark else ""
-        raise ScenarioError(f"{path}{line}: invalid YAML: {getattr(e, 'problem', e)}") from None
-    except RecursionError:
-        raise ScenarioError(f"{path}: invalid YAML: nested too deeply") from None
-    except (ValueError, LookupError, AttributeError) as e:
-        # the safe constructor's own errors on a tag it cannot apply (!!int x)
-        raise ScenarioError(f"{path}: invalid YAML: bad tagged value: {e}") from None
+    if doc is None:
+        from coco import yamlload
+        doc = yamlload.load(text, str(path))
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
     return doc
@@ -449,16 +462,24 @@ def _yaml_float(x) -> str:
     return text if "." in text or "e" not in text else text.replace("e", ".0e", 1)
 
 
+_PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")  # a name PyYAML writes unquoted
+
+
 def dump_profiles(workload_profiles: dict[str, tuple[SensitivityProfile, float]]) -> str:
     """Profile file content for a workload -> (profile, sl_full) mapping, in PyYAML's
-    block layout byte for byte: only names and ``sl_full`` pass through PyYAML, by
-    its pure-Python dumper, as libyaml folds long escaped names at other points."""
+    block layout byte for byte.  A name that PyYAML would quote or escape and its
+    entry's ``sl_full`` pass through PyYAML's pure-Python dumper, as libyaml folds
+    long escaped names at other points; everything else is written here."""
     parts = ["profiles:\n" if workload_profiles else "profiles: []\n"]
     for name in sorted(workload_profiles):
         p, sl_full = workload_profiles[name]
-        parts += [yaml.dump([{"workload": name, "sl_full": float(sl_full)}],
-                            Dumper=yaml.SafeDumper, sort_keys=False),
-                  "  way_levels:\n", *(f"  - {w}\n" for w in p.way_levels),
+        if _PLAIN_NAME.fullmatch(name) and name not in _WORDS:
+            parts.append(f"- workload: {name}\n  sl_full: {_yaml_float(sl_full)}\n")
+        else:
+            import yaml
+            parts.append(yaml.dump([{"workload": name, "sl_full": float(sl_full)}],
+                                   Dumper=yaml.SafeDumper, sort_keys=False))
+        parts += ["  way_levels:\n", *(f"  - {w}\n" for w in p.way_levels),
                   "  mba_levels:\n", *(f"  - {m}\n" for m in p.mba_levels), "  slowdowns:\n"]
         parts += ["  - - " + "\n    - ".join(map(_yaml_float, row)) + "\n" for row in p.slowdowns]
     return "".join(parts)

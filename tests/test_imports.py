@@ -72,6 +72,23 @@ def test_no_command_imports_dataclasses_or_inspect(argv, tmp_path):
     assert _python("-c", PROBE, CODEGEN, *_argv(argv, tmp_path)) == ["0"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", REFERENCE],
+    ["simulate", REFERENCE],
+    ["compare", REFERENCE],
+    ["profile", "MODEL", "-o", "OUT"],
+    ["schemata", REFERENCE, "--apply", "--root", "OUT"],
+], ids=lambda argv: argv[0])
+def test_plain_files_are_read_and_written_without_pyyaml(argv, tmp_path):
+    assert _python("-c", PROBE, "yaml", *_argv(argv, tmp_path)) == ["0"]
+
+
+def test_a_file_with_an_anchor_loads_through_pyyaml(tmp_path):
+    anchored = tmp_path / "anchored.yaml"
+    anchored.write_text(Path(REFERENCE).read_text().replace("machine:\n", "machine: &m\n", 1))
+    assert _python("-c", PROBE, "yaml", "validate", str(anchored)) == ["0", "yaml"]
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_simulating_commands_load_the_simulator(command):
     assert _python("-c", PROBE, SIMULATOR, command, REFERENCE) == [

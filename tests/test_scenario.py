@@ -8,7 +8,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coco import scenario
+from coco import scenario, yamlload
 from coco.calibration import calibrated_capacity_fn, calibrated_profile
 from coco.core import Dominance, MachineSpec, SensitivityProfile, SloSpec
 from coco.errors import ScenarioError
@@ -38,11 +38,13 @@ def pyyaml_dump(profiles, dumper=yaml.SafeDumper) -> str:
     return yaml.dump({"profiles": entries}, Dumper=dumper, sort_keys=False)
 
 
-# names PyYAML must quote, escape or fold, plain ones, and any text
+# names PyYAML must quote, escape or fold, plain ones, names near the plain
+# rule, and any text
 PROFILE_NAMES = st.sampled_from(
     ["web", "yes", "null", "123", "1.5", "a: b", "- x", "#x", "caf\u00e9 \u6f22\u5b57",
-     "tab\there", "a model name with spaces, long enough to pass eighty columns " * 2]
-) | st.text(min_size=1, max_size=100)
+     "tab\there", "a model name with spaces, long enough to pass eighty columns " * 2,
+     "model-nginx-03", "a.b_c-", "_", "NULL", "On", "y", "e5"]
+) | st.from_regex(r"[A-Za-z0-9_.+~ -]{1,8}", fullmatch=True) | st.text(min_size=1, max_size=100)
 # slowdowns: integers, floats whose repr has an exponent, and any finite float >= 1
 SLOWDOWNS = st.sampled_from([1, 2, 7, 1.5, 1e16, 1e22, 1.0000001, 3e300]) | st.floats(1.0, 1e300)
 
@@ -147,6 +149,81 @@ def yaml_documents(draw):
     return text
 
 
+# tokens and keys the plain reader reads, then near misses it leaves to PyYAML
+PLAIN_TOKENS = ["0", "-0", "+7", "12", "-170", "1.5", "3.", "-0.0", "+2.50", "1.0e+5", "2.5E-3",
+                "1.0e+400", "00.5", "web", "a.b-c", "x+y", "_", "_1", "true", "False", "ON", "off",
+                "null", "NULL", "No"]
+NEAR_TOKENS = ["1e5", "1.0e5", "0x1f", "012", "1_000", ".5", ".inf", "-", "+", "+x", "1.2.3",
+               "2001-12-14", "~", "1:30", "a b", "'q'", '"q"', "=", "<<", "a#b", "x:y", "&a x",
+               "!!str x", "*a", "|", ">", "?", "%", "@", "[a", "caf\u00e9", "a\tb", "---", "..."]
+PLAIN_KEYS = ["a", "b", "c", "sl_full", "_x", "k9", "Yes_", 1024]  # n: a key n letters long
+NEAR_KEYS = ["yes", "No", "ON", "null", "Null", "off", "a-b", "1", "'a'", "a b", 1025]
+
+
+def key_text(key) -> str:
+    return "k" * key if isinstance(key, int) else key
+
+
+@st.composite
+def plain_documents(draw):
+    """A YAML text mostly of the forms `_plain_yaml` reads: block mappings with
+    nested, indentless and compact sequences, one-line flow collections, and
+    comments, at varied indent widths; in a quarter of them, some tokens,
+    keys or comments miss, and a line may move."""
+    miss = draw(st.integers(0, 3)) == 0
+    tokens = st.sampled_from(PLAIN_TOKENS * 3 + NEAR_TOKENS if miss else PLAIN_TOKENS)
+    keys = st.sampled_from(PLAIN_KEYS + NEAR_KEYS if miss else PLAIN_KEYS).map(key_text)
+    unique = None if miss else (lambda pair: pair[0])  # keys repeat only in a miss
+    flows = (st.lists(tokens, max_size=3).map(lambda ts: "[" + ", ".join(ts) + "]")
+             | st.lists(st.tuples(keys, tokens), max_size=3, unique_by=unique).map(
+                 lambda ps: "{" + ", ".join(f"{k}: {v}" for k, v in ps) + "}"))
+    # a collection: its entries, the indent of its nested blocks, and whether
+    # a nested sequence is indentless (after `key:`) or compact (after `-`)
+    layout = st.tuples(st.integers(1, 4), st.booleans())
+    nodes = st.recursive(
+        tokens | flows | st.just(""),
+        lambda children: (
+            st.tuples(st.just("seq"), st.lists(children, min_size=1, max_size=4), layout)
+            | st.tuples(st.just("map"), st.lists(st.tuples(keys, children), min_size=1,
+                                                 max_size=4, unique_by=unique), layout)),
+        max_leaves=8)
+
+    def block(node, indent) -> list[str]:
+        """``node``'s lines at column ``indent``."""
+        kind, items, (step, short) = node
+        lines = []
+        for key, value in items if kind == "map" else (("-", item) for item in items):
+            head = " " * indent + (key + ":" if kind == "map" else "-")
+            if isinstance(value, str):
+                lines.append(f"{head} {value}".rstrip())
+            elif kind == "seq" and short:  # `- - x` or `- key: x`
+                inner = block(value, indent + step)
+                lines += [head + inner[0][len(head):], *inner[1:]]
+            else:  # a sequence after `key:` may be indentless
+                lines += [head, *block(value, indent + (0 if short and value[0] == "seq"
+                                                        else step))]
+        return lines
+
+    top = draw(st.lists(st.tuples(keys, nodes), min_size=1, max_size=4, unique_by=unique))
+    lines = block(("map", top, (2, False)), draw(st.sampled_from([0, 0, 0, 2])))
+    after = [" # note", "  #"] + (["#x"] if miss else [])  # after a line's content
+    for at, comment in draw(st.lists(st.tuples(st.integers(0, len(lines) - 1), st.sampled_from(
+            ["", "  ", "# note", "    # note: [x]"] + after)), max_size=3)):
+        if comment in after:
+            lines[at] += comment
+        else:
+            lines.insert(at, comment)
+    if miss and draw(st.booleans()):  # a line moved left or right
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = " " * draw(st.integers(0, 3)) + lines[at].lstrip(" ")
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+def nested_blocks(depth: int) -> str:
+    """A mapping nested ``depth`` levels deep in block style."""
+    return "".join(f"{'  ' * i}a:\n" for i in range(depth))
+
+
 def load_outcome(path: Path) -> str:
     """``_load_yaml``'s value or error, as text: NaN equals NaN."""
     try:
@@ -162,6 +239,14 @@ def assert_same_as_yaml_load(path: Path) -> str:
     with mock.patch.object(scenario, "_plain_yaml", lambda text: None):
         assert load_outcome(path) == built
     return built
+
+
+def assert_read_as_yaml_load_reads_it(text):
+    """What ``_plain_yaml`` builds, PyYAML's safe loader builds the same, of
+    the same types; a text it declines may hold anything."""
+    doc = scenario._plain_yaml(text)
+    if doc is not None:
+        assert repr(doc) == repr(yaml.load(text, Loader=yamlload._SafeLoader)), text
 
 
 def assert_loads_back(text, profiles):
@@ -420,14 +505,16 @@ class TestLibyaml:
                     load_profile_file(profiles, "db"))
 
         fast = load_all()
-        monkeypatch.setattr(scenario, "_Loader", scenario._SafeLoader)  # no libyaml
+        monkeypatch.setattr(scenario, "_plain_yaml", lambda text: None)  # PyYAML reads all
+        assert load_all() == fast
+        monkeypatch.setattr(yamlload, "_Loader", yamlload._SafeLoader)  # no libyaml
         assert load_all() == fast
 
     @pytest.mark.parametrize("loader", ["_Loader", "_SafeLoader"])
     def test_both_loaders_reject_duplicate_keys(self, loader):
         # libyaml's error sends the text to the pure-Python loader: both must refuse
         with pytest.raises(yaml.YAMLError, match="duplicate key 'a'"):
-            yaml.load("m: {a: 1, b: 2, a: 3}\n", Loader=getattr(scenario, loader))
+            yaml.load("m: {a: 1, b: 2, a: 3}\n", Loader=getattr(yamlload, loader))
 
     def test_merge_keys_still_override(self, tmp_path):
         web, web2 = (w.spec for w in load_scenario(write(tmp_path, MERGED)).workloads)
@@ -472,7 +559,7 @@ class TestLibyaml:
 
 
 class TestPlainYaml:
-    """Plain documents are built from libyaml's events, and give what PyYAML's
+    """Plain documents are read by `_plain_yaml`, and give what PyYAML's
     composer and safe constructor give; every other document goes to them."""
 
     @settings(max_examples=300, deadline=None)
@@ -516,6 +603,42 @@ class TestPlainYaml:
     @pytest.mark.parametrize("depth", [100, 101, 300, 600, 900])
     def test_same_nesting_limit_as_yaml_load(self, depth, tmp_path):
         built = assert_same_as_yaml_load(write(tmp_path, f"a: {'[' * depth}{']' * depth}\n"))
+        assert built.endswith("invalid YAML: nested too deeply") == (depth >= 600)
+
+    @settings(max_examples=120, deadline=None)
+    @example(text=nested_blocks(101))
+    @example(text=nested_blocks(600))
+    @example(text="a:\n- b: 1\n  c:\n  - 2\n  - - 3\n- [x, 4]\nd: {e: 5.0}\n")
+    @example(text="a: 1 # note\nb:\n  # note\n  c: x\n")
+    @example(text="a: 1.0e5\n")
+    @example(text="a: b#c\n")
+    @example(text="a: 1 # \x01\n")  # PyYAML refuses a control character anywhere
+    @example(text="a: 1 # \u2028b: 2\n")  # and ends a comment at a Unicode line break
+    @example(text="a: 1\n  b\n")
+    @example(text="k" * 1024 + ": 1\n")
+    @example(text="k" * 1025 + ": 1\n")
+    @given(text=plain_documents())
+    def test_read_as_yaml_load_reads_it(self, text):
+        assert_read_as_yaml_load_reads_it(text)
+
+    @pytest.mark.parametrize("form", ["a: X\n", "a:\n- x\n- X\n", "a: [x, X]\n",
+                                      "a: {b: X}\n"])
+    def test_each_token_read_as_yaml_load_reads_it(self, form):
+        for token in PLAIN_TOKENS + NEAR_TOKENS:
+            assert_read_as_yaml_load_reads_it(form.replace("X", token))
+
+    @pytest.mark.parametrize("form", ["X: 1\n", "a:\n  - X: 1\n", "b: 1\nX: 2\n",
+                                      "a: {b: 1, X: 2}\n"])
+    def test_each_key_read_as_yaml_load_reads_it(self, form):
+        for key in PLAIN_KEYS + NEAR_KEYS:
+            assert_read_as_yaml_load_reads_it(form.replace("X", key_text(key)))
+
+    # outside hypothesis, as above
+    @pytest.mark.parametrize("depth", [100, 101, 600])
+    def test_block_nesting_limit(self, depth, tmp_path):
+        text = nested_blocks(depth)
+        assert (scenario._plain_yaml(text) is None) == (depth > 100)
+        built = assert_same_as_yaml_load(write(tmp_path, text))
         assert built.endswith("invalid YAML: nested too deeply") == (depth >= 600)
 
     @staticmethod
