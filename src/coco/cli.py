@@ -7,19 +7,21 @@ failing run leaves no partial output behind.
 
 from __future__ import annotations
 
-import argparse
+import functools
 import gc
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from coco.errors import ApplyDriftError, CocoError, InfeasibleSloError, ScenarioError
-from coco.closconfig import default_partition
 from coco.params import Policy
 from coco.scenario import _choice, _distinct_policies, dump_profiles, load_scenario
 
 if TYPE_CHECKING:
+    import argparse
+
     from coco.resctrl import ApplyReport
     from coco.sim import CompareResult, SimMetrics
 
@@ -197,6 +199,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_schemata(args) -> int:
     from coco import resctrl  # only this command needs it: spare the others its import
+    from coco.closconfig import default_partition
 
     loaded = load_scenario(args.scenario)
     clos_set = loaded.clos_set or default_partition(loaded.machine)
@@ -222,63 +225,108 @@ def _print_groups(report: ApplyReport) -> None:
         print(line, file=sys.stderr)
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse, with its help on stdout through ``_write_stdout``: argparse
-    itself drops a failed write, and exits 0 with the help lost."""
+# Each command's options after its scenario, in help order: flags, then
+# argparse's keywords.  `_plain_args` and `build_parser` both read this table.
+_OUTPUT = (("-o", "--output"), {"default": None, "help": "output file"})
+_SEED = (("--seed",), {"type": int, "default": None, "help": "override sim seed"})
+_FORMAT = (("--format",), {"choices": ("csv", "table"), "default": "table"})
+_POLICIES = (("--policies",), {"default": None, "help": "comma-separated policy names "
+                                                        "(default: scenario's list)"})
+_APPLY = (("--apply",), {"action": "store_true",
+                         "help": "write group directories under the resctrl root"})
+_ROOT = (("--root",), {"default": None,
+                       "help": "resctrl root path (default: $RESCTRL_ROOT or /sys/fs/resctrl)"})
+# command -> (help, handler, options)
+_COMMANDS = {
+    "validate": ("schema-check a scenario file", _cmd_validate, ()),
+    "profile": ("profile ground-truth models into a profile file", _cmd_profile, (_OUTPUT,)),
+    "simulate": ("run the scenario's policy once", _cmd_simulate, (_OUTPUT, _SEED, _FORMAT)),
+    "compare": ("affordable-load comparison across policies", _cmd_compare,
+                (_OUTPUT, _SEED, _POLICIES, _FORMAT)),
+    "schemata": ("print (optionally apply) the CLOS set", _cmd_schemata, (_APPLY, _ROOT)),
+}
 
-    def print_help(self, file=None):
-        if file is None:
-            _write_stdout(self.format_help(), utf8=False)
-        else:
-            super().print_help(file)
+
+def _dest(flags: tuple[str, ...]) -> str:
+    return flags[-1].lstrip("-")
+
+
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, for the plain
+    form: ``<command> <scenario>``, then options spelt as ``_COMMANDS`` lists
+    them, each at most once, with a value that does not start with ``-`` and
+    that argparse accepts; None for any other command line.
+
+    So argparse, and its import, run only for help, a usage error and the
+    forms only it reads: an abbreviated, ``=``-joined or repeated option,
+    ``--``, a scenario or value starting with ``-``.
+    """
+    if len(argv) < 2 or argv[0] not in _COMMANDS or argv[1].startswith("-"):
+        return None
+    _help, func, options = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "scenario": argv[1], "func": func}
+    for flags, kwargs in options:
+        values[_dest(flags)] = kwargs.get("default", False)
+    given = {flag: (_dest(flags), kwargs) for flags, kwargs in options for flag in flags}
+    seen = set()
+    words = iter(argv[2:])
+    for word in words:
+        if word not in given or given[word][0] in seen:
+            return None
+        dest, kwargs = given[word]
+        seen.add(dest)
+        if kwargs.get("action") == "store_true":
+            values[dest] = True
+            continue
+        value = next(words, "-")  # a missing value declines as an option-like one
+        if value.startswith("-") or value not in kwargs.get("choices", (value,)):
+            return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        values[dest] = value
+    return SimpleNamespace(**values)
+
+
+@functools.cache
+def _parser_class() -> type:
+    """argparse's parser, with its help on stdout through ``_write_stdout``:
+    argparse itself drops a failed write, and exits 0 with the help lost.
+    Built on first use, so a plain command line never imports argparse."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):
+            if file is None:
+                _write_stdout(self.format_help(), utf8=False)
+            else:
+                super().print_help(file)
+
+    return _Parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    """The argparse parser of every command line ``_plain_args`` declines."""
+    parser = _parser_class()(
         prog="coco",
         description="Time-shared CLOS partitioning: profiling, scheduling, simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, output=True):
+    for command, (help_, func, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
         p.add_argument("scenario", help="scenario YAML file")
-        if output:
-            p.add_argument("-o", "--output", default=None, help="output file")
-
-    p = sub.add_parser("validate", help="schema-check a scenario file")
-    common(p, output=False)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("profile", help="profile ground-truth models into a profile file")
-    common(p)
-    p.set_defaults(func=_cmd_profile)
-
-    p = sub.add_parser("simulate", help="run the scenario's policy once")
-    common(p)
-    p.add_argument("--seed", type=int, default=None, help="override sim seed")
-    p.add_argument("--format", choices=("csv", "table"), default="table")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("compare", help="affordable-load comparison across policies")
-    common(p)
-    p.add_argument("--seed", type=int, default=None, help="override sim seed")
-    p.add_argument("--policies", default=None,
-                   help="comma-separated policy names (default: scenario's list)")
-    p.add_argument("--format", choices=("csv", "table"), default="table")
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("schemata", help="print (optionally apply) the CLOS set")
-    common(p, output=False)
-    p.add_argument("--apply", action="store_true",
-                   help="write group directories under the resctrl root")
-    p.add_argument("--root", default=None,
-                   help="resctrl root path (default: $RESCTRL_ROOT or /sys/fs/resctrl)")
-    p.set_defaults(func=_cmd_schemata)
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _plain_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except InfeasibleSloError as e:
         print(f"error: {e}", file=sys.stderr)

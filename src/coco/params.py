@@ -11,11 +11,13 @@ import enum
 import math
 import sys
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from coco.closconfig import ClosSet, default_partition
 from coco.core import MachineSpec, Value, WorkloadSpec, _set, replace
 from coco.errors import ValidationError
+
+if TYPE_CHECKING:
+    from coco.closconfig import ClosSet
 
 # Input validation for every run.  It bounds the cost of a jittered run
 # alone, which simulates every epoch: a million take minutes, not forever.
@@ -117,8 +119,10 @@ class Scenario(Value):
         for w, rate in zip(workloads, smallest_rates):
             if rate < sys.float_info.min:
                 raise ValidationError(f"workload {w.name!r}: its smallest rate underflows to 0")
-        if not math.isfinite(sum(largest)):  # a CLOS's split divides by its members' total
-            raise ValidationError("the workloads' largest slowdowns overflow their total")
+        # a CLOS's split divides epoch_quanta times each member's slowdown by their total
+        if not math.isfinite(epoch_quanta * sum(largest)):
+            raise ValidationError("the workloads' largest slowdowns overflow their total "
+                                  "x epoch_quanta")
         if not math.isfinite(duration * epoch_quanta * 2
                              * sum(max(w.sl_full, w.offered_load) for w in workloads)):
             raise ValidationError("offered loads and sl_full overflow the capacity totals")
@@ -151,6 +155,8 @@ class Scenario(Value):
 
     def effective_clos_set(self) -> ClosSet | None:
         """The CLOS set the policy schedules on; None if it partitions nothing."""
+        from coco.closconfig import default_partition  # a file without clos_set needs none
+
         spec = POLICIES[self.policy]
         if spec.planner == "shared":
             return None

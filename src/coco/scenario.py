@@ -18,14 +18,17 @@ import math
 import re
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from coco import calibration
-from coco.closconfig import ClosConfig, ClosSet
 from coco.core import (DEFAULT_SL_FULL, Dominance, MachineSpec, SensitivityProfile,
                        SloSpec, Value, WorkloadSpec, _set, _sl_full, bilinear)
 from coco.errors import CocoError, InfeasibleSloError, ScenarioError
 from coco.params import Policy, Scenario, WarmupParams
 from coco.profiler import GroundTruthModel, build_profile
+
+if TYPE_CHECKING:
+    from coco.closconfig import ClosSet
 
 # YAML 1.1's bool and null words, which PyYAML reads as True, False and None
 _WORDS = {**dict.fromkeys(("yes", "Yes", "YES", "true", "True", "TRUE", "on", "On", "ON"), True),
@@ -423,6 +426,8 @@ def _workload(w: dict, where: str, machine: MachineSpec, base_dir: Path,
 
 
 def _clos_set(cs: dict, where: str, machine: MachineSpec) -> ClosSet:
+    from coco.closconfig import ClosConfig, ClosSet  # only a file with clos_set needs them
+
     configs = []
     bit = 0
     for idx, e in enumerate(cs.pop("configs")):

@@ -411,11 +411,14 @@ def test_deep_input_one_line_error(case, tmp_path):
 @settings(max_examples=60, deadline=None)
 # regressions: the duration ran without end, the epoch_quanta overflowed a float,
 # one quantum for two workloads validated but did not compare, a bad policies
-# entry named the file twice
+# entry named the file twice, a largest slowdown validated but overflowed
+# the epoch's split
 @example(case=("reference", ("sim", "duration")), value=10**400, command="simulate")
 @example(case=("reference", ("sim", "epoch_quanta")), value=10**400, command="simulate")
 @example(case=("reference", ("sim", "epoch_quanta")), value=1, command="compare")
 @example(case=("reference", ("policies", 0)), value=7, command="validate")
+@example(case=("mixed", ("workloads", 0, "profile", "grid", "slowdowns", 0, 0)), value=1e308,
+         command="simulate")
 @given(case=st.sampled_from(FUZZ_LEAVES), value=st.sampled_from(FUZZ_VALUES + (DELETE,)),
        command=st.sampled_from(("validate", "simulate", "compare")))
 def test_fuzz_one_leaf(case, value, command):
@@ -542,6 +545,72 @@ class TestFlags:
             main(["validate", reference_copy, "--seed", "1"])
         assert e.value.code == 2
         assert "--seed" in capsys.readouterr().err.splitlines()[-1]
+
+
+# argv words for the property test: each command with its options, as README
+# lists them; abbreviations, `=` forms, help, `--` and other words; values
+ARGV_COMMANDS = {"validate": (), "profile": ("-o", "--output"),
+                 "simulate": ("-o", "--output", "--seed", "--format"),
+                 "compare": ("-o", "--output", "--seed", "--policies", "--format"),
+                 "schemata": ("--apply", "--root")}
+ARGV_OPTIONS = ("-o", "--output", "--seed", "--format", "--policies", "--apply", "--root")
+ARGV_OTHERS = ("bogus", "--out", "--se", "--form", "--app", "-h", "--help", "--", "-",
+               "--format=csv", "--seed=1", "-ox", "-1", "1e3")
+ARGV_VALUES = ("1", " 2", "٣", "", "csv", "table", "x", "coco,rr", "compare")
+
+
+def _argv(heads: tuple, flags: tuple, values: tuple) -> st.SearchStrategy:
+    """A command and a scenario, then up to three options with or without a value."""
+    option = st.tuples(st.sampled_from(flags)) | st.tuples(st.sampled_from(flags),
+                                                             st.sampled_from(values))
+    return st.builds(lambda head, options: [*head, *(w for o in options for w in o)],
+                     st.tuples(st.sampled_from(heads), st.sampled_from(values)),
+                     st.lists(option, max_size=3))
+
+
+ANY_WORD = (*ARGV_COMMANDS, *ARGV_OPTIONS, *ARGV_OTHERS, *ARGV_VALUES)
+# mostly a command's own options, to reach the plain form; or any words anywhere
+ARGV = (st.sampled_from(sorted(ARGV_COMMANDS)).flatmap(
+            lambda c: _argv((c,), ARGV_COMMANDS[c] or ARGV_OPTIONS, ARGV_VALUES))
+        | _argv(ANY_WORD, ANY_WORD, ANY_WORD))
+
+
+class TestPlainArgs:
+    """``_plain_args`` reads the plain form as argparse does, and only that."""
+
+    @settings(max_examples=400, deadline=None)
+    @example(argv=["simulate", "x", "--seed", "3", "--format", "csv", "-o", "out"])
+    @example(argv=["compare", "", "--policies", "coco,rr", "--output", "1", "--seed", " 2"])
+    @example(argv=["schemata", "x", "--root", "csv", "--apply"])
+    @example(argv=["profile", "compare", "-o", "٣"])
+    @given(argv=ARGV)
+    def test_namespace_is_argparses(self, argv):
+        args = cli._plain_args(argv)
+        if args is not None:
+            assert vars(args) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "x"],
+        ["profile", "x", "-o", "y"],
+        ["simulate", "x", "--format", "csv", "--seed", "0"],
+        ["compare", "x", "--seed", "1", "--policies", "coco", "--format", "table"],
+        ["schemata", "x", "--apply", "--root", "r"],
+    ])
+    def test_plain_form_is_read(self, argv):
+        assert vars(cli._plain_args(argv)) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["validate"], ["validate", "-h"], ["validate", "x", "-h"],
+        ["validate", "x", "--seed", "1"], ["validate", "x", "y"], ["simulate", "--", "x"],
+        ["simulate", "-", "--format", "csv"], ["simulate", "x", "--seed", "-1"],
+        ["simulate", "x", "--seed", "x"], ["simulate", "x", "--format", "xml"],
+        ["simulate", "x", "--format"], ["simulate", "x", "--form", "csv"],
+        ["simulate", "x", "--format=csv"], ["simulate", "x", "-ocsv"],
+        ["simulate", "x", "--seed", "1", "--seed", "2"], ["schemata", "x", "--apply", "--apply"],
+        ["bogus", "x"],
+    ])
+    def test_other_forms_are_left_to_argparse(self, argv):
+        assert cli._plain_args(argv) is None
 
 
 def test_clos_set_reported_before_sim_ranges(tmp_path, capsys):
@@ -831,7 +900,7 @@ class TestProcessExit:
     @pytest.mark.parametrize("argv", [["--help"], ["validate", "-h"]])
     def test_help_exits_0_as_argparse_prints_it(self, argv, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
-        monkeypatch.setattr(cli._Parser, "print_help", argparse.ArgumentParser.print_help)
+        monkeypatch.setattr(cli._parser_class(), "print_help", argparse.ArgumentParser.print_help)
         out = io.StringIO()
         with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_:
             main(argv)

@@ -15,8 +15,10 @@ from test_cli import MODEL_SCENARIO
 
 SRC = str(Path(importlib.resources.files("coco")).parent)
 REFERENCE = str(importlib.resources.files("coco") / "data" / "reference.yaml")
-# runs the CLI, then prints its exit code and which of the named modules it imported
-PROBE = ("import sys\nfrom coco.cli import main\ncode = main(sys.argv[2:])\n"
+# runs the CLI, then prints its exit code (argparse's too) and which of the
+# named modules it imported
+PROBE = ("import sys\nfrom coco.cli import main\ntry:\n    code = main(sys.argv[2:])\n"
+         "except SystemExit as e:\n    code = e.code\n"
          "print(code, *(m for m in sys.argv[1].split(',') if m in sys.modules))")
 SIMULATOR = "coco.sim,coco.scheduler"
 # the value types are slotted classes: no command generates code for them
@@ -81,6 +83,35 @@ def test_no_command_imports_dataclasses_or_inspect(argv, tmp_path):
 ], ids=lambda argv: argv[0])
 def test_plain_files_are_read_and_written_without_pyyaml(argv, tmp_path):
     assert _python("-c", PROBE, "yaml", *_argv(argv, tmp_path)) == ["0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", REFERENCE],
+    ["simulate", REFERENCE, "--seed", "3", "--format", "csv"],
+    ["compare", REFERENCE, "--policies", "coco,none", "-o", "OUT"],
+    ["profile", "MODEL", "-o", "OUT"],
+    ["schemata", REFERENCE, "--apply", "--root", "OUT"],
+], ids=lambda argv: argv[0])
+def test_plain_command_lines_are_read_without_argparse(argv, tmp_path):
+    assert _python("-c", PROBE, "argparse,gettext", *_argv(argv, tmp_path)) == ["0"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["validate", REFERENCE, "--seed", "1"], 2),  # validate reads no seed
+    (["simulate", REFERENCE, "--format=csv"], 0),
+])
+def test_other_command_lines_go_through_argparse(argv, code):
+    assert _python("-c", PROBE, "argparse", *argv) == [str(code), "argparse"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", REFERENCE], 0),
+    (["profile", REFERENCE], 2),
+    (["profile", "MODEL", "-o", "OUT"], 0),
+])
+def test_a_file_without_clos_set_skips_closconfig(argv, code, tmp_path):
+    assert _python("-c", PROBE, "coco.closconfig", *_argv(argv, tmp_path)) == [str(code)]
 
 
 def test_a_file_with_an_anchor_loads_through_pyyaml(tmp_path):
