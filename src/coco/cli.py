@@ -201,11 +201,12 @@ def _cmd_schemata(args) -> int:
     from coco import resctrl  # only this command needs it: spare the others its import
     from coco.closconfig import default_partition
 
+    # a refused root is reported before the file is read
+    layout = resctrl.ResctrlLayout.from_env(args.root) if args.apply else None
     loaded = load_scenario(args.scenario)
     clos_set = loaded.clos_set or default_partition(loaded.machine)
     _write_stdout(resctrl.serialize_clos_set(clos_set))
     if args.apply:
-        layout = resctrl.ResctrlLayout.from_env(args.root)
         try:
             report = resctrl.apply(clos_set, layout)
         except ApplyDriftError as e:  # each group's line, then the one-line error

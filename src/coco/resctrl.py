@@ -54,7 +54,14 @@ class ResctrlLayout(Value):
 
     @classmethod
     def from_env(cls, root: str | None = None) -> "ResctrlLayout":
-        return cls(Path(root or os.environ.get("RESCTRL_ROOT", DEFAULT_RESCTRL_ROOT)))
+        """The layout under ``root``, else ``$RESCTRL_ROOT``, else the default.
+        An empty path is refused: as a `Path` it is the current directory."""
+        where = "--root"
+        if root is None:
+            where, root = "RESCTRL_ROOT", os.environ.get("RESCTRL_ROOT", DEFAULT_RESCTRL_ROOT)
+        if not root:
+            raise ValidationError(f"{where}: empty resctrl root")
+        return cls(Path(root))
 
     def group_dir(self, clos_id: int) -> Path:
         return self.root_path / f"clos{clos_id}"

@@ -481,9 +481,8 @@ def dump_profiles(workload_profiles: dict[str, tuple[SensitivityProfile, float]]
         if _PLAIN_NAME.fullmatch(name) and name not in _WORDS:
             parts.append(f"- workload: {name}\n  sl_full: {_yaml_float(sl_full)}\n")
         else:
-            import yaml
-            parts.append(yaml.dump([{"workload": name, "sl_full": float(sl_full)}],
-                                   Dumper=yaml.SafeDumper, sort_keys=False))
+            from coco import yamlload
+            parts.append(yamlload.dump([{"workload": name, "sl_full": float(sl_full)}]))
         parts += ["  way_levels:\n", *(f"  - {w}\n" for w in p.way_levels),
                   "  mba_levels:\n", *(f"  - {m}\n" for m in p.mba_levels), "  slowdowns:\n"]
         parts += ["  - - " + "\n    - ".join(map(_yaml_float, row)) + "\n" for row in p.slowdowns]

@@ -213,3 +213,16 @@ class TestApply:
         monkeypatch.setenv("RESCTRL_ROOT", str(tmp_path))
         layout = ResctrlLayout.from_env()
         assert layout.root_path == tmp_path
+
+    @pytest.mark.parametrize("root, env", [("", "elsewhere"), (None, "")])
+    def test_cli_refuses_empty_root_and_creates_nothing(self, root, env, tmp_path,
+                                                        monkeypatch, reference_path,
+                                                        capsys):
+        # `Path("")` is the current directory: an empty root is never a default
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("RESCTRL_ROOT", env)
+        argv = ["schemata", str(reference_path), "--apply"]
+        assert main(argv + (["--root", root] if root is not None else [])) == 2
+        where = "--root" if root is not None else "RESCTRL_ROOT"
+        assert capsys.readouterr() == ("", f"error: {where}: empty resctrl root\n")
+        assert list(tmp_path.iterdir()) == []
