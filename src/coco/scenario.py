@@ -1,4 +1,4 @@
-"""Scenario and profile file handling (YAML, schema-validated).
+"""The schema of scenario and profile files; `coco.yamlload` reads and writes the YAML.
 
 Each section of a file is read through one field table mapping every allowed
 key to a parser; unknown keys are rejected everywhere, and an absent optional
@@ -15,12 +15,12 @@ sees a profile.  Each source gives one checked grid and the workload's
 from __future__ import annotations
 
 import math
-import re
+import os
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from coco import calibration
+from coco import calibration, yamlload
 from coco.core import (DEFAULT_SL_FULL, Dominance, MachineSpec, SensitivityProfile,
                        SloSpec, Value, WorkloadSpec, _set, _sl_full, bilinear)
 from coco.errors import CocoError, InfeasibleSloError, ScenarioError
@@ -29,136 +29,6 @@ from coco.profiler import GroundTruthModel, build_profile
 
 if TYPE_CHECKING:
     from coco.closconfig import ClosSet
-
-# YAML 1.1's bool and null words, which PyYAML reads as True, False and None
-_WORDS = {**dict.fromkeys(("yes", "Yes", "YES", "true", "True", "TRUE", "on", "On", "ON"), True),
-          **dict.fromkeys(("no", "No", "NO", "false", "False", "FALSE", "off", "Off", "OFF"),
-                          False),
-          **dict.fromkeys(("null", "Null", "NULL"), None)}
-_KEY = r"[A-Za-z_][A-Za-z0-9_]{0,1023}"  # PyYAML reads no key over 1,024 characters
-# a plain token of a type read here: a word (a string, or a bool or null
-# word), a decimal integer, or a float with a dot
-_SCALAR = (r"(?:(?P<word>[A-Za-z_][A-Za-z0-9_.+-]*)|(?P<int>[-+]?(?:0|[1-9][0-9]*))"
-           r"|(?P<float>[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?))")
-# what follows `key:` or `-` on its line: nothing, a token, or a one-line flow
-# collection of tokens; then spaces, or a comment after a space
-_REST = (rf"(?: +(?:{_SCALAR}|\[(?P<items>[^][{{}}#]*)\]|\{{(?P<pairs>[^][{{}}#]*)\}}))?"
-         r"(?: +#.*| *)")
-_ENTRY = re.compile(_REST)  # a sequence entry's line after its `-`
-_KEYED = re.compile(rf"(?P<key>{_KEY}):{_REST}")  # a mapping entry's line
-_FLOW_ITEM = re.compile(rf" *{_SCALAR} *")
-_FLOW_PAIR = re.compile(rf" *(?P<key>{_KEY}): +{_SCALAR} *")
-_CONTENT = re.compile(r"^( *)([^ #\n].*)", re.MULTILINE)  # a line that is not blank or a comment
-_NOT_PLAIN = re.compile(r"[^\n -~]")  # a tab, \r, another control or a non-ASCII character
-_DASH = ("-", "- ")  # a line's first two characters where it is a sequence entry
-
-
-def _scalar(match: re.Match):
-    """The value of the token ``match`` ends with, as PyYAML's resolver types it."""
-    kind = match.lastgroup
-    if kind == "word":
-        return _WORDS.get(match["word"], match["word"])
-    if kind == "int":
-        return int(match["int"])  # ValueError past int's digit limit
-    return float(match["float"])
-
-
-def _flow(items: str | None, pairs: str | None, depth: int):
-    """The one-line flow sequence (``items``) or mapping (``pairs``) at ``depth``."""
-    if depth >= 100:
-        raise ValueError("nested too deeply")
-    if items is not None:
-        if not items.strip(" "):
-            return []
-        tokens = [_FLOW_ITEM.fullmatch(item) for item in items.split(",")]
-        if None in tokens:
-            raise ValueError(items)
-        return list(map(_scalar, tokens))
-    node = {}
-    for pair in pairs.split(",") if pairs.strip(" ") else ():
-        match = _FLOW_PAIR.fullmatch(pair)
-        if match is None or match["key"] in _WORDS or match["key"] in node:
-            raise ValueError(pair)
-        node[match["key"]] = _scalar(match)
-    return node
-
-
-class _Reader:
-    """Block YAML read one content line at a time: each collection reads the
-    lines at its own indent.  A line no collection reads (a scalar's second
-    line, a line at a stray indent) ends them all, and the reader with it."""
-
-    def __init__(self, text: str):
-        lines = _CONTENT.findall(text)
-        self.indents = [len(spaces) for spaces, _ in lines] + [-1]  # -1: the end
-        self.lines = [line for _, line in lines] + [""]
-        self.pos = 0
-
-    def node(self, depth: int):
-        """The block sequence or mapping that starts at the current line."""
-        if depth >= 100:  # its entries would lie deeper than 100 levels
-            raise ValueError("nested too deeply")
-        read = self.sequence if self.lines[self.pos][:2] in _DASH else self.mapping
-        return read(self.indents[self.pos], depth)
-
-    def mapping(self, indent: int, depth: int) -> dict:
-        node, indents, lines = {}, self.indents, self.lines
-        while indents[self.pos] == indent:
-            entry = _KEYED.fullmatch(lines[self.pos])
-            if entry is None or entry["key"] in _WORDS or entry["key"] in node:
-                raise ValueError(lines[self.pos])
-            self.pos += 1
-            node[entry["key"]] = self.value(entry, indent, depth + 1, True)
-        return node
-
-    def sequence(self, indent: int, depth: int) -> list:
-        node, indents, lines = [], self.indents, self.lines
-        while indents[self.pos] == indent and lines[self.pos][:2] in _DASH:
-            line = lines[self.pos]
-            entry = _ENTRY.fullmatch(line, 1)
-            if entry is None:  # `- - x` or `- key: x`: a collection from here, at its column
-                inner = line[1:].lstrip(" ")
-                indents[self.pos] += len(line) - len(inner)
-                lines[self.pos] = inner
-                node.append(self.node(depth + 1))
-            else:
-                self.pos += 1
-                node.append(self.value(entry, indent, depth + 1, False))
-        return node
-
-    def value(self, entry: re.Match, indent: int, depth: int, indentless: bool):
-        """The value of ``entry``, a line at ``indent``: on the line, on the
-        more indented lines below, or null.  After `key:` (``indentless``), a
-        sequence may also start at the key's own indent."""
-        if entry.lastgroup in ("word", "int", "float"):
-            return _scalar(entry)
-        if entry.lastgroup in ("items", "pairs"):
-            return _flow(entry["items"], entry["pairs"], depth)
-        below = self.indents[self.pos]
-        if below > indent or (indentless and below == indent
-                              and self.lines[self.pos][:2] in _DASH):
-            return self.node(depth)
-        return None
-
-
-def _plain_yaml(text: str):
-    """The document of ``text`` if it is plain block YAML, else None to leave
-    it to PyYAML.  Plain is a mapping of identifier keys (no bool or null
-    word, none repeated) whose values are block collections, one-line flow
-    collections of tokens, tokens typed as PyYAML types them (null, bool,
-    string, decimal int, float with a dot), or nothing; with comments and
-    blank lines.  Declined: any other scalar or syntax, a scalar continued on
-    a second line, a tab or a character that is not printable ASCII, and
-    nesting deeper than 100 levels."""
-    if _NOT_PLAIN.search(text):
-        return None
-    reader = _Reader(text)
-    try:
-        doc = reader.mapping(reader.indents[0], 0)
-    except ValueError:
-        return None
-    return doc if reader.indents[reader.pos] < 0 else None
-
 
 class LoadedWorkload(Value):
     __slots__ = ("spec", "model")
@@ -269,6 +139,16 @@ def _string(obj, where: str) -> str:
     return obj
 
 
+def _file(obj, where: str) -> str:
+    """A file path the filesystem can encode: no NUL byte and no lone surrogate."""
+    try:
+        if b"\0" not in os.fsencode(_string(obj, where)):
+            return obj
+    except UnicodeEncodeError:
+        pass
+    raise ScenarioError(f"{where}: {obj!r} is not a valid file path")
+
+
 def _choice(kind):
     """Parser of an enum member named by its value."""
     members = {m.value: m for m in kind}
@@ -362,7 +242,7 @@ _CAPACITY = {"calibration": _string, "full": _number, "grid": _capacity_grid}
 _CAPACITY_SOURCES = {"calibration": ("full",), "grid": ()}
 _MODEL = {"base_latency_ms": _number, "tail_inflation": _number, "capacity": _capacity}
 _PROFILE = {"calibration": _string, "sl_full": _number, "grid": _grid_profile,
-            "file": _string, "workload": _string}
+            "file": _file, "workload": _string}
 _PROFILE_SOURCES = {"calibration": ("sl_full",), "grid": (), "file": ("workload",)}
 _SLO = {"percentile": _number, "latency_bound_ms": _number}
 _WORKLOAD = {"name": _string,
@@ -391,10 +271,7 @@ def _load_yaml(path: Path) -> dict:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(f"{path}: {e}") from None
-    doc = _plain_yaml(text)
-    if doc is None:
-        from coco import yamlload
-        doc = yamlload.load(text, str(path))
+    doc = yamlload.read(text, str(path))
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
     return doc
@@ -461,31 +338,17 @@ def load_scenario(path: str | Path) -> LoadedScenario:
     return loaded
 
 
-def _yaml_float(x) -> str:
-    """PyYAML's plain form of a finite float: its repr, `.0` before a bare exponent."""
-    text = repr(float(x)).lower()
-    return text if "." in text or "e" not in text else text.replace("e", ".0e", 1)
-
-
-_PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")  # a name PyYAML writes unquoted
-
-
 def dump_profiles(workload_profiles: dict[str, tuple[SensitivityProfile, float]]) -> str:
     """Profile file content for a workload -> (profile, sl_full) mapping, in PyYAML's
-    block layout byte for byte.  A name that PyYAML would quote or escape and its
-    entry's ``sl_full`` pass through PyYAML's pure-Python dumper, as libyaml folds
-    long escaped names at other points; everything else is written here."""
+    block layout byte for byte (`coco.yamlload`'s write rules)."""
     parts = ["profiles:\n" if workload_profiles else "profiles: []\n"]
     for name in sorted(workload_profiles):
         p, sl_full = workload_profiles[name]
-        if _PLAIN_NAME.fullmatch(name) and name not in _WORDS:
-            parts.append(f"- workload: {name}\n  sl_full: {_yaml_float(sl_full)}\n")
-        else:
-            from coco import yamlload
-            parts.append(yamlload.dump([{"workload": name, "sl_full": float(sl_full)}]))
+        parts.append(yamlload.entry_head(name, sl_full))
         parts += ["  way_levels:\n", *(f"  - {w}\n" for w in p.way_levels),
                   "  mba_levels:\n", *(f"  - {m}\n" for m in p.mba_levels), "  slowdowns:\n"]
-        parts += ["  - - " + "\n    - ".join(map(_yaml_float, row)) + "\n" for row in p.slowdowns]
+        parts += ["  - - " + "\n    - ".join(map(yamlload.plain_float, row)) + "\n"
+                  for row in p.slowdowns]
     return "".join(parts)
 
 
@@ -498,6 +361,13 @@ def _profile_entry(path: Path, workload: str,
     if path not in files:
         files[path] = _fields(_load_yaml(path), str(path), _PROFILE_FILE, ("profiles",),
                               sep=": ")["profiles"]
+        named = set()  # an unparsed `workload` may be any value; only a string can match
+        for i, e in enumerate(files[path]):
+            name = e.get("workload")
+            if isinstance(name, str):
+                if name in named:
+                    raise ScenarioError(f"{path}: profiles[{i}]: workload {name!r} named twice")
+                named.add(name)
     if (path, workload) not in files:
         for i, e in enumerate(files[path]):
             if e.get("workload") == workload:

@@ -408,6 +408,20 @@ def test_deep_input_one_line_error(case, tmp_path):
     assert run.stdout == ""
 
 
+@pytest.mark.parametrize("name", ["a\0b", "\ud800"], ids=["nul", "surrogate"])
+def test_unusable_profile_file_path_one_line_error(name, tmp_path):
+    # neither name can be encoded as a path: reading it raised ValueError
+    doc = copy.deepcopy(MIXED_DOC)
+    doc["workloads"][3]["profile"] = {"file": name}
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    run = coco_process("validate", str(path))
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == (f"error: {path}: workloads[3].profile.file: "
+                          f"{name!r} is not a valid file path\n")
+    assert "\0" not in run.stderr
+
+
 @settings(max_examples=60, deadline=None)
 # regressions: the duration ran without end, the epoch_quanta overflowed a float,
 # one quantum for two workloads validated but did not compare, a bad policies

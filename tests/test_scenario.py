@@ -236,7 +236,7 @@ def assert_same_as_yaml_load(path: Path) -> str:
     """``_load_yaml``'s outcome, which must not change when ``_plain_yaml``
     declines every document."""
     built = load_outcome(path)
-    with mock.patch.object(scenario, "_plain_yaml", lambda text: None):
+    with mock.patch.object(yamlload, "_plain_yaml", lambda text: None):
         assert load_outcome(path) == built
     return built
 
@@ -244,9 +244,9 @@ def assert_same_as_yaml_load(path: Path) -> str:
 def assert_read_as_yaml_load_reads_it(text):
     """What ``_plain_yaml`` builds, PyYAML's safe loader builds the same, of
     the same types; a text it declines may hold anything."""
-    doc = scenario._plain_yaml(text)
+    doc = yamlload._plain_yaml(text)
     if doc is not None:
-        assert repr(doc) == repr(yaml.load(text, Loader=yamlload._SafeLoader)), text
+        assert repr(doc) == repr(yaml.load(text, Loader=yamlload._safe_loader())), text
 
 
 def assert_loads_back(text, profiles):
@@ -474,6 +474,20 @@ class TestProfileFiles:
         with pytest.raises(ScenarioError, match="no profile for workload"):
             load_profile_file(path, "web")
 
+    def test_workload_named_twice(self, tmp_path):
+        first, second = (dump_profiles({"a": (calibrated_profile(app), sl_full)})
+                         for app, sl_full in (("nginx", 1000.0), ("mongodb", 500.0)))
+        path = write(tmp_path, first + second.removeprefix("profiles:\n"), "profiles.yaml")
+        with pytest.raises(ScenarioError) as e:
+            load_profile_file(path, "a")
+        assert str(e.value) == f"{path}: profiles[1]: workload 'a' named twice"
+
+    def test_a_workload_that_is_not_a_string_names_no_entry(self, tmp_path):
+        path = write(tmp_path, "profiles:\n- {workload: [a]}\n- {workload: [a]}\n"
+                               "- {workload: {b: 1}}\n", "profiles.yaml")
+        with pytest.raises(ScenarioError, match="no profile for workload 'a'"):
+            load_profile_file(path, "a")
+
     def test_scenario_ingests_profile_file(self, tmp_path, machine20):
         from coco.calibration import calibrated_capacity_fn
         from coco.core import SloSpec
@@ -506,12 +520,12 @@ class TestLibyaml:
                     load_profile_file(profiles, "db"))
 
         fast = load_all()
-        monkeypatch.setattr(scenario, "_plain_yaml", lambda text: None)  # PyYAML reads all
+        monkeypatch.setattr(yamlload, "_plain_yaml", lambda text: None)  # PyYAML reads all
         assert load_all() == fast
 
     def test_loader_rejects_duplicate_keys(self):
         with pytest.raises(yaml.YAMLError, match="duplicate key 'a'"):
-            yaml.load("m: {a: 1, b: 2, a: 3}\n", Loader=yamlload._SafeLoader)
+            yaml.load("m: {a: 1, b: 2, a: 3}\n", Loader=yamlload._safe_loader())
 
     def test_merge_keys_still_override(self, tmp_path):
         web, web2 = (w.spec for w in load_scenario(write(tmp_path, MERGED)).workloads)
@@ -638,15 +652,15 @@ class TestPlainYaml:
     @pytest.mark.parametrize("depth", [100, 101, 600])
     def test_block_nesting_limit(self, depth, tmp_path):
         text = nested_blocks(depth)
-        assert (scenario._plain_yaml(text) is None) == (depth > 100)
+        assert (yamlload._plain_yaml(text) is None) == (depth > 100)
         built = assert_same_as_yaml_load(write(tmp_path, text))
         assert built.endswith("invalid YAML: nested too deeply") == (depth >= 600)
 
     @staticmethod
     def spy(monkeypatch) -> list:
         """The values ``_plain_yaml`` returns from now on, None where it declines."""
-        returned, plain_yaml = [], scenario._plain_yaml
-        monkeypatch.setattr(scenario, "_plain_yaml",
+        returned, plain_yaml = [], yamlload._plain_yaml
+        monkeypatch.setattr(yamlload, "_plain_yaml",
                             lambda text: returned.append(plain_yaml(text)) or returned[-1])
         return returned
 
