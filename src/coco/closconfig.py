@@ -156,9 +156,7 @@ def default_partition(machine: MachineSpec) -> ClosSet:
     bandwidth 1:3:5:... (largest-remainder rounding, every CLOS at least one
     way and one MBA step).
     """
-    k = machine.clos_count
-    if k > machine.llc_ways:
-        raise ValidationError("more CLOSs than LLC ways")
+    k = machine.clos_count  # MachineSpec keeps k <= llc_ways
     n_lc = k - 1
     reserved_ways = max(1, min(RESERVED_WAYS, machine.llc_ways - n_lc))
     lc_ways_total = machine.llc_ways - reserved_ways

@@ -14,8 +14,9 @@ import math
 
 from coco.errors import ValidationError
 
-# Monotonicity slack for hand-written and rounded profile grids (profile
-# files, inline grids); genuine violations are orders of magnitude larger.
+# Monotonicity slack for every profile grid, hand-written (profile files,
+# inline grids) or rounded (a model's bilinear capacity wobbles by an ulp
+# where it is flat); genuine violations are orders of magnitude larger.
 MONOTONE_EPS = 1e-9
 
 # How far below 1 a slowdown may round (profile grids, scheduling weights):
@@ -192,10 +193,12 @@ class SensitivityProfile(Value):
                     raise ValidationError(f"slowdown not finite at grid point ({i},{j})")
                 if s < 1.0 - SLOWDOWN_SLACK:
                     raise ValidationError(f"slowdown < 1 at grid point ({i},{j})")
-                if i + 1 < len(ways) and grid[i + 1][j] > s + MONOTONE_EPS:
-                    raise ValidationError("slowdown not monotone along the ways axis")
-                if j + 1 < len(mbas) and row[j + 1] > s + MONOTONE_EPS:
-                    raise ValidationError("slowdown not monotone along the MBA axis")
+                if i and s > grid[i - 1][j] + MONOTONE_EPS:
+                    raise ValidationError(
+                        f"slowdown not monotone along the ways axis at grid point ({i},{j})")
+                if j and s > row[j - 1] + MONOTONE_EPS:
+                    raise ValidationError(
+                        f"slowdown not monotone along the MBA axis at grid point ({i},{j})")
         _set(self, "way_levels", way_levels)
         _set(self, "mba_levels", mba_levels)
         _set(self, "slowdowns", slowdowns)

@@ -21,7 +21,8 @@ class GroundTruthModel(Value):
     """Closed latency model: latency = base * inflation / (1 - load/capacity).
 
     ``capacity_fn`` maps an allocation state to the state's saturation
-    capacity (requests/sec) and must be monotone non-decreasing in each axis.
+    capacity (requests/sec) and must be non-decreasing in each axis, up to
+    the rounding slack every profile grid has (``core.MONOTONE_EPS``).
     ``tail_inflation`` maps the mean latency to the SLO percentile.
     """
 
@@ -85,30 +86,25 @@ def build_profile(model: GroundTruthModel, machine: MachineSpec,
     SLO-sustaining load at full allocation, ``sl_full``.
 
     Calls ``capacity_fn`` once per grid state and checks each capacity is
-    finite, > 0 and non-decreasing along both axes.  The SLO factor of the
-    sustainable load cancels in a slowdown, ``cap(full) / cap(state)``, so a
-    monotone capacity grid gives an exactly monotone slowdown grid, >= 1 and
-    1.0 at the full corner.
+    finite and > 0.  The SLO factor of the sustainable load cancels in a
+    slowdown, ``cap(full) / cap(state)``; division by a positive capacity
+    reverses order exactly, so the grid's monotonicity is checked once, as
+    slowdowns by ``SensitivityProfile``, and before the SLO is.
     """
     ways = tuple(range(1, machine.llc_ways + 1))
     mbas = machine.mba_levels()
-    states = iter(grid_states(machine))  # (w, m) in the loops' order
-    caps: list[list[float]] = []
-    for w in ways:
-        row: list[float] = []
-        for j, m in enumerate(mbas):
-            c = model.capacity_fn(next(states))
-            if not (math.isfinite(c) and c > 0):
-                raise ValidationError(f"capacity must be finite and > 0 at ({w},{m})")
-            if caps and caps[-1][j] > c:
-                raise ValidationError(f"capacity_fn not monotone in ways at ({w},{m})")
-            if row and row[-1] > c:
-                raise ValidationError(f"capacity_fn not monotone in MBA at ({w},{m})")
-            row.append(c)
-        caps.append(row)
-    full = caps[-1][-1]
+    caps = []
+    for s in grid_states(machine):  # row-major: all MBA levels of each way count
+        c = model.capacity_fn(s)
+        if not (math.isfinite(c) and c > 0):
+            raise ValidationError(
+                f"capacity must be finite and > 0 at ({s.llc_ways},{s.mba_percent})")
+        caps.append(c)
+    full = caps[-1]
+    n = len(mbas)
+    profile = SensitivityProfile(ways, mbas, tuple(
+        tuple(full / c for c in caps[k:k + n]) for k in range(0, len(caps), n)))
     sl_full = full * _load_fraction(model, slo)
     if sl_full <= 0:
         raise InfeasibleSloError("zero sustainable load at full allocation")
-    rows = tuple(tuple(full / c for c in row) for row in caps)
-    return SensitivityProfile(ways, mbas, rows), sl_full
+    return profile, sl_full

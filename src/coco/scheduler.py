@@ -168,9 +168,7 @@ def _ranked(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,
     ``memo``, if given, as ``_base_rate`` keeps it at alpha 1."""
     if len({w.name for w in workloads}) != len(workloads):
         raise ValidationError("workload names must be unique")
-    lc = clos_set.lc_configs()
-    if not lc:
-        raise ValidationError("clos set has no latency-critical CLOS")
+    lc = clos_set.lc_configs()  # nonempty: a ClosSet has >= 2 CLOSs, one reserved
     ref = reference_state or min(lc, key=lambda c: (c.width, c.id)).state()
     grids = {id(w.profile): w.profile for w in workloads}
     at = {key: 1.0 if equal else slowdown_xy(p, ref.llc_ways, ref.mba_percent)

@@ -366,6 +366,23 @@ class TestValidate:
             assert main([command, reference_copy]) == 0, command
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("values, message", [
+        ("[[1000.0, 900.0], [2000.0, 3000.0]]",
+         "slowdown not monotone along the MBA axis at grid point (0,1)"),
+        # capacity falls with more ways: the 1-way slowdowns drop below 1 first
+        ("[[2000.0, 2000.0], [1000.0, 1000.0]]", "slowdown < 1 at grid point (0,0)")],
+        ids=["falls-along-mba", "falls-along-ways"])
+    def test_bad_model_grid_names_its_grid_point(self, values, message, reference_copy,
+                                                 capsys):
+        path = Path(reference_copy)
+        path.write_text(path.read_text().replace(
+            "    profile: {calibration: mongodb, sl_full: 30000}\n", MODEL_WORKLOAD % values, 1))
+        for command in ("validate", "simulate", "compare", "profile"):
+            assert main([command, reference_copy]) == 2, command
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", f"error: {reference_copy}: workloads[4].model: {message}\n"), command
+
     def test_mixed_fuzz_base_loads(self, tmp_path, capsys):
         path = tmp_path / "mixed.yaml"
         path.write_text(yaml.safe_dump(MIXED_DOC))
@@ -818,6 +835,27 @@ class TestProfileCommand:
                 assert main([command, str(path), "--format", "csv"]) == 0
                 outputs.append(capsys.readouterr().out)
             assert outputs[0] == outputs[1], command
+
+    @pytest.mark.parametrize("values", ["[[1000.0, 1000.0], [1000.0, 1000.0]]",
+                                        "[[673.0, 1016.3], [673.0, 1016.3]]"],
+                             ids=["constant", "flat-along-ways"])
+    def test_flat_capacity_grid_runs(self, values, reference_copy, capsys):
+        # bilinear rounding wobbles a flat direction by an ulp: within the grid slack
+        path = Path(reference_copy)
+        text = path.read_text()
+        path.write_text(text.replace(
+            "    profile: {calibration: mongodb, sl_full: 30000}\n", MODEL_WORKLOAD % values, 1))
+        profiles = path.parent / "profiles.yaml"
+        for command in ("validate", "simulate", "compare"):
+            assert main([command, reference_copy]) == 0, command
+        assert main(["profile", reference_copy, "-o", str(profiles)]) == 0
+        assert capsys.readouterr().err == ""
+        # the written grid loads back as the workload's profile file
+        path.write_text(text.replace("    profile: {calibration: mongodb, sl_full: 30000}\n",
+                                     "    profile: {file: profiles.yaml}\n", 1))
+        for command in ("validate", "simulate"):
+            assert main([command, reference_copy]) == 0, command
+        assert capsys.readouterr().err == ""
 
     def test_profile_file_sl_full_out_of_range(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.yaml"

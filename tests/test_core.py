@@ -35,10 +35,12 @@ class TestProfileValidation:
             SensitivityProfile((1, 2), (100,), ((1.5,), (1.2,)))
 
     def test_monotone_enforced(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match=r"along the MBA axis at grid point \(0,1\)$"):
             # slowdown rises along the MBA axis
             SensitivityProfile((2,), (20, 50, 100), ((1.5, 1.8, 1.0),))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match=r"along the ways axis at grid point \(1,0\)$"):
             # slowdown rises with more ways
             SensitivityProfile((1, 2, 3), (100,), ((1.0,), (1.4,), (1.0,)))
 

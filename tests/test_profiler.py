@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from coco.calibration import (APPS, CAT_RETAINMENT, MBA_RETAINMENT, _interp_row,
                               calibrated_capacity_fn, reference_machine)
-from coco.core import AllocationState, MachineSpec, SloSpec
+from coco.core import AllocationState, MachineSpec, SloSpec, bilinear
 from coco.errors import InfeasibleSloError, ValidationError
 from coco.profiler import (GroundTruthModel, build_profile, grid_states,
                            max_sustainable_load)
@@ -31,6 +31,27 @@ def random_monotone_capacity(rng: random.Random, machine: MachineSpec):
             below = cap.get((w, m - machine.mba_step), base)
             cap[(w, m)] = max(left, below) + rng.uniform(0.0, 50.0)
     return lambda s: cap[(s.llc_ways, s.mba_percent)]
+
+
+@st.composite
+def tied_capacity_grids(draw):
+    """A machine and a bilinear capacity over a random grid of 2-4 way levels
+    by 2-5 MBA levels, non-decreasing along both axes and often flat."""
+    machine = MachineSpec(llc_ways=draw(st.integers(4, 12)), clos_count=2,
+                          mba_step=draw(st.sampled_from((10, 20, 25))))
+    ways = tuple(sorted(draw(st.sets(st.integers(1, machine.llc_ways), min_size=2,
+                                     max_size=4))))
+    mbas = tuple(sorted(draw(st.sets(st.integers(1, 100), min_size=2, max_size=5))))
+    step = st.one_of(st.just(0.0), st.floats(0.5, 500.0))
+    first = draw(st.floats(1.0, 1e5))
+    values = []
+    for i in range(len(ways)):
+        row = []
+        for j in range(len(mbas)):
+            below = max(values[i - 1][j] if i else first, row[j - 1] if j else first)
+            row.append(below + draw(step))
+        values.append(row)
+    return machine, lambda s: bilinear(ways, mbas, values, s.llc_ways, s.mba_percent)
 
 
 def scan_max_load(model, state, slo, step_fraction=0.001):
@@ -157,6 +178,18 @@ class TestBuildProfile:
         build_profile(GroundTruthModel(1.0, 2.0, capacity), machine, SLO)
         assert set(calls) == set(grid_states(machine))
         assert max(calls.values()) == 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(tied_capacity_grids())
+    def test_bilinear_capacity_with_ties_accepted(self, case):
+        # bilinear rounding wobbles a flat direction by an ulp: within the grid slack
+        machine, capacity = case
+        profile, _ = build_profile(GroundTruthModel(1.0, 1.0, capacity), machine, SLO)
+        full = capacity(AllocationState(machine.llc_ways, 100))
+        for state in grid_states(machine):
+            i = profile.way_levels.index(state.llc_ways)
+            j = profile.mba_levels.index(state.mba_percent)
+            assert profile.slowdowns[i][j] == full / capacity(state)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
