@@ -59,15 +59,39 @@ def _write_stdout(content: str, *, utf8: bool = True) -> None:
             binary.write(content.encode("utf-8"))
             binary.flush()
     except OSError as e:
-        try:
-            fd = out.fileno()
-        except (OSError, ValueError):  # no descriptor: nothing to flush at exit
-            fd = None
-        if fd is not None:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
+        _to_null_device(out)
         raise CocoError(f"<stdout>: {e.strerror or e}") from None
+
+
+def _write_stderr(content: str) -> None:
+    """Every write to stderr: coco's ``error:`` line, the group lines of
+    ``schemata --apply`` and argparse's usage error.
+
+    A process started with stderr closed has no ``sys.stderr``: it writes
+    nothing, where ``print`` would fall back to stdout.  A failed write or
+    flush loses the text, there being nowhere left to report it, and stderr
+    goes to the null device: the exit status stays the command's own.
+    """
+    err = sys.stderr
+    if err is None:
+        return
+    try:
+        err.write(content)
+        err.flush()
+    except OSError:
+        _to_null_device(err)
+
+
+def _to_null_device(stream) -> None:
+    """Point ``stream``'s descriptor at the null device, so what is still
+    buffered cannot fail again at the interpreter's flush at exit."""
+    try:
+        fd = stream.fileno()
+    except (OSError, ValueError):  # no descriptor: nothing to flush at exit
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _write_output(path: str | None, content: str) -> None:
@@ -86,11 +110,9 @@ def _write_output(path: str | None, content: str) -> None:
         raise CocoError(f"{tmp if tmp.exists() else path}: {e.strerror or e}") from None
 
 
-def _metrics_csv_rows(policy: Policy, metrics: SimMetrics,
-                      order: list[str]) -> list[str]:
+def _metrics_csv_rows(policy: Policy, metrics: SimMetrics) -> list[str]:
     rows = []
-    for name in order:
-        m = metrics.per_workload[name]
+    for name, m in metrics.per_workload.items():
         rows.append(",".join([
             policy.value, name, _fmt(m.affordable_load), _fmt(m.retainment),
             str(m.slo_violations), str(metrics.migrations),
@@ -112,13 +134,11 @@ def _table(rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _simulate_report(policy: Policy, metrics: SimMetrics, order: list[str],
-                     fmt: str) -> str:
+def _simulate_report(policy: Policy, metrics: SimMetrics, fmt: str) -> str:
     if fmt == "csv":
-        return "\n".join([CSV_HEADER] + _metrics_csv_rows(policy, metrics, order)) + "\n"
+        return "\n".join([CSV_HEADER] + _metrics_csv_rows(policy, metrics)) + "\n"
     rows = [["workload", "affordable_load", "retainment", "violations", "quanta"]]
-    for name in order:
-        m = metrics.per_workload[name]
+    for name, m in metrics.per_workload.items():
         rows.append([name, _fmt(m.affordable_load), _fmt(m.retainment),
                      str(m.slo_violations), str(m.quanta_received)])
     footer = (f"policy={policy.value} migrations={metrics.migrations} "
@@ -127,15 +147,14 @@ def _simulate_report(policy: Policy, metrics: SimMetrics, order: list[str],
     return _table(rows) + footer
 
 
-def _compare_report(result: CompareResult, order: list[str], fmt: str) -> str:
+def _compare_report(result: CompareResult, fmt: str) -> str:
     if fmt == "csv":
         lines = [CSV_HEADER]
         lines.extend(_policy_total_row(p, m) for p, m in result.rows)
         return "\n".join(lines) + "\n"
     rows = [["policy", "workload", "affordable_load", "retainment"]]
     for policy, metrics in result.rows:
-        for name in order:
-            m = metrics.per_workload[name]
+        for name, m in metrics.per_workload.items():
             rows.append([policy.value, name, _fmt(m.affordable_load),
                          _fmt(m.retainment)])
     summary = [["policy", "total_retainment", "migrations",
@@ -173,9 +192,7 @@ def _cmd_simulate(args) -> int:
     loaded = load_scenario(args.scenario)
     scenario = loaded.scenario(seed=args.seed)
     metrics = run_scenario(scenario)
-    order = [w.spec.name for w in loaded.workloads]
-    _write_output(args.output,
-                  _simulate_report(scenario.policy, metrics, order, args.format))
+    _write_output(args.output, _simulate_report(scenario.policy, metrics, args.format))
     return EXIT_OK
 
 
@@ -192,8 +209,7 @@ def _cmd_compare(args) -> int:
     if policies is None:
         policies = list(loaded.policies) or list(Policy)
     result = compare_policies(loaded.scenario(seed=args.seed), policies)
-    order = [w.spec.name for w in loaded.workloads]
-    _write_output(args.output, _compare_report(result, order, args.format))
+    _write_output(args.output, _compare_report(result, args.format))
     return EXIT_OK
 
 
@@ -219,11 +235,8 @@ def _cmd_schemata(args) -> int:
 
 
 def _print_groups(report: ApplyReport) -> None:
-    for g in report.groups:
-        line = f"{g.group}: {g.action}"
-        if g.error:
-            line += f" ({g.error})"
-        print(line, file=sys.stderr)
+    _write_stderr("".join(f"{g.group}: {g.action}" + (f" ({g.error})" if g.error else "")
+                          + "\n" for g in report.groups))
 
 
 # Each command's options after its scenario, in help order: flags, then
@@ -293,9 +306,11 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
 
 @functools.cache
 def _parser_class() -> type:
-    """argparse's parser, with its help on stdout through ``_write_stdout``:
-    argparse itself drops a failed write, and exits 0 with the help lost.
-    Built on first use, so a plain command line never imports argparse."""
+    """argparse's parser, with its help on stdout through ``_write_stdout``
+    and its usage error on stderr through ``_write_stderr``: argparse itself
+    drops a failed write, exits 0 with the help lost, and prints the usage
+    on stdout when there is no stderr.  Built on first use, so a plain
+    command line never imports argparse."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -304,6 +319,10 @@ def _parser_class() -> type:
                 _write_stdout(self.format_help(), utf8=False)
             else:
                 super().print_help(file)
+
+        def error(self, message):
+            _write_stderr(f"{self.format_usage()}{self.prog}: error: {message}\n")
+            sys.exit(EXIT_VALIDATION)
 
     return _Parser
 
@@ -330,10 +349,10 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
         return args.func(args)
     except InfeasibleSloError as e:
-        print(f"error: {e}", file=sys.stderr)
+        _write_stderr(f"error: {e}\n")
         return EXIT_INFEASIBLE
     except CocoError as e:
-        print(f"error: {e}", file=sys.stderr)
+        _write_stderr(f"error: {e}\n")
         return EXIT_VALIDATION
 
 

@@ -123,8 +123,9 @@ class ReconfigPlan(Value):
         _set(self, "valid", valid)
 
 
-def _largest_remainder(quotas: list[float], total: int, minimum: int) -> list[int]:
-    """Round quotas to integers summing to ``total``, each >= ``minimum``.
+def _largest_remainder(quotas: list[float], total: int) -> list[int]:
+    """Round quotas to integers summing to ``total``, each >= 1; ``total`` is at
+    least the number of quotas, so a share below 1 takes from one above it.
 
     Not shared with ``scheduler._split_quanta``, whose ties go by slowdown and
     name, not lowest index: either rule in both places changes outputs.
@@ -137,10 +138,8 @@ def _largest_remainder(quotas: list[float], total: int, minimum: int) -> list[in
         base[fracs[k % len(base)]] += 1
     # enforce the floor by taking from the largest shares
     for i in range(len(base)):
-        while base[i] < minimum:
+        while base[i] < 1:
             donor = max(range(len(base)), key=lambda j: (base[j], -j))
-            if base[donor] <= minimum:
-                raise ValidationError("cannot satisfy per-CLOS minimum")
             base[donor] -= 1
             base[i] += 1
     return base
@@ -162,7 +161,7 @@ def default_partition(machine: MachineSpec) -> ClosSet:
     lc_ways_total = machine.llc_ways - reserved_ways
     ratio = [i + 1 for i in range(n_lc)]
     quotas = [lc_ways_total * r / sum(ratio) for r in ratio]
-    widths = [reserved_ways] + _largest_remainder(quotas, lc_ways_total, 1)
+    widths = [reserved_ways] + _largest_remainder(quotas, lc_ways_total)
 
     units_total = 100 // machine.mba_step
     if units_total < k:
@@ -170,7 +169,7 @@ def default_partition(machine: MachineSpec) -> ClosSet:
     lc_units = units_total - 1
     odd = [2 * i + 1 for i in range(n_lc)]
     mba_quotas = [lc_units * r / sum(odd) for r in odd]
-    mba_units = [1] + _largest_remainder(mba_quotas, lc_units, 1)
+    mba_units = [1] + _largest_remainder(mba_quotas, lc_units)
 
     configs = []
     bit = 0

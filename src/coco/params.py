@@ -79,13 +79,12 @@ class WarmupParams(Value):
 class Scenario(Value):
     """One run: the machine, its workloads, the policy and the run parameters."""
 
-    __slots__ = ("machine", "workloads", "policy", "epoch_quanta", "quantum_ms", "duration",
-                 "warmup", "seed", "clos_set", "interference_alpha", "pairing_penalty",
-                 "load_jitter")
+    __slots__ = ("machine", "workloads", "policy", "epoch_quanta", "duration", "warmup",
+                 "seed", "clos_set", "interference_alpha", "pairing_penalty", "load_jitter")
 
     def __init__(self, machine: MachineSpec, workloads: tuple[WorkloadSpec, ...],
-                 policy: Policy, epoch_quanta: int = 20, quantum_ms: float = 100.0,
-                 duration: int = 10, warmup: WarmupParams = WarmupParams(), seed: int = 0,
+                 policy: Policy, epoch_quanta: int = 20, duration: int = 10,
+                 warmup: WarmupParams = WarmupParams(), seed: int = 0,
                  clos_set: ClosSet | None = None, interference_alpha: float = 1.0,
                  pairing_penalty: float = 1.05, load_jitter: float = 0.0):
         if not workloads:
@@ -95,8 +94,6 @@ class Scenario(Value):
             raise ValidationError("workload names must be unique")
         if not 1 <= duration <= MAX_DURATION:
             raise ValidationError(f"duration must be in [1, {MAX_DURATION}] epochs")
-        if not (math.isfinite(quantum_ms) and quantum_ms > 0):
-            raise ValidationError("quantum_ms must be finite and > 0")
         if not 1 <= epoch_quanta <= MAX_EPOCH_QUANTA:
             raise ValidationError(f"epoch_quanta must be in [1, {MAX_EPOCH_QUANTA}]")
         # a deal puts up to ceil(workloads / LC CLOSs) on one CLOS, a quantum each
@@ -144,7 +141,6 @@ class Scenario(Value):
         _set(self, "workloads", workloads)
         _set(self, "policy", policy)
         _set(self, "epoch_quanta", epoch_quanta)
-        _set(self, "quantum_ms", quantum_ms)
         _set(self, "duration", duration)
         _set(self, "warmup", warmup)
         _set(self, "seed", seed)

@@ -210,6 +210,18 @@ def _capacity_grid(obj, where: str):
     if len(values) != len(ways) or any(len(row) != len(mbas) for row in values):
         raise ScenarioError(f"{where}.values: expected {len(ways)} rows of "
                             f"{len(mbas)} values (way_levels x mba_levels)")
+    # checked as written: a resampled cell would name a machine state, not this grid's
+    for i, row in enumerate(values):
+        for j, c in enumerate(row):
+            if c <= 0:
+                fault = "must be > 0"
+            elif i and c < values[i - 1][j]:
+                fault = "falls along way_levels"
+            elif j and c < row[j - 1]:
+                fault = "falls along mba_levels"
+            else:
+                continue
+            raise ScenarioError(f"{where}.values[{i}][{j}]: capacity {fault}")
 
     def capacity(state):
         return bilinear(ways, mbas, values, state.llc_ways, state.mba_percent)
@@ -250,8 +262,8 @@ _WORKLOAD = {"name": _string,
              "offered_load": _number, "profile": _section(_PROFILE),
              "model": _model, "dominance": _choice(Dominance)}
 _MACHINE = {"llc_ways": _integer, "clos_count": _integer, "mba_step": _integer}
-_SIM = {"policy": _choice(Policy), "epoch_quanta": _integer, "quantum_ms": _number,
-        "duration": _integer, "seed": _integer,
+_SIM = {"policy": _choice(Policy), "epoch_quanta": _integer, "duration": _integer,
+        "seed": _integer,
         "warmup": _section({"window": _integer, "factor": _number}, make=WarmupParams),
         "interference_alpha": _number, "pairing_penalty": _number,
         "load_jitter": _number}

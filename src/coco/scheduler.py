@@ -221,10 +221,10 @@ def _base_rate(w: WorkloadSpec, view: tuple, memo: dict, alpha: float, paired: f
 def rated(dealt: list[tuple], epoch_quanta: int, views: dict[int, tuple[float, float]],
           memo: dict, *, alpha: float = 1.0, penalty: float = 1.0, factor: float = 1.0):
     """Each segment of a deal with its members' rates, for the simulator:
-    (CLOS id, segments on that CLOS, quanta, share of the epoch, [(member,
-    base rate, warm rate)]).  The base rate is ``_base_rate``'s at the CLOS's
-    view, over ``penalty`` if paired; the warm rate is the base over the
-    warmup ``factor``.  ``memo`` is ``_base_rate``'s.
+    (CLOS id, member names, quanta, share of the epoch, [(member, base rate,
+    warm rate)]).  The base rate is ``_base_rate``'s at the CLOS's view, over
+    ``penalty`` if paired; the warm rate is the base over the warmup
+    ``factor``.  ``memo`` is ``_base_rate``'s.
     """
     for clos_id, _, _, segments in dealt:
         view = views[clos_id]
@@ -232,7 +232,8 @@ def rated(dealt: list[tuple], epoch_quanta: int, views: dict[int, tuple[float, f
             paired = penalty if len(members) == 2 else 1.0
             rates = [(w, base, base / factor) for w in members
                      for base in [_base_rate(w, view, memo, alpha, paired)]]
-            yield clos_id, len(segments), quanta, quanta / epoch_quanta, rates
+            yield (clos_id, frozenset(w.name for w in members), quanta,
+                   quanta / epoch_quanta, rates)
 
 
 def admission_control(workloads: Sequence[WorkloadSpec], clos_set: ClosSet,

@@ -190,9 +190,8 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
                  if spec.planner == "rr" else [dealt])
         plans = [(deal, _views(scenario, clos_set, deal)) for deal in deals]
     memo: dict = {}
-    phases = [[(clos_id, frozenset(w.name for w, _, _ in rates), quanta, share, rates)
-               for clos_id, _, quanta, share, rates in rated(
-                   dealt, epoch_quanta, views, memo, alpha=alpha, penalty=penalty, factor=factor)]
+    phases = [list(rated(dealt, epoch_quanta, views, memo,
+                         alpha=alpha, penalty=penalty, factor=factor))
               for dealt, views in plans]
     # Without jitter the schedule has period P = len(phases).  Each CLOS's
     # previous members are periodic from epoch P on (before it, a CLOS left

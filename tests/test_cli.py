@@ -93,7 +93,7 @@ MALFORMED = {
     "tag-timestamp": ("machine:\n  llc_ways: 20\n  clos_count: 4\n  mba_step: 10\n",
                       "machine: !!timestamp 2020-13-45\n"),
     "tag-bool": ("seed: 42\n", "seed: !!bool maybe\n"),
-    "tag-unmatched-timestamp": ("quantum_ms: 100.0\n", "quantum_ms: !!timestamp soon\n"),
+    "tag-unmatched-timestamp": ("duration: 10\n", "duration: !!timestamp soon\n"),
     # a list of policies to compare names at least one, each once
     "policies-empty": (REFERENCE_POLICIES, "policies: []"),
     "policies-repeated": (REFERENCE_POLICIES, "policies: [rr, rr]"),
@@ -309,6 +309,16 @@ class TestValidate:
             assert (captured.out, captured.err) == (
                 "", f"error: {reference_copy}: sim: unknown keys ['overhead_margin']\n"), command
 
+    def test_removed_quantum_ms_rejected(self, reference_copy, capsys):
+        # the simulator counts time in quanta and epochs only: a quantum has no length
+        path = Path(reference_copy)
+        path.write_text(path.read_text() + "  quantum_ms: 100.0\n")
+        for command in ("validate", "simulate", "compare", "schemata"):
+            assert main([command, reference_copy]) == 2, command
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", f"error: {reference_copy}: sim: unknown keys ['quantum_ms']\n"), command
+
     def test_absent_policies_compare_all_six(self, reference_copy, capsys):
         path = Path(reference_copy)
         path.write_text(path.read_text().replace(REFERENCE_POLICIES, ""))
@@ -366,22 +376,28 @@ class TestValidate:
             assert main([command, reference_copy]) == 0, command
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("values, message", [
-        ("[[1000.0, 900.0], [2000.0, 3000.0]]",
-         "slowdown not monotone along the MBA axis at grid point (0,1)"),
-        # capacity falls with more ways: the 1-way slowdowns drop below 1 first
-        ("[[2000.0, 2000.0], [1000.0, 1000.0]]", "slowdown < 1 at grid point (0,0)")],
-        ids=["falls-along-mba", "falls-along-ways"])
-    def test_bad_model_grid_names_its_grid_point(self, values, message, reference_copy,
+    @pytest.mark.parametrize("values, mbas, message", [
+        ("[[1000.0, 900.0], [2000.0, 3000.0]]", "[10, 100]",
+         "values[0][1]: capacity falls along mba_levels"),
+        ("[[2000.0, 2000.0], [1000.0, 1000.0]]", "[10, 100]",
+         "values[1][0]: capacity falls along way_levels"),
+        ("[[0.0, 1000.0], [1000.0, 1000.0]]", "[10, 100]", "values[0][0]: capacity must be > 0"),
+        # no machine state lands on MBA 5%: the grid is checked as written, not as resampled
+        ("[[0.0, 1000.0], [1000.0, 1000.0]]", "[5, 100]", "values[0][0]: capacity must be > 0")],
+        ids=["falls-along-mba", "falls-along-ways", "zero", "unsampled-zero"])
+    def test_bad_model_grid_names_its_grid_point(self, values, mbas, message, reference_copy,
                                                  capsys):
+        workload = (MODEL_WORKLOAD % values).replace("mba_levels: [10, 100]",
+                                                     f"mba_levels: {mbas}")
         path = Path(reference_copy)
         path.write_text(path.read_text().replace(
-            "    profile: {calibration: mongodb, sl_full: 30000}\n", MODEL_WORKLOAD % values, 1))
+            "    profile: {calibration: mongodb, sl_full: 30000}\n", workload, 1))
         for command in ("validate", "simulate", "compare", "profile"):
             assert main([command, reference_copy]) == 2, command
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == (
-                "", f"error: {reference_copy}: workloads[4].model: {message}\n"), command
+                "", f"error: {reference_copy}: workloads[4].model.capacity.grid.{message}\n"
+            ), command
 
     def test_mixed_fuzz_base_loads(self, tmp_path, capsys):
         path = tmp_path / "mixed.yaml"
@@ -403,15 +419,15 @@ DEEP = {
 
 
 def coco_process(*argv: str, flags=(), env=(), text=True, stdout=subprocess.PIPE,
-                 **kwargs) -> subprocess.CompletedProcess:
-    """`python flags -m coco.cli argv` in a child process, its stderr and (unless
-    ``stdout`` names another file) its stdout captured, as bytes if not
-    ``text``; ``env`` adds to this process's environment."""
+                 stderr=subprocess.PIPE, **kwargs) -> subprocess.CompletedProcess:
+    """`python flags -m coco.cli argv` in a child process, its stdout and stderr
+    captured unless ``stdout`` or ``stderr`` names another file, as bytes if
+    not ``text``; ``env`` adds to this process's environment."""
     src = str(Path(importlib.resources.files("coco")).parent)
     env = {**os.environ, **dict(env),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *flags, "-m", "coco.cli", *argv],
-                          stdout=stdout, stderr=subprocess.PIPE, text=text, env=env,
+                          stdout=stdout, stderr=stderr, text=text, env=env,
                           timeout=120, **kwargs)
 
 
@@ -506,7 +522,6 @@ OUT_OF_RANGE = {
     "mba_step": (("machine", "mba_step"), 3, "machine: mba_step must divide 100"),
     "duration": (("sim", "duration"), 0, "duration must be in [1, "),
     "epoch_quanta": (("sim", "epoch_quanta"), 0, "epoch_quanta must be in [1, "),
-    "quantum_ms": (("sim", "quantum_ms"), 0, "quantum_ms must be finite and > 0"),
     "warmup-window": (("sim", "warmup", "window"), -1, "sim.warmup: warmup window"),
     "warmup-factor": (("sim", "warmup", "factor"), 0.5, "sim.warmup: warmup factor"),
     "interference_alpha": (("sim", "interference_alpha"), 0.5,
@@ -899,6 +914,22 @@ class TestProfileCommand:
 
 # every command that writes to stdout; MODEL_SCENARIO runs each to exit 0
 STDOUT_COMMANDS = ("validate", "profile", "simulate", "compare", "schemata")
+# command lines that write to stderr: coco's error line, argparse's usage error and
+# the group lines of schemata --apply; with the exit status each ends in
+STDERR_ARGV = {
+    "error": (["validate", "MISSING"], 2),
+    "policy-error": (["compare", "REFERENCE", "--policies", "bogus"], 2),
+    "usage-error": (["validate", "REFERENCE", "--seed", "1"], 2),
+    "apply-groups": (["schemata", "REFERENCE", "--apply", "--root", "ROOT"], 0),
+}
+
+
+def stderr_case(case: str, reference_path: str, tmp_path: Path) -> tuple[list[str], int]:
+    """The command line of ``STDERR_ARGV[case]`` with its files named, and its exit status."""
+    argv, code = STDERR_ARGV[case]
+    files = {"REFERENCE": reference_path, "MISSING": str(tmp_path / "missing.yaml"),
+             "ROOT": str(tmp_path / "resctrl")}
+    return [files.get(a, a) for a in argv], code
 
 
 class TestProcessExit:
@@ -948,6 +979,26 @@ class TestProcessExit:
             done = coco_process(*argv, stdout=full)
         assert (done.returncode, done.stderr) == (
             2, f"error: <stdout>: {os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("case", sorted(STDERR_ARGV))
+    def test_full_stderr_keeps_the_exit_status(self, case, unbuffered, reference_path,
+                                               tmp_path):
+        # the text is lost, and neither the failed write (exit 1) nor the failed
+        # flush at exit (exit 120) replaces the command's own exit status
+        argv, code = stderr_case(case, reference_path, tmp_path)
+        with open("/dev/full", "w") as full:
+            done = coco_process(*argv, env={"PYTHONUNBUFFERED": unbuffered}, stderr=full)
+        assert (done.returncode, done.stdout) == (code, GOLDEN.read_text() if code == 0 else "")
+
+    @pytest.mark.parametrize("case", sorted(STDERR_ARGV))
+    def test_closed_stderr_keeps_stdout_clean(self, case, reference_path, tmp_path):
+        # started without stderr, nothing meant for it lands on stdout, as print's would
+        argv, code = stderr_case(case, reference_path, tmp_path)
+        done = coco_process(*argv, preexec_fn=lambda: os.close(2))
+        assert (done.returncode, done.stdout, done.stderr) == (
+            code, GOLDEN.read_text() if code == 0 else "", "")
 
     @pytest.mark.parametrize("argv", [["--help"], ["validate", "-h"]])
     def test_help_exits_0_as_argparse_prints_it(self, argv, monkeypatch):

@@ -1,7 +1,9 @@
 import ast
 import importlib.resources
 import inspect
+import itertools
 import math
+import random
 import textwrap
 from pathlib import Path
 from unittest import mock
@@ -171,11 +173,17 @@ class TestNonFiniteRejected:
             workloads[2] = replace(workloads[2], offered_load=math.nan)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("key", ["quantum_ms", "interference_alpha",
-                                     "pairing_penalty"])
+    @pytest.mark.parametrize("key", ["interference_alpha", "pairing_penalty"])
     def test_scenario_number(self, reference, key, bad):
         with pytest.raises(ValidationError):
             replace(reference.scenario(), **{key: bad})
+
+    def test_quantum_length_is_not_a_parameter(self, reference):
+        # time is counted in quanta and epochs only: a quantum has no length to set
+        scenario = reference.scenario()
+        assert len(Scenario.__slots__) == 11
+        with pytest.raises(TypeError, match="quantum_ms"):
+            Scenario(scenario.machine, scenario.workloads, scenario.policy, quantum_ms=1.0)
 
     def test_slowdown_total_overflows(self, reference):
         # each rate is finite and normal, but the weights' total is not
@@ -203,6 +211,50 @@ class TestDeterminism:
         a = run_scenario(replace(base, seed=1))
         b = run_scenario(replace(base, seed=2))
         assert a.serialize() == b.serialize()
+
+
+class TestMetamorphic:
+    """Outcomes that must not move when the input moves in a way that
+    changes nothing the model reads."""
+
+    @pytest.mark.parametrize("path", [
+        str(importlib.resources.files("coco") / "data" / "reference.yaml"),
+        *(str(Path(__file__).parent / "data" / f"{name}.yaml")
+          for name in ("swap-binds", "pairs", "fleet-101", "overload-101"))],
+        ids=["reference", "swap-binds", "pairs", "fleet-101", "overload-101"])
+    def test_input_order_changes_nothing_without_jitter(self, path):
+        # each jitter draw follows input order, so only a jitter-free run is order-free
+        loaded = load_scenario(path)
+        base = replace(loaded.scenario(), load_jitter=0.0)
+        for policy in loaded.policies:
+            scenario = replace(base, policy=policy)
+            expected = (run_scenario(scenario).serialize(),
+                        max_affordable_load(scenario).metrics.serialize())
+            for seed in range(3):
+                workloads = list(scenario.workloads)
+                random.Random(seed).shuffle(workloads)
+                shuffled = replace(scenario, workloads=tuple(workloads))
+                assert (run_scenario(shuffled).serialize(),
+                        max_affordable_load(shuffled).metrics.serialize()) == expected, (
+                    policy, seed)
+
+    def test_less_load_admits_more_and_violates_less(self):
+        # N workloads cycling reference's six under coco, scaled 0.4..2.0 by 0.1:
+        # nesting between each scale and the next nests every pair of scales
+        base = replace(REFERENCE, load_jitter=0.0)
+        for n in range(6, 17):
+            cycled = replace(base, workloads=tuple(
+                replace(w, name=f"{w.name}.{i}")
+                for i, w in zip(range(n), itertools.cycle(base.workloads))))
+            outcomes = []
+            for scale in [(4 + k) / 10 for k in range(17)]:
+                per = run_scenario(_scaled(cycled, scale)).per_workload
+                outcomes.append((scale, {k for k, m in per.items() if m.quanta_received},
+                                 {k for k, m in per.items() if m.slo_violations}))
+            for (c, admitted, violating), (c2, admitted2, violating2) in zip(outcomes,
+                                                                             outcomes[1:]):
+                assert admitted2 <= admitted, (n, c, c2)
+                assert violating <= violating2, (n, c, c2)
 
 
 class TestWarmup:

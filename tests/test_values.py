@@ -85,7 +85,7 @@ VALUE_TYPES = [
     (Scenario, (MACHINE, (WORKLOAD,), Policy.COCO), {"policy": Policy.ROUND_ROBIN},
      {"duration": 0},
      f"Scenario(machine={MACHINE!r}, workloads=({WORKLOAD!r},), "
-     "policy=<Policy.COCO: 'coco'>, epoch_quanta=20, quantum_ms=100.0, duration=10, "
+     "policy=<Policy.COCO: 'coco'>, epoch_quanta=20, duration=10, "
      "warmup=WarmupParams(window=2, factor=1.15), seed=0, clos_set=None, "
      "interference_alpha=1.0, pairing_penalty=1.05, load_jitter=0.0)", True),
     (WorkloadMetrics, (5.0, 0.5, 0, 20), {"slo_violations": 1}, None,
