@@ -9,6 +9,8 @@ directly always overrides this composition.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from coco.core import AllocationState, MachineSpec, SensitivityProfile, _cell
 from coco.errors import ValidationError
 
@@ -47,6 +49,15 @@ def _interp_row(row: dict[int, float], levels: list[int], x: float) -> float:
     return row[levels[i]] * (1 - f) + row[levels[i + 1]] * f
 
 
+def _factors(app: str, ways: tuple[int, ...], mbas: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The app's interpolated cache retainment per way count and MBA retainment per level."""
+    return (tuple([_interp_row(CAT_RETAINMENT[app], _LEVELS[app][0], w) for w in ways]),
+            tuple([_interp_row(MBA_RETAINMENT[app], _LEVELS[app][1], m) for m in mbas]))
+
+
+_axis_factors = lru_cache(maxsize=len(APPS))(_factors)  # a scenario's models share one machine
+
+
 def calibrated_profile(app: str) -> SensitivityProfile:
     """The one sensitivity profile of a reference app on the 20-way machine."""
     if app not in _PROFILES:
@@ -59,22 +70,19 @@ def calibrated_capacity_fn(app: str, full: float):
 
     Capacity ratios to ``full``, the capacity at full allocation, equal the
     composed retainment, so a profiler run against this function reproduces
-    the measured row.
+    the measured row.  Its ``axes(ways, mbas)`` gives ``full`` and the
+    retainment of each level, which ``build_profile`` composes the grid from.
     """
     if app not in CAT_RETAINMENT:
         raise ValidationError(f"unknown calibration app {app!r}; have {APPS}")
     if full <= 0:
         raise ValidationError("full must be > 0")
-    cat, mba = {}, {}  # each axis level's interpolated retainment, composed per state
 
     def capacity(state: AllocationState) -> float:
-        w, m = state.llc_ways, state.mba_percent
-        if w not in cat:
-            cat[w] = _interp_row(CAT_RETAINMENT[app], _LEVELS[app][0], w)
-        if m not in mba:
-            mba[m] = _interp_row(MBA_RETAINMENT[app], _LEVELS[app][1], m)
-        return full * (cat[w] * mba[m])
+        (c,), (m,) = _factors(app, (state.llc_ways,), (state.mba_percent,))
+        return full * (c * m)
 
+    capacity.axes = lambda ways, mbas: (full, *_axis_factors(app, ways, mbas))
     return capacity
 
 

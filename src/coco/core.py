@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+from operator import ge
 
 from coco.errors import ValidationError
 
@@ -187,18 +188,22 @@ class SensitivityProfile(Value):
             raise ValidationError("slowdown grid shape does not match axis levels")
         if abs(grid[-1][-1] - 1.0) > SLOWDOWN_SLACK:
             raise ValidationError("slowdown at full allocation must be 1.0")
-        for i, row in enumerate(grid):
-            for j, s in enumerate(row):
-                if not math.isfinite(s):
-                    raise ValidationError(f"slowdown not finite at grid point ({i},{j})")
-                if s < 1.0 - SLOWDOWN_SLACK:
-                    raise ValidationError(f"slowdown < 1 at grid point ({i},{j})")
-                if i and s > grid[i - 1][j] + MONOTONE_EPS:
-                    raise ValidationError(
-                        f"slowdown not monotone along the ways axis at grid point ({i},{j})")
-                if j and s > row[j - 1] + MONOTONE_EPS:
-                    raise ValidationError(
-                        f"slowdown not monotone along the MBA axis at grid point ({i},{j})")
+        # each cell of a grid exactly non-increasing along both axes from a finite first
+        # cell lies in [grid[-1][-1], grid[0][0]] and passes; only others are walked
+        if not (math.isfinite(grid[0][0]) and all(all(map(ge, row, row[1:])) for row in grid)
+                and all(all(map(ge, a, b)) for a, b in zip(grid, grid[1:]))):
+            for i, row in enumerate(grid):
+                for j, s in enumerate(row):
+                    if not math.isfinite(s):
+                        raise ValidationError(f"slowdown not finite at grid point ({i},{j})")
+                    if s < 1.0 - SLOWDOWN_SLACK:
+                        raise ValidationError(f"slowdown < 1 at grid point ({i},{j})")
+                    if i and s > grid[i - 1][j] + MONOTONE_EPS:
+                        raise ValidationError(
+                            f"slowdown not monotone along the ways axis at grid point ({i},{j})")
+                    if j and s > row[j - 1] + MONOTONE_EPS:
+                        raise ValidationError(
+                            f"slowdown not monotone along the MBA axis at grid point ({i},{j})")
         _set(self, "way_levels", way_levels)
         _set(self, "mba_levels", mba_levels)
         _set(self, "slowdowns", slowdowns)

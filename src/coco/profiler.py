@@ -22,7 +22,9 @@ class GroundTruthModel(Value):
 
     ``capacity_fn`` maps an allocation state to the state's saturation
     capacity (requests/sec) and must be non-decreasing in each axis, up to
-    the rounding slack every profile grid has (``core.MONOTONE_EPS``).
+    the rounding slack every profile grid has (``core.MONOTONE_EPS``).  It
+    may carry ``axes(ways, mbas)``: ``(f, way_factors, mba_factors)`` whose
+    ``f * (way_factors[i] * mba_factors[j])`` is its value at (ways[i], mbas[j]).
     ``tail_inflation`` maps the mean latency to the SLO percentile.
     """
 
@@ -85,7 +87,8 @@ def build_profile(model: GroundTruthModel, machine: MachineSpec,
     """Profile a model over the machine grid: its SensitivityProfile and its
     SLO-sustaining load at full allocation, ``sl_full``.
 
-    Calls ``capacity_fn`` once per grid state and checks each capacity is
+    Composes the capacities from ``capacity_fn.axes`` if it has them, else (or
+    to name a bad one) calls ``capacity_fn`` once per grid state; each must be
     finite and > 0.  The SLO factor of the sustainable load cancels in a
     slowdown, ``cap(full) / cap(state)``; division by a positive capacity
     reverses order exactly, so the grid's monotonicity is checked once, as
@@ -93,13 +96,18 @@ def build_profile(model: GroundTruthModel, machine: MachineSpec,
     """
     ways = tuple(range(1, machine.llc_ways + 1))
     mbas = machine.mba_levels()
-    caps = []
-    for s in grid_states(machine):  # row-major: all MBA levels of each way count
-        c = model.capacity_fn(s)
-        if not (math.isfinite(c) and c > 0):
-            raise ValidationError(
-                f"capacity must be finite and > 0 at ({s.llc_ways},{s.mba_percent})")
-        caps.append(c)
+    axes = getattr(model.capacity_fn, "axes", None)
+    if axes is not None:
+        f, way_factors, mba_factors = axes(ways, mbas)
+        caps = [f * (c * m) for c in way_factors for m in mba_factors]
+    if axes is None or not (all(map(math.isfinite, caps)) and min(caps) > 0):
+        caps = []  # the same capacities, one call each, up to the first bad one
+        for s in grid_states(machine):  # row-major: all MBA levels of each way count
+            c = model.capacity_fn(s)
+            if not (math.isfinite(c) and c > 0):
+                raise ValidationError(
+                    f"capacity must be finite and > 0 at ({s.llc_ways},{s.mba_percent})")
+            caps.append(c)
     full = caps[-1]
     n = len(mbas)
     profile = SensitivityProfile(ways, mbas, tuple(

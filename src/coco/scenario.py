@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import os
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -353,13 +353,14 @@ def load_scenario(path: str | Path) -> LoadedScenario:
 def dump_profiles(workload_profiles: dict[str, tuple[SensitivityProfile, float]]) -> str:
     """Profile file content for a workload -> (profile, sl_full) mapping, in PyYAML's
     block layout byte for byte (`coco.yamlload`'s write rules)."""
+    text = cache(yamlload.plain_float)  # each distinct value formatted once
     parts = ["profiles:\n" if workload_profiles else "profiles: []\n"]
     for name in sorted(workload_profiles):
         p, sl_full = workload_profiles[name]
         parts.append(yamlload.entry_head(name, sl_full))
         parts += ["  way_levels:\n", *(f"  - {w}\n" for w in p.way_levels),
                   "  mba_levels:\n", *(f"  - {m}\n" for m in p.mba_levels), "  slowdowns:\n"]
-        parts += ["  - - " + "\n    - ".join(map(yamlload.plain_float, row)) + "\n"
+        parts += ["  - - " + "\n    - ".join(map(text, row)) + "\n"
                   for row in p.slowdowns]
     return "".join(parts)
 

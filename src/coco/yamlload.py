@@ -194,7 +194,7 @@ def read(text: str, where: str):
 
 def plain_float(x) -> str:
     """PyYAML's plain form of a finite float: its repr, `.0` before a bare exponent."""
-    text = repr(float(x)).lower()
+    text = repr(float(x))
     return text if "." in text or "e" not in text else text.replace("e", ".0e", 1)
 
 

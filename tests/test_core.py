@@ -1,11 +1,11 @@
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coco.calibration import calibrated_profile
-from coco.core import (SLOWDOWN_SLACK, AllocationState, Dominance, MachineSpec,
+from coco.core import (MONOTONE_EPS, SLOWDOWN_SLACK, AllocationState, Dominance, MachineSpec,
                        SensitivityProfile, SloSpec, WorkloadSpec, dominance_of,
                        retainment_at, slowdown_at, weights_of)
 from coco.errors import ValidationError
@@ -51,6 +51,70 @@ class TestProfileValidation:
     def test_grid_round_trip(self):
         p = calibrated_profile("memcached")
         assert SensitivityProfile.from_grid(p.grid()) == p
+
+
+def cell_loop_error(grid):
+    """The grid check as a walk over every cell, the one ``SensitivityProfile``
+    falls back on: the message of the first fault, or None."""
+    if abs(grid[-1][-1] - 1.0) > SLOWDOWN_SLACK:
+        return "slowdown at full allocation must be 1.0"
+    for i, row in enumerate(grid):
+        for j, s in enumerate(row):
+            if not math.isfinite(s):
+                return f"slowdown not finite at grid point ({i},{j})"
+            if s < 1.0 - SLOWDOWN_SLACK:
+                return f"slowdown < 1 at grid point ({i},{j})"
+            if i and s > grid[i - 1][j] + MONOTONE_EPS:
+                return f"slowdown not monotone along the ways axis at grid point ({i},{j})"
+            if j and s > row[j - 1] + MONOTONE_EPS:
+                return f"slowdown not monotone along the MBA axis at grid point ({i},{j})"
+    return None
+
+
+# what a cell may become: non-finite, near or below 1, an ulp or a slack's
+# wobble up, a real order fault, or an int
+CELL_EDITS = st.sampled_from([
+    lambda s: math.nan, lambda s: math.inf, lambda s: -math.inf,
+    lambda s: 1.0 - SLOWDOWN_SLACK / 2, lambda s: 1.0 - 2 * SLOWDOWN_SLACK,
+    lambda s: math.nextafter(s, math.inf), lambda s: s + MONOTONE_EPS / 2,
+    lambda s: s + 0.5, lambda s: s * 1.01, math.ceil, lambda s: 1,
+])
+
+
+@st.composite
+def edited_grids(draw):
+    """A 1x1 to 6x6 grid, non-increasing along both axes and 1 at the full
+    corner, with up to four of its cells edited once each."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    factor = st.floats(1.0, 4.0)
+    a = sorted(draw(st.lists(factor, min_size=rows - 1, max_size=rows - 1)), reverse=True)
+    b = sorted(draw(st.lists(factor, min_size=cols - 1, max_size=cols - 1)), reverse=True)
+    grid = [[x * y for y in b + [1.0]] for x in a + [1.0]]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+                              max_size=4, unique=True)):
+        grid[i][j] = draw(CELL_EDITS)(grid[i][j])
+    return tuple(map(tuple, grid))
+
+
+class TestGridCheck:
+    """An exactly ordered grid is accepted without a walk over its cells; any
+    other grid gets the walk's verdict and the text of its first fault."""
+
+    @settings(max_examples=500)
+    @example(grid=((math.nan, 1.0), (1.0, 1.0)))
+    @example(grid=((2.0, 1.5, 1.2), (1.5, math.nan, 1.0), (1.2, 1.0, 1.0)))
+    @example(grid=((1.0, math.nextafter(1.0, 2.0)), (1.0, 1.0)))  # flat, one ulp up
+    @given(grid=edited_grids())
+    def test_fast_check_agrees_with_cell_loop(self, grid):
+        ways = tuple(range(1, len(grid) + 1))
+        mbas = tuple(range(110 - 10 * len(grid[0]), 101, 10))
+        want = cell_loop_error(grid)
+        if want is None:
+            assert SensitivityProfile(ways, mbas, grid).slowdowns == grid
+        else:
+            with pytest.raises(ValidationError) as e:
+                SensitivityProfile(ways, mbas, grid)
+            assert str(e.value) == want
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

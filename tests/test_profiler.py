@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coco.calibration import (APPS, CAT_RETAINMENT, MBA_RETAINMENT, _interp_row,
@@ -204,8 +204,8 @@ class TestBuildProfile:
 class TestCalibratedCapacity:
     @pytest.mark.parametrize("app", APPS)
     def test_memo_equals_composed_rows(self, app):
-        # each axis is interpolated once per level; the capacity is still
-        # full x (cache row x MBA row), bit for bit, in any query order
+        # the capacity is full x (cache row x MBA row), bit for bit, in any
+        # query order
         machine = MachineSpec(llc_ways=20, clos_count=4, mba_step=1)
         states = list(grid_states(machine)) * 2
         random.Random(app).shuffle(states)
@@ -216,3 +216,46 @@ class TestCalibratedCapacity:
                 want = full * (_interp_row(CAT_RETAINMENT[app], ways, s.llc_ways)
                                * _interp_row(MBA_RETAINMENT[app], mbas, s.mba_percent))
                 assert capacity(s) == want
+
+
+FULLS = st.sampled_from([1.0, 152353.6, 41745.2]) | st.floats(5e-324, 1e300)
+
+
+def profile_or_error(capacity, machine):
+    try:
+        return build_profile(GroundTruthModel(1.0, 2.0, capacity), machine, SLO)
+    except ValidationError as e:
+        return str(e)
+
+
+class TestAxisFactors:
+    """A calibrated capacity is profiled from its axis factors, to the same bits
+    as from one call per state."""
+
+    # a 1-way machine has no MachineSpec: two CLOSs need two ways
+    @settings(max_examples=60, deadline=None)
+    @example(app="nginx", full=5e-324, llc_ways=20, mba_step=10)
+    @given(app=st.sampled_from(APPS), full=FULLS, llc_ways=st.integers(2, 64),
+           mba_step=st.sampled_from((1, 2, 5, 10, 25, 50)))
+    def test_equals_per_state_path(self, app, full, llc_ways, mba_step):
+        machine = MachineSpec(llc_ways=llc_ways, clos_count=2, mba_step=mba_step)
+        cap = calibrated_capacity_fn(app, full)
+        calls = []
+
+        def from_axes(state):  # the factors only: a call means the per-state path ran
+            calls.append(state)
+            return cap(state)
+
+        from_axes.axes = cap.axes
+        got = profile_or_error(from_axes, machine)
+        assert got == profile_or_error(lambda s: cap(s), machine)
+        assert isinstance(got, str) or not calls
+
+    # memcached's least retainment (0.63) rounds up to the least subnormal, not to 0
+    @pytest.mark.parametrize("app", ["nginx", "mongodb"])
+    def test_underflowing_capacity_named_on_both_paths(self, app):
+        machine = reference_machine()
+        cap = calibrated_capacity_fn(app, 5e-324)
+        want = "capacity must be finite and > 0 at (1,10)"
+        assert profile_or_error(cap, machine) == want
+        assert profile_or_error(lambda s: cap(s), machine) == want

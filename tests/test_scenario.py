@@ -540,6 +540,12 @@ class TestLibyaml:
     # long escaped names, which libyaml folds at other points than PyYAML
     @example(profiles={"a\x1f" * 30: FLAT})
     @example(profiles={"\u00e9" * 50: FLAT})
+    # each distinct value is formatted once: values shared by two profiles,
+    # an int cell beside its equal float, and an exponent written `1.0e+16`
+    @example(profiles={"a": (SensitivityProfile((1, 2), (50, 100), ((2.5, 1.5), (1.5, 1))), 2.5),
+                       "b": (SensitivityProfile((1, 2), (50, 100), ((3.0, 2.5), (1.5, 1))), 1.5)})
+    @example(profiles={"web": (SensitivityProfile((1, 2), (50, 100), ((1, 1.0), (1.0, 1))), 1)})
+    @example(profiles={"web": (SensitivityProfile((1, 2), (100,), ((1e16,), (1.0,))), 1e16)})
     @given(profiles=st.dictionaries(PROFILE_NAMES, profiles(), max_size=3))
     def test_dump_equals_pyyaml_and_loads_back(self, profiles):
         # the same bytes on every install, with or without libyaml
