@@ -2,11 +2,13 @@
 
 `read` reads plain block YAML, which every shipped and benchmark file is,
 by itself (`_plain_yaml`), and any other text with PyYAML's pure-Python safe
-loader.  `entry_head` and `plain_float` write a profile file in PyYAML's
-block layout, and only a name that PyYAML must quote goes through its
-dumper.  Importing `yaml` costs more than reading any plain scenario, so
-only those two paths do.  libyaml is never used, so a file reads and writes
-the same whether or not PyYAML was built with it.
+loader.  One token grammar, `_LINE`, reads block values, sequence entries,
+flow items and flow pairs.  `entry_head` and `plain_float` write a profile
+file in PyYAML's block layout: a name the reader reads back as that string
+is written as it is, and any other goes through PyYAML's dumper.
+Importing `yaml` costs more than reading any plain scenario, so only those
+two paths do.  libyaml is never used, so a file reads and writes the same
+whether or not PyYAML was built with it.
 """
 
 from __future__ import annotations
@@ -30,12 +32,10 @@ _SCALAR = (r"(?:(?P<word>[A-Za-z_][A-Za-z0-9_.+-]*)|(?P<int>[-+]?(?:0|[1-9][0-9]
 # collection of tokens; then spaces, or a comment after a space
 _REST = (rf"(?: +(?:{_SCALAR}|\[(?P<items>[^][{{}}#]*)\]|\{{(?P<pairs>[^][{{}}#]*)\}}))?"
          r"(?: +#.*| *)")
-_ENTRY = re.compile(_REST)  # a sequence entry's line after its `-`
-_KEYED = re.compile(rf"(?P<key>{_KEY}):{_REST}")  # a mapping entry's line
-_FLOW_ITEM = re.compile(rf" *{_SCALAR} *")
-_FLOW_PAIR = re.compile(rf" *(?P<key>{_KEY}): +{_SCALAR} *")
+# the one token grammar: a mapping entry, a sequence entry from its `-`, a flow item or pair
+_LINE = re.compile(rf"(?:(?P<key>{_KEY}):)?{_REST}")
 _CONTENT = re.compile(r"^( *)([^ #\n].*)", re.MULTILINE)  # a line that is not blank or a comment
-_NOT_PLAIN = re.compile(r"[^\n -~]")  # a tab, \r, another control or a non-ASCII character
+_TOKENS = ("word", "int", "float")  # the groups of a token `_scalar` reads
 _DASH = ("-", "- ")  # a line's first two characters where it is a sequence entry
 
 
@@ -56,16 +56,17 @@ def _flow(items: str | None, pairs: str | None, depth: int):
     if items is not None:
         if not items.strip(" "):
             return []
-        tokens = [_FLOW_ITEM.fullmatch(item) for item in items.split(",")]
-        if None in tokens:
+        tokens = [_LINE.fullmatch(" " + item) for item in items.split(",")]
+        if not all(token and token.lastgroup in _TOKENS for token in tokens):
             raise ValueError(items)
         return list(map(_scalar, tokens))
     node = {}
     for pair in pairs.split(",") if pairs.strip(" ") else ():
-        match = _FLOW_PAIR.fullmatch(pair)
-        if match is None or match["key"] in _WORDS or match["key"] in node:
+        match = _LINE.fullmatch(pair.lstrip(" "))
+        key = match["key"] if match and match.lastgroup in _TOKENS else None
+        if key is None or key in _WORDS or key in node:
             raise ValueError(pair)
-        node[match["key"]] = _scalar(match)
+        node[key] = _scalar(match)
     return node
 
 
@@ -90,18 +91,19 @@ class _Reader:
     def mapping(self, indent: int, depth: int) -> dict:
         node, indents, lines = {}, self.indents, self.lines
         while indents[self.pos] == indent:
-            entry = _KEYED.fullmatch(lines[self.pos])
-            if entry is None or entry["key"] in _WORDS or entry["key"] in node:
+            entry = _LINE.fullmatch(lines[self.pos])
+            key = entry and entry["key"]
+            if key is None or key in _WORDS or key in node:
                 raise ValueError(lines[self.pos])
             self.pos += 1
-            node[entry["key"]] = self.value(entry, indent, depth + 1, True)
+            node[key] = self.value(entry, indent, depth + 1, True)
         return node
 
     def sequence(self, indent: int, depth: int) -> list:
         node, indents, lines = [], self.indents, self.lines
         while indents[self.pos] == indent and lines[self.pos][:2] in _DASH:
             line = lines[self.pos]
-            entry = _ENTRY.fullmatch(line, 1)
+            entry = _LINE.fullmatch(line, 1)
             if entry is None:  # `- - x` or `- key: x`: a collection from here, at its column
                 inner = line[1:].lstrip(" ")
                 indents[self.pos] += len(line) - len(inner)
@@ -116,7 +118,7 @@ class _Reader:
         """The value of ``entry``, a line at ``indent``: on the line, on the
         more indented lines below, or null.  After `key:` (``indentless``), a
         sequence may also start at the key's own indent."""
-        if entry.lastgroup in ("word", "int", "float"):
+        if entry.lastgroup in _TOKENS:
             return _scalar(entry)
         if entry.lastgroup in ("items", "pairs"):
             return _flow(entry["items"], entry["pairs"], depth)
@@ -136,7 +138,7 @@ def _plain_yaml(text: str):
     blank lines.  Declined: any other scalar or syntax, a scalar continued on
     a second line, a tab or a character that is not printable ASCII, and
     nesting deeper than 100 levels."""
-    if _NOT_PLAIN.search(text):
+    if not (text.isascii() and text.replace("\n", "").isprintable()):
         return None
     reader = _Reader(text)
     try:
@@ -198,15 +200,13 @@ def plain_float(x) -> str:
     return text if "." in text or "e" not in text else text.replace("e", ".0e", 1)
 
 
-_PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")  # a name PyYAML writes unquoted
-
-
 def entry_head(name: str, sl_full: float) -> str:
     """A profile-file entry's first lines, its workload and ``sl_full``, in
-    PyYAML's block layout.  A name that PyYAML would quote or escape goes,
-    with ``sl_full``, through its pure-Python dumper, as libyaml folds long
-    escaped names at other points; any other is written here."""
-    if _PLAIN_NAME.fullmatch(name) and name not in _WORDS:
+    PyYAML's block layout.  A name the reader reads back as that string is
+    written here; any other goes, with ``sl_full``, through PyYAML's
+    pure-Python dumper, as libyaml folds long escaped names at other points."""
+    read = _LINE.fullmatch(" " + name)
+    if read and read["word"] == name and name not in _WORDS:
         return f"- workload: {name}\n  sl_full: {plain_float(sl_full)}\n"
     import yaml
     return yaml.dump([{"workload": name, "sl_full": float(sl_full)}], Dumper=yaml.SafeDumper,

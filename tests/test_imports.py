@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.resources
+import json
 import os
 import subprocess
 import sys
@@ -20,6 +21,30 @@ REFERENCE = str(importlib.resources.files("coco") / "data" / "reference.yaml")
 PROBE = ("import sys\nfrom coco.cli import main\ntry:\n    code = main(sys.argv[2:])\n"
          "except SystemExit as e:\n    code = e.code\n"
          "print(code, *(m for m in sys.argv[1].split(',') if m in sys.modules))")
+# imports the CLI and runs each command line of the JSON list in argv[1],
+# with `re.compile` counted, then prints the exit codes and each call's module
+COMPILES = ("import json, re, sys\ncalls, compile = [], re.compile\n"
+            "def counted(*args, **kwargs):\n"
+            "    calls.append(sys._getframe(1).f_globals['__name__'])\n"
+            "    return compile(*args, **kwargs)\n"
+            "re.compile = counted\nfrom coco.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\nprint(*codes, *calls)")
+# a scenario with no flow collection
+BLOCK_SCENARIO = """\
+machine:
+  llc_ways: 20
+  clos_count: 4
+  mba_step: 10
+workloads:
+  - name: web
+    slo:
+      percentile: 0.99
+      latency_bound_ms: 20.0
+    offered_load: 100.0
+    profile:
+      calibration: nginx
+      sl_full: 1000.0
+"""
 SIMULATOR = "coco.sim,coco.scheduler"
 # the value types are slotted classes: no command generates code for them
 CODEGEN = "dataclasses,inspect"
@@ -112,6 +137,15 @@ def test_other_command_lines_go_through_argparse(argv, code):
 ])
 def test_a_file_without_clos_set_skips_closconfig(argv, code, tmp_path):
     assert _python("-c", PROBE, "coco.closconfig", *_argv(argv, tmp_path)) == [str(code)]
+
+
+def test_yaml_is_read_and_written_with_two_compiled_patterns(tmp_path):
+    block = tmp_path / "block.yaml"
+    block.write_text(BLOCK_SCENARIO)
+    argvs = [["validate", REFERENCE], ["validate", str(block)],
+             _argv(["profile", "MODEL", "-o", "OUT"], tmp_path)]
+    assert _python("-c", COMPILES, json.dumps(argvs)) == [
+        "0", "0", "0", "coco.yamlload", "coco.yamlload"]
 
 
 def test_a_file_with_an_anchor_loads_through_pyyaml(tmp_path):

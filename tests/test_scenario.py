@@ -156,6 +156,11 @@ PLAIN_TOKENS = ["0", "-0", "+7", "12", "-170", "1.5", "3.", "-0.0", "+2.50", "1.
 NEAR_TOKENS = ["1e5", "1.0e5", "0x1f", "012", "1_000", ".5", ".inf", "-", "+", "+x", "1.2.3",
                "2001-12-14", "~", "1:30", "a b", "'q'", '"q"', "=", "<<", "a#b", "x:y", "&a x",
                "!!str x", "*a", "|", ">", "?", "%", "@", "[a", "caf\u00e9", "a\tb", "---", "..."]
+# flow collections at the edges of the token grammar: read, then declined
+FLOW_READ = ["m: { a: 1 }\n", "m: [ a,b ]\n", "m: [ ]\n", "m: { }\n",
+             "m: [1.5e+3, -2, x.y+z, null]\n"]
+FLOW_DECLINED = ["m: {a:1}\n", "m: {a: }\n", "m: {a: 1, a: 2}\n", "m: {yes: 1}\n",
+                 "m: [a, , b]\n", "m: [a: 1]\n", "m: [a b]\n", "m: {1: a}\n", "m: [.5]\n"]
 PLAIN_KEYS = ["a", "b", "c", "sl_full", "_x", "k9", "Yes_", 1024]  # n: a key n letters long
 NEAR_KEYS = ["yes", "No", "ON", "null", "Null", "off", "a-b", "1", "'a'", "a b", 1025]
 
@@ -638,9 +643,42 @@ class TestPlainYaml:
     @example(text="a: 1\n  b\n")
     @example(text="k" * 1024 + ": 1\n")
     @example(text="k" * 1025 + ": 1\n")
+    # the flow edges, FLOW_READ and FLOW_DECLINED
+    @example(text="m: { a: 1 }\n")
+    @example(text="m: [ a,b ]\n")
+    @example(text="m: [ ]\n")
+    @example(text="m: { }\n")
+    @example(text="m: [1.5e+3, -2, x.y+z, null]\n")
+    @example(text="m: {a:1}\n")
+    @example(text="m: {a: }\n")
+    @example(text="m: {a: 1, a: 2}\n")
+    @example(text="m: {yes: 1}\n")
+    @example(text="m: [a, , b]\n")
+    @example(text="m: [a: 1]\n")
+    @example(text="m: [a b]\n")
+    @example(text="m: {1: a}\n")
+    @example(text="m: [.5]\n")
     @given(text=plain_documents())
     def test_read_as_yaml_load_reads_it(self, text):
         assert_read_as_yaml_load_reads_it(text)
+
+    @pytest.mark.parametrize("text", FLOW_READ + FLOW_DECLINED)
+    def test_flow_edges_are_read_or_declined(self, text):
+        assert (yamlload._plain_yaml(text) is None) == (text in FLOW_DECLINED)
+
+    @settings(max_examples=200, deadline=None)
+    @example(name="a+b")  # PyYAML writes a `+` plain
+    @example(name="e+5")
+    @example(name="yes")
+    @example(name="a b")
+    @given(name=PROFILE_NAMES)
+    def test_a_name_is_written_here_exactly_when_the_reader_reads_it_back(self, name):
+        with mock.patch.object(yaml, "dump", wraps=yaml.dump) as dump:
+            head = yamlload.entry_head(name, 1.0)
+        read_back = yamlload._plain_yaml(f"workload: {name}\n") == {"workload": name}
+        assert dump.called != read_back
+        assert head == yaml.dump([{"workload": name, "sl_full": 1.0}], Dumper=yaml.SafeDumper,
+                                 sort_keys=False)
 
     @pytest.mark.parametrize("form", ["a: X\n", "a:\n- x\n- X\n", "a: [x, X]\n",
                                       "a: {b: X}\n"])
