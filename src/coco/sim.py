@@ -23,7 +23,7 @@ import math
 import random
 
 from coco.closconfig import ClosSet
-from coco.core import AllocationState, Value, WorkloadSpec, _set, replace
+from coco.core import AllocationState, Value, _set, replace
 from coco.errors import InfeasibleSloError
 # the scenario value types live in coco.params; re-exported for callers of coco.sim
 from coco.params import (MAX_DURATION, MAX_EPOCH_QUANTA, POLICIES, Policy, PolicySpec,
@@ -119,18 +119,18 @@ def _reference_state(scenario: Scenario, clos_set: ClosSet) -> AllocationState |
 
 
 class _Tally:
-    """One workload's running totals over a simulated run."""
+    """One workload's running totals over a simulated run.
 
-    __slots__ = ("violations", "quanta", "min_affordable", "peak_demand",
-                 "ideal_capacity", "warmup_loss")
+    Warmup capacity is a run total, kept by ``_simulate`` itself.
+    """
+
+    __slots__ = ("violations", "quanta", "min_affordable", "peak_demand")
 
     def __init__(self):
         self.violations = 0
         self.quanta = 0
         self.min_affordable = math.inf
         self.peak_demand = 0.0  # worst apportioned load / achievable rate
-        self.ideal_capacity = 0.0
-        self.warmup_loss = 0.0
 
 
 def _jitter_factors(scenario: Scenario, rng: random.Random) -> dict[str, float]:
@@ -141,7 +141,7 @@ def _jitter_factors(scenario: Scenario, rng: random.Random) -> dict[str, float]:
 
 
 def _simulate(scenario: Scenario, *, apply_admission: bool
-              ) -> tuple[dict[str, _Tally], int, tuple[WorkloadSpec, ...]]:
+              ) -> tuple[dict[str, _Tally], int, float]:
     """Core loop shared by run_scenario and max_affordable_load.
 
     It rates each distinct epoch of the policy once, as a phase, then walks
@@ -149,7 +149,11 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
     min(window, quanta) quanta after a working-set switch on its CLOS, base
     after that.  So it is tallied once, as count x rate, not quantum by
     quantum.  Likewise an epoch that recurs is simulated once and its
-    additive tallies weighted by how often it recurs.
+    additive tallies weighted by how often it recurs.  Returns the
+    per-workload tallies, the run's migrations and its warmup overhead: the
+    capacity lost to warm windows over the capacity at the base rates, both
+    summed over every simulated segment.  A run that admits no workload
+    ends before the walk and draws no jitter.
     """
     spec = POLICIES[scenario.policy]
     tallies = {w.name: _Tally() for w in scenario.workloads}
@@ -165,9 +169,9 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
         for w in rejected:
             if w.offered_load > 0:
                 tallies[w.name].violations = scenario.duration * scenario.epoch_quanta
-    migrations = 0
-    if not workloads:
-        return tallies, migrations, workloads
+    migrations, ideal, loss = 0, 0.0, 0.0
+    if not workloads:  # all rejected: no walk, so no jitter is drawn
+        return tallies, migrations, 0.0
 
     alpha = scenario.interference_alpha if spec.shared else 1.0
     penalty = scenario.pairing_penalty if spec.planner == "weighted" else 1.0
@@ -217,23 +221,14 @@ def _simulate(scenario: Scenario, *, apply_admission: bool
                 rate = warm_rate if warm else base
                 t.min_affordable = min(t.min_affordable, rate * share)
                 t.peak_demand = max(t.peak_demand, apportioned / rate)
-                t.ideal_capacity += count * quanta * base
-                t.warmup_loss += count * warm * (base - warm_rate)
+                ideal += count * quanta * base
+                loss += count * warm * (base - warm_rate)
             prev_members[clos_id] = names
-    return tallies, migrations, workloads
+    return tallies, migrations, loss / ideal if ideal else 0.0
 
 
-def _overhead(tallies: dict[str, _Tally]) -> float:
-    """Capacity lost to warmup windows as a fraction of nominal capacity."""
-    ideal = sum(t.ideal_capacity for t in tallies.values())
-    if ideal == 0:
-        return 0.0
-    return sum(t.warmup_loss for t in tallies.values()) / ideal
-
-
-def _metrics_from(scenario: Scenario, tallies: dict[str, _Tally],
-                  migrations: int,
-                  affordable: dict[str, float] | None = None) -> SimMetrics:
+def _metrics_from(scenario: Scenario, tallies: dict[str, _Tally], migrations: int,
+                  overhead: float, affordable: dict[str, float] | None = None) -> SimMetrics:
     """Per-workload metrics; affordable loads default to the capacity view.
 
     Given affordable loads, violations read 0: at the boundary m* every
@@ -251,7 +246,7 @@ def _metrics_from(scenario: Scenario, tallies: dict[str, _Tally],
         retainment = load / w.sl_full
         total_ret += retainment
         per[w.name] = WorkloadMetrics(load, retainment, violations, t.quanta)
-    return SimMetrics(per, migrations, _overhead(tallies), total_ret)
+    return SimMetrics(per, migrations, overhead, total_ret)
 
 
 def run_scenario(scenario: Scenario) -> SimMetrics:
@@ -262,8 +257,7 @@ def run_scenario(scenario: Scenario) -> SimMetrics:
     control applies to the coco policies; rejected workloads receive no quanta
     and count one violation per simulated quantum.
     """
-    tallies, migrations, _ = _simulate(scenario, apply_admission=True)
-    return _metrics_from(scenario, tallies, migrations)
+    return _metrics_from(scenario, *_simulate(scenario, apply_admission=True))
 
 
 def max_affordable_load(scenario: Scenario) -> AffordableResult:
@@ -277,14 +271,14 @@ def max_affordable_load(scenario: Scenario) -> AffordableResult:
     Admission control is bypassed: the boundary is that of the full
     workload set.
     """
-    tallies, migrations, _ = _simulate(scenario, apply_admission=False)
+    tallies, migrations, overhead = _simulate(scenario, apply_admission=False)
     peak = max(t.peak_demand for t in tallies.values())
     if peak == 0:
         raise InfeasibleSloError("all offered loads are zero; nothing to scale")
     m_star = 1.0 / peak
     affordable = {w.name: w.offered_load * m_star for w in scenario.workloads}
     return AffordableResult(
-        m_star, affordable, _metrics_from(scenario, tallies, migrations, affordable))
+        m_star, affordable, _metrics_from(scenario, tallies, migrations, overhead, affordable))
 
 
 def compare_policies(base: Scenario, policies: list[Policy]) -> CompareResult:

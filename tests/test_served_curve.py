@@ -1,24 +1,34 @@
-"""The paper's premise as a pinned curve: LC workloads served against partitions.
+"""The paper's premise as pinned curves: LC workloads served against partitions.
 
 N workloads cycle the six shipped reference workloads (names suffixed with
-their index) at their stated loads, without load jitter, on the reference
-machine, whose 4 CLOSs leave 3 for latency-critical work.  A workload is
-served if it gets quanta and has no SLO violation.  The golden file holds
-the number served per policy and N.  To regenerate it deliberately, run
-this module as a script from the repo root:
-``PYTHONPATH=src:tests python tests/test_served_curve.py``.
+their index) at their stated loads, without load jitter.  A workload is
+served if it gets quanta and has no SLO violation.  Two golden files hold
+the number served per policy and N:
+- ``served_curve.golden`` on the reference machine, whose 4 CLOSs leave 3
+  for latency-critical work;
+- ``served_by_clos_count.golden`` on that machine (20 ways, MBA step 10)
+  with 2 to 8 CLOSs on the default partition, for every N up to the epoch's
+  20 quanta, with ``compare``'s coco/none and coco/rr ratios beside the
+  counts.  ``compare`` skips admission, so its ratios are of affordable
+  loads over the whole set.
+To regenerate both deliberately, run this module as a script from the repo
+root: ``PYTHONPATH=src:tests python tests/test_served_curve.py``.
 """
 
+import functools
 import importlib.resources
 import itertools
 from pathlib import Path
 
 from coco.core import replace
 from coco.scenario import load_scenario
-from coco.sim import Policy, run_scenario
+from coco.sim import Policy, compare_policies, run_scenario
 
 GOLDEN = Path(__file__).parent / "data" / "served_curve.golden"
+AXIS_GOLDEN = Path(__file__).parent / "data" / "served_by_clos_count.golden"
 SIZES = (2, 3, 4, 6, 8, 10, 12, 16)
+GRID = tuple(range(2, 21))  # every N up to the reference epoch_quanta
+CLOS_COUNTS = range(2, 9)
 POLICIES = (Policy.COCO, Policy.ROUND_ROBIN, Policy.NO_PARTITION)
 
 
@@ -27,23 +37,57 @@ def reference():
         str(importlib.resources.files("coco") / "data" / "reference.yaml")).scenario()
 
 
-def served(base, policy, n):
-    """How many of n cycled reference workloads ``policy`` serves."""
+def cycled(base, n):
+    """The base with n cycled reference workloads and no load jitter."""
     workloads = tuple(replace(w, name=f"{w.name}.{i}")
                       for i, w in zip(range(n), itertools.cycle(base.workloads)))
-    metrics = run_scenario(replace(base, policy=policy, workloads=workloads, load_jitter=0.0))
+    return replace(base, workloads=workloads, load_jitter=0.0)
+
+
+def served(base, policy, n):
+    """How many of n cycled reference workloads ``policy`` serves."""
+    metrics = run_scenario(replace(cycled(base, n), policy=policy))
     return sum(1 for m in metrics.per_workload.values()
                if m.quanta_received and m.slo_violations == 0)
 
 
-def curve(base):
-    return {policy: [served(base, policy, n) for n in SIZES] for policy in POLICIES}
+def curve(base, sizes=SIZES):
+    return {policy: [served(base, policy, n) for n in sizes] for policy in POLICIES}
 
 
-def curve_text(table) -> str:
-    rows = [["N", *map(str, SIZES)]] + [[p.value, *map(str, counts)]
+def curve_text(table, sizes=SIZES) -> str:
+    rows = [["N", *map(str, sizes)]] + [[p.value, *map(str, counts)]
                                         for p, counts in table.items()]
     return "".join(" ".join(row) + "\n" for row in rows)
+
+
+def ratios(base, n):
+    """``compare``'s coco/none and coco/rr total retainment at n workloads."""
+    totals = {p: m.total_retainment for p, m in compare_policies(cycled(base, n), POLICIES).rows}
+    coco = totals[Policy.COCO]
+    return coco / totals[Policy.NO_PARTITION], coco / totals[Policy.ROUND_ROBIN]
+
+
+@functools.cache
+def axis():
+    """Per CLOS count: its LC CLOSs, the served curve on GRID and the ratios."""
+    base = reference()
+    out = {}
+    for k in CLOS_COUNTS:
+        on_k = replace(base, machine=replace(base.machine, clos_count=k))
+        out[k] = (len(on_k.effective_clos_set().lc_configs()), curve(on_k, GRID),
+                  [ratios(on_k, n) for n in GRID])
+    return out
+
+
+def axis_text() -> str:
+    blocks = []
+    for k, (lc, table, pairs) in axis().items():
+        coco_none, coco_rr = zip(*pairs)
+        blocks.append(f"clos_count {k} ({lc} LC)\n" + curve_text(table, GRID)
+                      + "coco/none " + " ".join(f"{r:.4f}" for r in coco_none) + "\n"
+                      + "coco/rr " + " ".join(f"{r:.4f}" for r in coco_rr) + "\n")
+    return "\n".join(blocks)
 
 
 def test_golden_curve():
@@ -60,5 +104,20 @@ def test_coco_serves_more_than_its_partitions_and_never_fewer():
             assert table[Policy.COCO][i] >= table[policy][i], (policy, n)
 
 
+def test_golden_axis():
+    assert axis_text() == AXIS_GOLDEN.read_text()
+
+
+def test_coco_serves_more_than_its_partitions_at_every_clos_count():
+    fewer_than_rr = set()
+    for k, (lc, table, _) in axis().items():
+        assert any(count > lc for count in table[Policy.COCO]), k
+        fewer_than_rr |= {(k, n) for n, coco, rr in
+                          zip(GRID, table[Policy.COCO], table[Policy.ROUND_ROBIN]) if coco < rr}
+    # the one exception: on 5 CLOSs greedy admission keeps 7 of 20, rr serves 8
+    assert fewer_than_rr == {(5, 20)}
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(curve_text(curve(reference())))
+    AXIS_GOLDEN.write_text(axis_text())

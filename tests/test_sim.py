@@ -18,6 +18,7 @@ from coco.closconfig import ClosConfig, ClosSet, default_partition
 from coco.core import (AllocationState, MachineSpec, SensitivityProfile, SloSpec,
                        WorkloadSpec, replace, slowdown_xy)
 from coco.errors import InfeasibleSloError, ValidationError
+from coco.params import MAX_DURATION
 from coco.scenario import load_scenario
 from coco.scheduler import admission_control, plan_epoch
 from coco.sim import (Policy, Scenario, WarmupParams, _simulate, anti_monotone_set,
@@ -164,6 +165,19 @@ class TestAdmission:
         for name, wm in run_scenario(s).per_workload.items():
             if wm.quanta_received:  # admitted
                 assert wm.slo_violations == 0, name
+
+    @pytest.mark.parametrize("policy", [Policy.COCO, Policy.COCO_CONFLICTING])
+    def test_all_rejected_run_draws_nothing(self, policy):
+        # at 50x its capacity no workload is admitted, so the run ends before
+        # the walk: even the longest jittered run draws no jitter
+        s = replace(REFERENCE, policy=policy, load_jitter=0.2, duration=MAX_DURATION,
+                    workloads=tuple(replace(w, offered_load=50 * w.sl_full)
+                                    for w in REFERENCE.workloads))
+        with mock.patch("coco.sim._jitter_factors", side_effect=AssertionError("drew jitter")):
+            metrics = run_scenario(s)
+        for name, wm in metrics.per_workload.items():
+            assert (wm.quanta_received, wm.slo_violations) == (
+                0, MAX_DURATION * s.epoch_quanta), name
 
 
 class TestNonFiniteRejected:
@@ -484,17 +498,17 @@ class TestRepeatedEpochs:
             s, machine=replace(s.machine, clos_count=clos_count),
             load_jitter=0.0, duration=duration)
         for admission in (True, False):
-            got, got_migrations, got_admitted = _simulate(s, apply_admission=admission)
+            got, got_migrations, got_overhead = _simulate(s, apply_admission=admission)
             with (mock.patch("coco.sim._jitter_factors", _no_jitter),
                   mock.patch("coco.sim.admission_control", _admit_unjittered)):
-                want, want_migrations, want_admitted = _simulate(
+                want, want_migrations, want_overhead = _simulate(
                     replace(s, load_jitter=0.5), apply_admission=admission)
-            assert (got_migrations, got_admitted) == (want_migrations, want_admitted)
+            assert got_migrations == want_migrations
+            assert math.isclose(got_overhead, want_overhead, rel_tol=1e-12)
             for name, t in want.items():
                 g = got[name]
                 assert (g.violations, g.quanta) == (t.violations, t.quanta), name
-                for attr in ("min_affordable", "peak_demand", "ideal_capacity",
-                             "warmup_loss"):
+                for attr in ("min_affordable", "peak_demand"):
                     assert math.isclose(getattr(g, attr), getattr(t, attr),
                                         rel_tol=1e-12), (name, attr)
 
@@ -534,11 +548,11 @@ def two_pass(s: Scenario) -> sim.AffordableResult:
     finds m*, a fresh one at m* gives the metrics and counts no violation."""
     tallies, _, _ = _simulate(s, apply_admission=False)
     m_star = 1.0 / max(t.peak_demand for t in tallies.values())
-    tallies, migrations, _ = _simulate(_scaled(s, m_star), apply_admission=False)
+    tallies, migrations, overhead = _simulate(_scaled(s, m_star), apply_admission=False)
     assert sum(t.violations for t in tallies.values()) == 0
     affordable = {w.name: w.offered_load * m_star for w in s.workloads}
     return sim.AffordableResult(
-        m_star, affordable, sim._metrics_from(s, tallies, migrations, affordable))
+        m_star, affordable, sim._metrics_from(s, tallies, migrations, overhead, affordable))
 
 
 class TestOneSearchPass:
